@@ -3,6 +3,7 @@
 #include "mmlab/core/dataset_io.hpp"
 #include "mmlab/mobility/route.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -33,6 +34,22 @@ unsigned env_threads() {
     if (v > 0) return static_cast<unsigned>(v);
   }
   return 0;  // hardware concurrency
+}
+
+const std::vector<core::CarrierFigures>& D2Data::figures() const {
+  if (!figures_) figures_ = core::analyze_database(db, {}, env_threads());
+  return *figures_;
+}
+
+const core::CarrierFigures& D2Data::figures(const std::string& carrier) const {
+  static const core::CarrierFigures kEmpty;
+  const auto& all = figures();
+  const auto it = std::lower_bound(
+      all.begin(), all.end(), carrier,
+      [](const core::CarrierFigures& f, const std::string& name) {
+        return f.carrier < name;
+      });
+  return it != all.end() && it->carrier == carrier ? *it : kEmpty;
 }
 
 D2Data build_d2(double scale, double mean_rounds) {

@@ -15,12 +15,13 @@
 // bench_out/<name>.csv.
 #pragma once
 
-#include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "mmlab/core/analysis.hpp"
-#include "mmlab/core/columnar.hpp"
 #include "mmlab/core/extractor.hpp"
+#include "mmlab/core/figures.hpp"
 #include "mmlab/core/parallel_extract.hpp"
 #include "mmlab/sim/crawl.hpp"
 #include "mmlab/sim/drive_test.hpp"
@@ -39,17 +40,16 @@ struct D2Data {
   std::size_t camps = 0;
   core::ParallelExtractStats extract;  ///< throughput of the D2 extraction
 
-  /// Columnar view over db, built lazily on first use (with env_threads()
-  /// workers) and shared by every figure a bench computes.  Lazy so the
-  /// build happens on the final, settled D2Data object — the view holds
-  /// pointers into db and must never be built before the last move.
-  const core::ColumnarView& view() const {
-    if (!view_) view_ = std::make_unique<core::ColumnarView>(db, env_threads());
-    return *view_;
-  }
+  /// Every carrier's fig11–22 products (core::analyze_database on
+  /// env_threads() workers, default MixOptions), computed on first use and
+  /// shared by every figure a bench prints.  Benches that need the city
+  /// join or a spatial query run core::analyze_carrier themselves.
+  const std::vector<core::CarrierFigures>& figures() const;
+  /// One carrier's products; empty products for an unknown carrier.
+  const core::CarrierFigures& figures(const std::string& carrier) const;
 
  private:
-  mutable std::unique_ptr<core::ColumnarView> view_;
+  mutable std::optional<std::vector<core::CarrierFigures>> figures_;
 };
 
 /// Generate the world, run the Type-I crawl, extract into the database.

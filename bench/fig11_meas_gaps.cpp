@@ -28,7 +28,7 @@ int main() {
   TablePrinter csv({"series", "gap_db", "cdf"});
 
   // Left panel: Θintra − Θnonintra pooled over all carriers.
-  const auto pooled = core::measurement_decision_gaps(data.view());
+  const auto pooled = core::pooled_gaps(data.figures());
   print_cdf("Th_intra - Th_nonintra (all carriers)",
             pooled.intra_minus_nonintra, csv);
   std::size_t negative = 0, zero = 0;
@@ -45,7 +45,7 @@ int main() {
                   static_cast<double>(pooled.intra_minus_nonintra.size()));
 
   // Middle/right panels: gaps to the decision threshold, AT&T.
-  const auto att = core::measurement_decision_gaps(data.view(), "A");
+  const auto& att = data.figures("A").gaps;
   print_cdf("Th_intra - Th_srv_low (AT&T)", att.intra_minus_slow, csv);
   std::size_t big = 0;
   for (const double g : att.intra_minus_slow) big += g > 30.0;

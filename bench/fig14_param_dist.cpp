@@ -21,7 +21,7 @@ int main() {
                         "mode share"});
   auto add_param = [&](ParamId id) {
     const auto key = config::lte_param(id);
-    const auto vc = data.view().values("A", key);
+    const auto vc = data.figures("A").values(key);
     if (vc.empty()) return;
     summary.add_row({config::param_name(key), std::to_string(vc.richness()),
                      fmt_double(vc.simpson_index(), 3),
@@ -38,7 +38,7 @@ int main() {
   for (const auto id : {ParamId::kServingPriority, ParamId::kA3Offset,
                         ParamId::kA5Threshold1, ParamId::kA3Ttt}) {
     const auto key = config::lte_param(id);
-    const auto vc = data.view().values("A", key);
+    const auto vc = data.figures("A").values(key);
     std::printf("%s:", config::param_name(key).c_str());
     for (const auto& [value, count] : vc.counts())
       std::printf(" %g(%.1f%%)", value,

@@ -17,7 +17,7 @@ int main() {
     std::printf("-- %s --\n", config::param_name(key).c_str());
     TablePrinter table({"Carrier", "richness", "top values (share)"});
     for (const char* carrier : carriers) {
-      const auto vc = data.view().values(carrier, key);
+      const auto vc = data.figures(carrier).values(key);
       if (vc.empty()) {
         table.add_row({carrier, "0", "-"});
         continue;

@@ -8,7 +8,7 @@ int main() {
 
   const auto data = bench::build_d2();
   const auto diversity =
-      core::diversity_by_param(data.view(), "A", spectrum::Rat::kLte);
+      core::rank_diversity(data.figures("A").totals, spectrum::Rat::kLte);
 
   TablePrinter table({"idx", "Param", "richness", "Simpson D", "Cv", "cells"});
   int idx = 0;

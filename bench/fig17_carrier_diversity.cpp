@@ -25,7 +25,7 @@ int main() {
       const auto key = config::lte_param(id);
       std::vector<std::string> row = {config::param_name(key)};
       for (const char* carrier : carriers) {
-        const auto vc = data.view().values(carrier, key);
+        const auto vc = data.figures(carrier).values(key);
         row.push_back(fmt_double(
             metric == 0 ? vc.simpson_index() : vc.coefficient_of_variation(),
             2));
@@ -38,8 +38,8 @@ int main() {
   // SK Telecom should be the least diverse across the board.
   double sk_sum = 0.0, att_sum = 0.0;
   for (const auto id : params) {
-    sk_sum += data.view().values("SK", config::lte_param(id)).simpson_index();
-    att_sum += data.view().values("A", config::lte_param(id)).simpson_index();
+    sk_sum += data.figures("SK").values(config::lte_param(id)).simpson_index();
+    att_sum += data.figures("A").values(config::lte_param(id)).simpson_index();
   }
   std::printf("sum of D over the 8 params: SK=%.2f vs AT&T=%.2f "
               "(paper: SK lowest diversity of all carriers)\n",

@@ -7,11 +7,12 @@ int main() {
   bench::intro("Fig 18", "priority breakdown per EARFCN (AT&T)");
 
   const auto data = bench::build_d2();
+  const auto& att = data.figures("A");
   for (const bool candidate : {false, true}) {
     std::printf("-- %s priorities --\n",
                 candidate ? "candidate (Pc)" : "serving (Ps)");
-    const auto by_channel =
-        core::priority_by_channel(data.view(), "A", candidate);
+    const auto& by_channel =
+        candidate ? att.candidate_priority : att.serving_priority;
     TablePrinter table({"EARFCN", "band", "cells", "priority values (share)"});
     for (const auto& [channel, counts] : by_channel) {
       const auto band =
@@ -33,8 +34,7 @@ int main() {
   }
   std::printf("cells holding a non-modal priority on a conflicted channel: "
               "%s (paper: 6.3%% of AT&T cells)\n",
-              fmt_percent(core::multi_priority_cell_fraction(data.db, "A"), 1)
-                  .c_str());
+              fmt_percent(att.multi_priority_fraction, 1).c_str());
   std::printf("paper anchors: bands 12/17 (5110/5145/5780) priority 2; band "
               "30 (9820) highest (5); 1975/2000/2425/9820 multi-valued\n");
   return 0;

@@ -7,10 +7,10 @@ int main() {
   bench::intro("Fig 19", "frequency dependence per parameter (AT&T)");
 
   const auto data = bench::build_d2();
-  const auto deps = core::frequency_dependence(data.view(), "A");
+  const auto& deps = data.figures("A").dependence;
   // Order by Fig 16's sort (increasing overall Simpson index).
   const auto diversity =
-      core::diversity_by_param(data.view(), "A", spectrum::Rat::kLte);
+      core::rank_diversity(data.figures("A").totals, spectrum::Rat::kLte);
 
   TablePrinter table({"idx", "Param", "zeta(D)", "zeta(Cv)", "overall D"});
   int idx = 0;

@@ -8,10 +8,13 @@ int main() {
 
   const auto data = bench::build_d2();
   const auto& cities = data.world.network.cities();
+  core::MixOptions options;
+  options.cities = cities;
 
   TablePrinter table({"Carrier", "City", "cells", "priority shares"});
   for (const char* carrier : {"A", "T", "V", "S"}) {
-    const auto by_city = core::priority_by_city(data.view(), carrier, cities);
+    const auto by_city =
+        core::analyze_carrier(data.db, carrier, options).priority_by_city;
     for (const auto& [city_id, counts] : by_city) {
       if (city_id > 4) continue;  // US cities C1..C5 only
       std::string shares;

@@ -14,8 +14,10 @@ int main() {
                       "mean"});
   for (const char* carrier : {"A", "V", "S", "T"}) {
     for (const double radius : {500.0, 1000.0, 2000.0}) {
+      core::MixOptions options;
+      options.spatial = core::SpatialQuery{key, indy, radius};
       const auto values =
-          core::spatial_diversity(data.view(), carrier, key, indy, radius);
+          core::analyze_carrier(data.db, carrier, options).spatial_diversity;
       if (values.empty()) continue;
       const auto box = stats::boxplot(values);
       table.add_row({carrier, fmt_double(radius / 1000.0, 1),

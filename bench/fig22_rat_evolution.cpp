@@ -23,7 +23,7 @@ int main() {
   std::map<std::string, double> medians;
   for (const auto& panel : panels) {
     const auto diversity =
-        core::diversity_by_param(data.view(), panel.carrier, panel.rat);
+        core::rank_diversity(data.figures(panel.carrier).totals, panel.rat);
     std::vector<double> simpsons;
     for (const auto& d : diversity) simpsons.push_back(d.measures.simpson);
     if (simpsons.empty()) continue;

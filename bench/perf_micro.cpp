@@ -1,9 +1,9 @@
 // google-benchmark microbenches for the hot paths: RRC codec, diag framing,
 // event evaluation, reselection ranking, the end-to-end extract pipeline,
 // dataset I/O (CSV vs the MMDS v1 binary format at ~1M rows), the
-// analysis query path (legacy ConfigDatabase scans vs the ColumnarView),
-// and the deterministic parallel simulation engine (crawl + campaign
-// thread scaling).
+// fig11–22 analysis mix (in memory and straight off an MMDS v2 store), and
+// the deterministic parallel simulation engine (crawl + campaign thread
+// scaling).
 #include <benchmark/benchmark.h>
 
 #include <sstream>
@@ -11,6 +11,7 @@
 #include "mmlab/core/analysis.hpp"
 #include "mmlab/core/dataset_io.hpp"
 #include "mmlab/core/extractor.hpp"
+#include "mmlab/core/figures.hpp"
 #include "mmlab/core/parallel_extract.hpp"
 #include "mmlab/diag/stream_parser.hpp"
 #include "mmlab/ingest/replay.hpp"
@@ -26,7 +27,6 @@
 #include "mmlab/sim/crawl.hpp"
 #include "mmlab/sim/drive_test.hpp"
 #include "mmlab/store/analytics.hpp"
-#include "mmlab/store/columnar_build.hpp"
 #include "mmlab/store/shard_set.hpp"
 #include "mmlab/store/shard_writer.hpp"
 #include "mmlab/util/crc.hpp"
@@ -351,51 +351,6 @@ const std::vector<std::uint8_t>& dataset_bin() {
   return bytes;
 }
 
-// The pre-MMDS CSV loader (stringstream row split, stod/stoul fields),
-// frozen here as the baseline the binary format is measured against.
-core::LoadStats legacy_load_csv(std::istream& in, core::ConfigDatabase& db) {
-  std::string line;
-  std::getline(in, line);  // header
-  core::LoadStats stats;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    ++stats.rows;
-    std::stringstream row(line);
-    std::string field;
-    std::vector<std::string> fields;
-    while (std::getline(row, field, ',')) fields.push_back(field);
-    if (fields.size() != 10) {
-      ++stats.bad_rows;
-      continue;
-    }
-    const auto key = config::parse_param_name(fields[7]);
-    if (!key) {
-      ++stats.bad_rows;
-      continue;
-    }
-    try {
-      const int rat_raw = std::stoi(fields[2]);
-      if (rat_raw < 0 || rat_raw > 4) {
-        ++stats.bad_rows;
-        continue;
-      }
-      config::ParamObservation obs;
-      obs.key = *key;
-      obs.value = std::stod(fields[8]);
-      obs.context = std::stoll(fields[9]);
-      db.add_snapshot(
-          fields[0], static_cast<std::uint32_t>(std::stoul(fields[1])),
-          static_cast<spectrum::Rat>(rat_raw),
-          static_cast<std::uint32_t>(std::stoul(fields[3])),
-          {std::stod(fields[4]), std::stod(fields[5])},
-          SimTime{std::stoll(fields[6])}, {obs});
-    } catch (const std::exception&) {
-      ++stats.bad_rows;
-    }
-  }
-  return stats;
-}
-
 void BM_DatasetSaveCsv(benchmark::State& state) {
   const auto& db = dataset_db();
   for (auto _ : state) {
@@ -409,20 +364,6 @@ void BM_DatasetSaveCsv(benchmark::State& state) {
                           static_cast<std::int64_t>(dataset_csv().size()));
 }
 BENCHMARK(BM_DatasetSaveCsv)->Unit(benchmark::kMillisecond);
-
-void BM_DatasetLoadCsvLegacy(benchmark::State& state) {
-  for (auto _ : state) {
-    std::istringstream in(dataset_csv());
-    core::ConfigDatabase db;
-    benchmark::DoNotOptimize(legacy_load_csv(in, db));
-  }
-  state.SetItemsProcessed(
-      state.iterations() *
-      static_cast<std::int64_t>(dataset_db().total_samples()));
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(dataset_csv().size()));
-}
-BENCHMARK(BM_DatasetLoadCsvLegacy)->Unit(benchmark::kMillisecond);
 
 void BM_DatasetLoadCsv(benchmark::State& state) {
   for (auto _ : state) {
@@ -469,12 +410,11 @@ void BM_DatasetLoadBin(benchmark::State& state) {
 BENCHMARK(BM_DatasetLoadBin)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// --- analysis queries: legacy scans vs the columnar view ---------------------
-// Same 1M-row database the dataset-I/O benches use.  The "values sweep" is
-// the repeated values()-style load every figure bench generates (all 4
-// carriers x all 5 params); the "analysis mix" is one full figure pass
-// (fig14/16/18/19/11 shapes) and the columnar side pays the view build
-// inside the timed region, so the reported ratio is the amortized one.
+// --- the fig11–22 analysis mix, in memory ----------------------------------
+// Same 1M-row database the dataset-I/O benches use.  One pass of each
+// analysis the fig11..fig22 binaries print (fig12/13 drive other subsystems
+// and fig20/21 need city geometry; both are omitted): the walk over every
+// carrier runs inside the timed region, at 1 and 4 carrier workers.
 
 const std::vector<config::ParamKey>& dataset_params() {
   static const std::vector<config::ParamKey> keys = {
@@ -486,116 +426,41 @@ const std::vector<config::ParamKey>& dataset_params() {
   return keys;
 }
 
-const core::ColumnarView& dataset_view() {
-  static const core::ColumnarView view(dataset_db());
-  return view;
-}
-
-void BM_ColumnarBuild(benchmark::State& state) {
-  const auto& db = dataset_db();
-  const auto threads = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    core::ColumnarView view(db, threads);
-    benchmark::DoNotOptimize(view.total_observations());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(db.total_samples()));
-}
-BENCHMARK(BM_ColumnarBuild)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_QueryValuesLegacy(benchmark::State& state) {
-  const auto& db = dataset_db();
-  for (auto _ : state) {
-    std::size_t total = 0;
-    for (const char* carrier : {"A", "B", "C", "D"})
-      for (const auto& key : dataset_params())
-        total += db.values(carrier, key).total();
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetItemsProcessed(state.iterations() * 20);  // queries
-}
-BENCHMARK(BM_QueryValuesLegacy)->Unit(benchmark::kMillisecond);
-
-void BM_QueryValuesColumnar(benchmark::State& state) {
-  const auto& view = dataset_view();
-  for (auto _ : state) {
-    std::size_t total = 0;
-    for (const char* carrier : {"A", "B", "C", "D"})
-      for (const auto& key : dataset_params())
-        total += view.values(carrier, key).total();
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetItemsProcessed(state.iterations() * 20);
-}
-BENCHMARK(BM_QueryValuesColumnar)->Unit(benchmark::kMillisecond);
-
-void BM_QueryValuesColumnarParallel(benchmark::State& state) {
-  const auto& view = dataset_view();
-  const auto threads = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    std::size_t total = 0;
-    for (const char* carrier : {"A", "B", "C", "D"})
-      for (const auto& key : dataset_params())
-        total += view.values(carrier, key, threads).total();
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetItemsProcessed(state.iterations() * 20);
-}
-BENCHMARK(BM_QueryValuesColumnarParallel)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// The bench-figure query mix: one pass of each analysis the fig11..fig22
-// binaries run against the shared dataset view (fig12/13 drive other
-// subsystems and fig20/21 need city geometry; both are omitted).
-template <typename Source>
-std::size_t run_analysis_mix(const Source& src) {
-  static const char* const carriers[] = {"A", "B", "C", "D"};
+std::size_t run_analysis_mix(const core::ConfigDatabase& db, unsigned threads) {
+  const auto figures = core::analyze_database(db, {}, threads);
+  const core::CarrierFigures& a = figures.front();
   std::size_t sink = 0;
   // fig14: per-parameter distributions on the headline carrier, two panels.
   for (int pass = 0; pass < 2; ++pass)
-    for (const auto& key : dataset_params()) sink += src.values("A", key).total();
+    for (const auto& key : dataset_params()) sink += a.values(key).total();
   // fig15 + fig17: per-carrier per-parameter comparisons.
-  for (const char* carrier : carriers)
-    for (const auto& key : dataset_params())
-      sink += src.values(carrier, key).richness();
+  for (const auto& f : figures)
+    for (const auto& key : dataset_params()) sink += f.values(key).richness();
   // fig16 + fig19 + fig22: diversity panels (per carrier, with and without
   // the RAT filter).
-  for (const char* carrier : carriers) {
-    sink += core::diversity_by_param(src, carrier, spectrum::Rat::kLte).size();
-    sink += core::diversity_by_param(src, carrier).size();
+  for (const auto& f : figures) {
+    sink += core::rank_diversity(f.totals, spectrum::Rat::kLte).size();
+    sink += f.diversity.size();
   }
   // fig18: frequency-priority split, both candidate modes.
-  sink += core::priority_by_channel(src, "A", /*candidate=*/false).size();
-  sink += core::priority_by_channel(src, "A", /*candidate=*/true).size();
+  sink += a.serving_priority.size() + a.candidate_priority.size();
   // fig19: frequency dependence.
-  sink += core::frequency_dependence(src, "A").size();
+  sink += a.dependence.size();
   // fig11: measurement/decision gaps, pooled and per-carrier.
-  sink += core::measurement_decision_gaps(src).intra_minus_nonintra.size();
-  sink += core::measurement_decision_gaps(src, "A").intra_minus_nonintra.size();
+  sink += core::pooled_gaps(figures).intra_minus_nonintra.size();
+  sink += a.gaps.intra_minus_nonintra.size();
   return sink;
 }
 
-void BM_AnalysisMixLegacy(benchmark::State& state) {
+void BM_AnalysisMix(benchmark::State& state) {
   const auto& db = dataset_db();
-  for (auto _ : state) benchmark::DoNotOptimize(run_analysis_mix(db));
+  const auto threads = static_cast<unsigned>(state.range(0));
+  for (auto _ : state) benchmark::DoNotOptimize(run_analysis_mix(db, threads));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(db.total_samples()));
 }
-BENCHMARK(BM_AnalysisMixLegacy)->Unit(benchmark::kMillisecond);
-
-void BM_AnalysisMixColumnar(benchmark::State& state) {
-  const auto& db = dataset_db();
-  for (auto _ : state) {
-    // View construction inside the timed region: the reported speedup is
-    // the honest build-amortized-over-one-figure-pass number.
-    const core::ColumnarView view(db);
-    benchmark::DoNotOptimize(run_analysis_mix(view));
-  }
-}
-BENCHMARK(BM_AnalysisMixColumnar)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AnalysisMix)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // --- CRC-16: slice-by-4 vs the byte-at-a-time oracle -------------------------
 
@@ -623,10 +488,10 @@ void BM_Crc16SliceBy8(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc16SliceBy8);
 
-// --- MMDS v2 sharded store: write, mmap load, out-of-core view build ---------
-// Same 1M-row database.  The store fixture is written once; load and
-// out-of-core build re-open it every iteration so the mmap + merge cost is
-// inside the timed region (page cache stays warm, as it does for the
+// --- MMDS v2 sharded store: write, mmap load, direct folds -------------------
+// Same 1M-row database.  The store fixture is written once; load and the
+// folds re-open it every iteration so the mmap + merge cost is inside the
+// timed region (page cache stays warm, as it does for the
 // repeated analysis passes the store serves).
 
 const std::string& store_dir() {
@@ -673,23 +538,6 @@ void BM_StoreLoadV2(benchmark::State& state) {
 BENCHMARK(BM_StoreLoadV2)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-void BM_StoreOocBuild(benchmark::State& state) {
-  const auto& dir = store_dir();
-  const auto threads = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    auto set = store::ShardSet::open(dir);
-    store::BuildOptions bopts;
-    bopts.threads = threads;
-    auto view = store::build_columnar(set.value(), bopts);
-    benchmark::DoNotOptimize(view.value().view.total_observations());
-  }
-  state.SetItemsProcessed(
-      state.iterations() *
-      static_cast<std::int64_t>(dataset_db().total_samples()));
-}
-BENCHMARK(BM_StoreOocBuild)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 // Small-block store fixture for the block-parallel paths: tiny rotation
 // targets turn the same 1M rows into hundreds of blocks, so the intra-
 // carrier parse fan-out (and the direct fold's windowed merge) is the
@@ -710,9 +558,9 @@ const std::string& small_block_store_dir() {
 }
 
 // The fig 11-22 mix straight off the mapped shards: one analyze_carrier
-// fold per carrier, no database, no view.  Compare against BM_StoreOocBuild
-// + the view queries: the direct path pays the parse every run but holds
-// only the parse window resident.
+// fold per carrier, no database.  Compare against BM_StoreLoadV2 +
+// BM_AnalysisMix: the direct path pays the parse every run but holds only
+// the parse window resident.
 void BM_StoreDirectFold(benchmark::State& state) {
   const auto& dir = small_block_store_dir();
   const auto threads = static_cast<unsigned>(state.range(0));
@@ -791,27 +639,6 @@ void BM_StoreCrossCarrierFold(benchmark::State& state) {
       static_cast<std::int64_t>(dataset_db().total_samples()));
 }
 BENCHMARK(BM_StoreCrossCarrierFold)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-// Block-parallel view build over the many-block fixture (BM_StoreOocBuild
-// uses default 8 MB blocks, where each carrier is one or two blocks and the
-// fan-out has nothing to chew on).
-void BM_StoreBuildParallel(benchmark::State& state) {
-  const auto& dir = small_block_store_dir();
-  const auto threads = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    auto set = store::ShardSet::open(dir);
-    store::BuildOptions bopts;
-    bopts.threads = threads;
-    bopts.release_mapped = false;
-    auto view = store::build_columnar(set.value(), bopts);
-    benchmark::DoNotOptimize(view.value().view.total_observations());
-  }
-  state.SetItemsProcessed(
-      state.iterations() *
-      static_cast<std::int64_t>(dataset_db().total_samples()));
-}
-BENCHMARK(BM_StoreBuildParallel)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // --- deterministic parallel simulation: crawl + campaign fan-out -------------

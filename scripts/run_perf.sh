@@ -8,7 +8,7 @@
 #
 # Examples:
 #   scripts/run_perf.sh                           # full run
-#   scripts/run_perf.sh build --benchmark_filter='Columnar|QueryValues'
+#   scripts/run_perf.sh build --benchmark_filter='AnalysisMix|StoreDirect'
 #   MMLAB_PERF_SYNC=1 scripts/run_perf.sh         # refresh committed baseline
 set -eu
 BUILD=${1:-build}

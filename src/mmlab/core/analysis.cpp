@@ -31,32 +31,6 @@ std::vector<ParamDiversity> diversity_by_param(
   return out;
 }
 
-std::vector<ParamDiversity> diversity_by_param(
-    const ColumnarView& view, const std::string& carrier,
-    std::optional<spectrum::Rat> rat) {
-  std::vector<ParamDiversity> out;
-  const auto* c = view.find_carrier(carrier);
-  if (!c) return out;
-  // Served straight from the materialized per-key aggregates: key_totals[i]
-  // is exactly the legacy per-key ValueCounts, and the key's span count is
-  // its contributing-cell count (one span per observing cell).  `observed`
-  // is ascending, i.e. observed_params order, so the pre-sort sequence
-  // matches the legacy overload exactly (same std::sort on the same input =
-  // same tie order).
-  out.reserve(c->observed.size());
-  for (std::size_t i = 0; i < c->observed.size(); ++i) {
-    const auto key = c->observed[i];
-    if (rat && key.rat != *rat) continue;
-    const std::size_t cells = c->key_ranges[i].end - c->key_ranges[i].begin;
-    out.push_back({key, stats::measure_diversity(c->key_totals[i]), cells});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const ParamDiversity& a, const ParamDiversity& b) {
-              return a.measures.simpson < b.measures.simpson;
-            });
-  return out;
-}
-
 std::vector<ParamDependence> frequency_dependence(const ConfigDatabase& db,
                                                   const std::string& carrier) {
   std::vector<ParamDependence> out;
@@ -68,40 +42,6 @@ std::vector<ParamDependence> frequency_dependence(const ConfigDatabase& db,
     if (key.rat != spectrum::Rat::kLte) continue;
     const auto groups = db.values_grouped(carrier, key, by_channel);
     if (groups.empty()) continue;
-    ParamDependence dep;
-    dep.key = key;
-    dep.zeta_simpson =
-        stats::dependence_measure(groups, stats::DiversityMetric::kSimpson);
-    dep.zeta_cv =
-        stats::dependence_measure(groups, stats::DiversityMetric::kCv);
-    out.push_back(dep);
-  }
-  return out;
-}
-
-std::vector<ParamDependence> frequency_dependence(const ColumnarView& view,
-                                                  const std::string& carrier) {
-  std::vector<ParamDependence> out;
-  const auto* c = view.find_carrier(carrier);
-  if (!c) return out;
-  // One pass: group each LTE cell's LTE-parameter uniques by its serving
-  // channel.  Keys observed only at non-LTE cells end up with no groups in
-  // the legacy overload and are skipped there; here they simply never enter
-  // the accumulator — same output set, same (ascending-key) order.
-  std::map<config::ParamKey, std::map<long, stats::ValueCounts>> acc;
-  for (const auto& cell : c->cells) {
-    if (cell.rec->rat != spectrum::Rat::kLte) continue;
-    const long f = static_cast<long>(cell.rec->channel);
-    for (std::uint32_t si = cell.span_begin; si < cell.span_end; ++si) {
-      const auto& span = c->spans[si];
-      if (span.key.rat != spectrum::Rat::kLte) continue;
-      stats::ValueCounts& vc = acc[span.key][f];
-      for (std::uint32_t j = span.uniq_begin; j < span.uniq_end; ++j)
-        vc.add(c->uniq_col[j]);
-    }
-  }
-  out.reserve(acc.size());
-  for (const auto& [key, groups] : acc) {
     ParamDependence dep;
     dep.key = key;
     dep.zeta_simpson =
@@ -128,23 +68,6 @@ std::map<long, stats::ValueCounts> priority_by_channel(
       });
 }
 
-std::map<long, stats::ValueCounts> priority_by_channel(
-    const ColumnarView& view, const std::string& carrier, bool candidate,
-    unsigned threads) {
-  if (candidate) {
-    return view.values_by_context(
-        carrier, config::lte_param(config::ParamId::kNeighborPriority),
-        threads);
-  }
-  return view.values_grouped(
-      carrier, config::lte_param(config::ParamId::kServingPriority),
-      [](const CellRecord& rec) {
-        return rec.rat == spectrum::Rat::kLte ? static_cast<long>(rec.channel)
-                                              : -1L;
-      },
-      threads);
-}
-
 double multi_priority_cell_fraction(const ConfigDatabase& db,
                                     const std::string& carrier) {
   // A cell is "conflicted" when its channel carries more than one observed
@@ -152,48 +75,17 @@ double multi_priority_cell_fraction(const ConfigDatabase& db,
   const auto groups = priority_by_channel(db, carrier, /*candidate=*/false);
   const auto* cells = db.cells_of(carrier);
   if (!cells) return 0.0;
-  std::size_t lte_cells = 0, conflicted = 0;
-  for (const auto& [id, rec] : *cells) {
-    if (rec.rat != spectrum::Rat::kLte) continue;
-    ++lte_cells;
-    const auto it = groups.find(static_cast<long>(rec.channel));
-    if (it != groups.end() && it->second.richness() > 1) ++conflicted;
-  }
   // Among conflicted channels, only the minority-value cells are actually
   // inconsistent; count cells holding a non-modal value.
-  std::size_t minority = 0;
+  std::size_t lte_cells = 0, minority = 0;
   const auto prio_key = config::lte_param(config::ParamId::kServingPriority);
   for (const auto& [id, rec] : *cells) {
     if (rec.rat != spectrum::Rat::kLte) continue;
+    ++lte_cells;
     const auto it = groups.find(static_cast<long>(rec.channel));
     if (it == groups.end() || it->second.richness() <= 1) continue;
     const double mode = it->second.mode();
     for (double v : rec.unique_values(prio_key))
-      if (v != mode) {
-        ++minority;
-        break;
-      }
-  }
-  (void)conflicted;
-  return lte_cells == 0 ? 0.0
-                        : static_cast<double>(minority) /
-                              static_cast<double>(lte_cells);
-}
-
-double multi_priority_cell_fraction(const ColumnarView& view,
-                                    const std::string& carrier) {
-  const auto groups = priority_by_channel(view, carrier, /*candidate=*/false);
-  const auto* c = view.find_carrier(carrier);
-  if (!c) return 0.0;
-  const auto prio_key = config::lte_param(config::ParamId::kServingPriority);
-  std::size_t lte_cells = 0, minority = 0;
-  for (const auto& cell : c->cells) {
-    if (cell.rec->rat != spectrum::Rat::kLte) continue;
-    ++lte_cells;
-    const auto it = groups.find(static_cast<long>(cell.rec->channel));
-    if (it == groups.end() || it->second.richness() <= 1) continue;
-    const double mode = it->second.mode();
-    for (double v : view.unique_values(*c, cell, prio_key))
       if (v != mode) {
         ++minority;
         break;
@@ -214,20 +106,6 @@ std::map<long, stats::ValueCounts> priority_by_city(
       if (geo::contains(city, rec.position)) return city.id;
     return -1;
   });
-}
-
-std::map<long, stats::ValueCounts> priority_by_city(
-    const ColumnarView& view, const std::string& carrier,
-    const std::vector<geo::City>& cities) {
-  const auto key = config::lte_param(config::ParamId::kServingPriority);
-  return view.values_grouped(carrier, key,
-                             [&](const CellRecord& rec) -> long {
-                               if (rec.rat != spectrum::Rat::kLte) return -1;
-                               for (const auto& city : cities)
-                                 if (geo::contains(city, rec.position))
-                                   return city.id;
-                               return -1;
-                             });
 }
 
 std::vector<double> spatial_diversity(const ConfigDatabase& db,
@@ -251,34 +129,6 @@ std::vector<double> spatial_diversity(const ConfigDatabase& db,
     index.for_each_in_radius(center->position, radius_m, [&](std::uint32_t i) {
       for (double v : recs[i]->unique_values(key)) cluster.add(v);
     });
-    if (cluster.total() >= 2) out.push_back(cluster.simpson_index());
-  }
-  return out;
-}
-
-std::vector<double> spatial_diversity(const ColumnarView& view,
-                                      const std::string& carrier,
-                                      config::ParamKey key,
-                                      const geo::City& city, double radius_m) {
-  const auto* c = view.find_carrier(carrier);
-  std::vector<double> out;
-  if (!c) return out;
-  std::vector<const ColumnarView::Cell*> members;
-  geo::GridIndex index(radius_m);
-  for (const auto& cell : c->cells) {
-    if (cell.rec->rat != spectrum::Rat::kLte) continue;
-    if (!geo::contains(city, cell.rec->position)) continue;
-    index.insert(static_cast<std::uint32_t>(members.size()),
-                 cell.rec->position);
-    members.push_back(&cell);
-  }
-  for (const auto* center : members) {
-    stats::ValueCounts cluster;
-    index.for_each_in_radius(
-        center->rec->position, radius_m, [&](std::uint32_t i) {
-          for (double v : view.unique_values(*c, *members[i], key))
-            cluster.add(v);
-        });
     if (cluster.total() >= 2) out.push_back(cluster.simpson_index());
   }
   return out;
@@ -409,39 +259,6 @@ MeasurementGaps measurement_decision_gaps(const ConfigDatabase& db,
     if (const auto* cells = db.cells_of(carrier)) process(*cells);
   } else {
     for (const auto& [name, cells] : db.carriers()) process(cells);
-  }
-  return gaps;
-}
-
-MeasurementGaps measurement_decision_gaps(const ColumnarView& view,
-                                          const std::string& carrier) {
-  MeasurementGaps gaps;
-  const auto intra_key = config::lte_param(config::ParamId::kSIntraSearch);
-  const auto nonintra_key =
-      config::lte_param(config::ParamId::kSNonIntraSearch);
-  const auto slow_key = config::lte_param(config::ParamId::kThreshServingLow);
-  auto process = [&](const ColumnarView::Carrier& c) {
-    for (const auto& cell : c.cells) {
-      if (cell.rec->rat != spectrum::Rat::kLte) continue;
-      auto latest = [&](config::ParamKey key) -> std::optional<double> {
-        const auto* s = view.find_span(c, cell, key);
-        if (!s || !s->has_latest) return std::nullopt;
-        return s->latest;
-      };
-      const auto intra = latest(intra_key);
-      const auto nonintra = latest(nonintra_key);
-      const auto slow = latest(slow_key);
-      if (intra && nonintra)
-        gaps.intra_minus_nonintra.push_back(*intra - *nonintra);
-      if (intra && slow) gaps.intra_minus_slow.push_back(*intra - *slow);
-      if (nonintra && slow)
-        gaps.nonintra_minus_slow.push_back(*nonintra - *slow);
-    }
-  };
-  if (!carrier.empty()) {
-    if (const auto* c = view.find_carrier(carrier)) process(*c);
-  } else {
-    for (const auto& c : view.carriers()) process(c);
   }
   return gaps;
 }

@@ -3,6 +3,11 @@
 // Each function computes exactly one figure's statistic from crawled data.
 // Nothing here reads the deployment — only the database, plus city extents
 // for the location joins (the MMLab server knows the measurement cities).
+//
+// The fig11–22 scans below are plain, per-call database scans kept as the
+// reference oracle: production callers compute those products through the
+// accumulators in core/figures.hpp, and the test suites pin the two
+// bit-identical.
 #pragma once
 
 #include <map>
@@ -10,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "mmlab/core/columnar.hpp"
 #include "mmlab/core/database.hpp"
 #include "mmlab/geo/region.hpp"
 #include "mmlab/stats/descriptive.hpp"
@@ -31,12 +35,6 @@ std::vector<ParamDiversity> diversity_by_param(
     const ConfigDatabase& db, const std::string& carrier,
     std::optional<spectrum::Rat> rat = std::nullopt);
 
-/// Columnar fast path — bit-identical to the ConfigDatabase overload (one
-/// pass over the carrier's spans instead of one full scan per parameter).
-std::vector<ParamDiversity> diversity_by_param(
-    const ColumnarView& view, const std::string& carrier,
-    std::optional<spectrum::Rat> rat = std::nullopt);
-
 // --- Fig 19: frequency dependence ------------------------------------------
 
 struct ParamDependence {
@@ -48,23 +46,16 @@ struct ParamDependence {
 /// Eq. 5 with the factor = serving channel, per parameter (LTE cells).
 std::vector<ParamDependence> frequency_dependence(const ConfigDatabase& db,
                                                   const std::string& carrier);
-std::vector<ParamDependence> frequency_dependence(const ColumnarView& view,
-                                                  const std::string& carrier);
 
 // --- Fig 18: priority per channel -------------------------------------------
 
 /// Serving-priority (or candidate-priority) value counts per EARFCN.
 std::map<long, stats::ValueCounts> priority_by_channel(
     const ConfigDatabase& db, const std::string& carrier, bool candidate);
-std::map<long, stats::ValueCounts> priority_by_channel(
-    const ColumnarView& view, const std::string& carrier, bool candidate,
-    unsigned threads = 1);
 
 /// Fraction of LTE cells whose channel carries more than one observed
 /// serving-priority value (the paper's 6.3 % conflict figure).
 double multi_priority_cell_fraction(const ConfigDatabase& db,
-                                    const std::string& carrier);
-double multi_priority_cell_fraction(const ColumnarView& view,
                                     const std::string& carrier);
 
 // --- Fig 20 / 21: location --------------------------------------------------
@@ -73,18 +64,11 @@ double multi_priority_cell_fraction(const ColumnarView& view,
 std::map<long, stats::ValueCounts> priority_by_city(
     const ConfigDatabase& db, const std::string& carrier,
     const std::vector<geo::City>& cities);
-std::map<long, stats::ValueCounts> priority_by_city(
-    const ColumnarView& view, const std::string& carrier,
-    const std::vector<geo::City>& cities);
 
 /// Fig 21 spatial diversity: for every LTE cell of the carrier inside
 /// `city`, the Simpson index of `key` values among cells within
 /// `radius_m`.  Returns the per-cell values (boxplot them).
 std::vector<double> spatial_diversity(const ConfigDatabase& db,
-                                      const std::string& carrier,
-                                      config::ParamKey key,
-                                      const geo::City& city, double radius_m);
-std::vector<double> spatial_diversity(const ColumnarView& view,
                                       const std::string& carrier,
                                       config::ParamKey key,
                                       const geo::City& city, double radius_m);
@@ -124,8 +108,6 @@ struct MeasurementGaps {
 
 /// Per LTE cell (latest values). Empty carrier = pool all carriers.
 MeasurementGaps measurement_decision_gaps(const ConfigDatabase& db,
-                                          const std::string& carrier = "");
-MeasurementGaps measurement_decision_gaps(const ColumnarView& view,
                                           const std::string& carrier = "");
 
 // --- reconfiguration forensics ------------------------------------------------

@@ -1,15 +1,12 @@
-// Per-cell query-product kernels, extracted from the ColumnarView assembler
-// so every read path computes them identically.
+// Per-cell query-product kernel shared by every figure product.
 //
-// Given one cell's merged observation record, CellFolder derives the exact
-// per-(cell, parameter) products the columnar engine precomputes at build
-// time: key-grouped observation order, first-seen unique values, unique
-// (context, value) pairs (context >= 0 only), and the latest value under
-// CellRecord::latest's tie-break.  ColumnarView::CarrierAssembler copies the
-// products into its carrier columns; the out-of-core direct-fold query path
-// (store::DirectFold) consumes them straight off a merged shard record and
-// discards the cell — both answers are bit-identical by construction because
-// this is the single implementation of the dedup/latest semantics.
+// Given one cell's merged observation record, CellFolder derives the
+// per-(cell, parameter) products the fig11–22 accumulators
+// (core/figures.hpp) read: key-grouped observation order, first-seen unique
+// values, unique (context, value) pairs (context >= 0 only), and the latest
+// value under CellRecord::latest's tie-break.  Both cell sources — the
+// ConfigDatabase carrier walk and store::DirectFold's merged shard records —
+// run it per cell, so the dedup/latest semantics have one implementation.
 //
 // The dedup semantics are the legacy CellRecord ones, pinned here:
 //   * unique values use operator== (NaN never equals itself, so every NaN

@@ -1,202 +1,89 @@
-// Figure-level analyses over an out-of-core store.
+// Figure-level analyses straight off an out-of-core store.
 //
-// Two families:
+// Each entry point drives the core::figures accumulators (the only
+// implementation of the fig11–22 products, core/figures.hpp) with
+// store::DirectFold as the cell source: one streaming fold over the
+// carrier's merged cells, so resident memory stays O(parse window + answer)
+// and every answer is bit-identical to the same product over
+// load_database(store).  They return Result because a fold can hit
+// mid-stream corruption (block CRC or structural damage) — on error no
+// partial answer escapes.
 //
-// StoreView overloads forward to the core::ColumnarView implementation —
-// the StoreView *is* a ColumnarView assembled out-of-core, so results are
-// bit-identical to the in-memory path by construction (asserted in
-// test_store.cpp and gated in tools/store_soak for thread counts 1/2/4/hw).
-// Query-level parallel folds (values / values_grouped / values_by_context
-// with threads != 1) come straight from ColumnarView's deterministic
-// partition-merge contract; nothing here re-reads the shards once the view
-// is built.
+// Every entry point is planned: `query` (default: select everything)
+// prunes blocks (other carriers, non-overlapping cell ranges) and its
+// ParamKey predicate pushes down to the wire (store/query_plan.hpp).  An
+// explicit carrier argument wins over query.carriers.  When the query has
+// no param predicate, a product that reads fixed keys (priorities, gaps,
+// spatial) narrows the fold to exactly those keys, so it decodes only their
+// values; census products (diversity, dependence) read every parameter and
+// never narrow.  A planned answer equals the same product computed over a
+// pre-filtered database (property-tested in test_query_plan.cpp).
 //
-// DirectFold overloads answer the same questions straight off the mapped
-// shards with no view at all: each is one streaming fold over the carrier's
-// merged cells (core::CellFolder supplies the identical per-cell dedup /
-// latest products the view precomputes), so results are bit-identical to
-// BOTH other paths while resident memory stays O(parse window + answer).
-// They return Result because a fold can hit mid-stream corruption (block
-// CRC or structural damage) — on error no partial answer escapes.  For the
-// whole fig11–22 mix, analyze_carrier folds the carrier ONCE and fills
-// every product, instead of one fold per entry point.
+// For the whole fig11–22 mix, analyze_carrier folds the carrier ONCE and
+// fills every product, and analyze_query schedules that across carriers.
 #pragma once
 
 #include <optional>
+#include <string>
+#include <vector>
 
-#include "mmlab/core/analysis.hpp"
-#include "mmlab/store/columnar_build.hpp"
+#include "mmlab/core/figures.hpp"
 #include "mmlab/store/direct_fold.hpp"
 
 namespace mmlab::store {
 
-inline std::vector<core::ParamDiversity> diversity_by_param(
-    const StoreView& sv, const std::string& carrier,
-    std::optional<spectrum::Rat> rat = std::nullopt) {
-  return core::diversity_by_param(sv.view, carrier, rat);
-}
-
-inline std::vector<core::ParamDependence> frequency_dependence(
-    const StoreView& sv, const std::string& carrier) {
-  return core::frequency_dependence(sv.view, carrier);
-}
-
-inline std::map<long, stats::ValueCounts> priority_by_channel(
-    const StoreView& sv, const std::string& carrier, bool candidate,
-    unsigned threads = 1) {
-  return core::priority_by_channel(sv.view, carrier, candidate, threads);
-}
-
-inline double multi_priority_cell_fraction(const StoreView& sv,
-                                           const std::string& carrier) {
-  return core::multi_priority_cell_fraction(sv.view, carrier);
-}
-
-inline std::map<long, stats::ValueCounts> priority_by_city(
-    const StoreView& sv, const std::string& carrier,
-    const std::vector<geo::City>& cities) {
-  return core::priority_by_city(sv.view, carrier, cities);
-}
-
-inline std::vector<double> spatial_diversity(const StoreView& sv,
-                                             const std::string& carrier,
-                                             config::ParamKey key,
-                                             const geo::City& city,
-                                             double radius_m) {
-  return core::spatial_diversity(sv.view, carrier, key, city, radius_m);
-}
-
-inline core::MeasurementGaps measurement_decision_gaps(
-    const StoreView& sv, const std::string& carrier = "") {
-  return core::measurement_decision_gaps(sv.view, carrier);
-}
-
-// --- shard-direct overloads (no view materialization) ------------------------
-// Defined in analytics.cpp; each is a single fold over the carrier's merged
-// cells, bit-identical to the StoreView / in-memory answers.
+using core::MixOptions;
+using core::SpatialQuery;
 
 Result<std::vector<core::ParamDiversity>> diversity_by_param(
     const DirectFold& direct, const std::string& carrier,
-    std::optional<spectrum::Rat> rat = std::nullopt);
+    std::optional<spectrum::Rat> rat = std::nullopt, const Query& query = {});
 
 Result<std::vector<core::ParamDependence>> frequency_dependence(
-    const DirectFold& direct, const std::string& carrier);
-
-Result<std::map<long, stats::ValueCounts>> priority_by_channel(
-    const DirectFold& direct, const std::string& carrier, bool candidate);
-
-Result<double> multi_priority_cell_fraction(const DirectFold& direct,
-                                            const std::string& carrier);
-
-Result<std::map<long, stats::ValueCounts>> priority_by_city(
     const DirectFold& direct, const std::string& carrier,
-    const std::vector<geo::City>& cities);
-
-Result<std::vector<double>> spatial_diversity(const DirectFold& direct,
-                                              const std::string& carrier,
-                                              config::ParamKey key,
-                                              const geo::City& city,
-                                              double radius_m);
-
-/// Empty carrier = pool every carrier (name order), as in the other paths.
-Result<core::MeasurementGaps> measurement_decision_gaps(
-    const DirectFold& direct, const std::string& carrier = "");
-
-// --- planned overloads -------------------------------------------------------
-// Same products restricted to the query's selection: the planner prunes
-// blocks (other carriers, non-overlapping cell ranges) and the ParamKey
-// predicate pushes down to the wire (store/query_plan.hpp).  `query`'s
-// carrier list is ignored where an explicit carrier argument exists — the
-// argument wins.  Fixed-key products (priorities, gaps, spatial) narrow an
-// empty query.params to exactly the keys they read, so a planned call
-// decodes only those values; census products (diversity, dependence) need
-// every parameter and never narrow.  Each planned answer equals the plain
-// answer computed over a pre-filtered database (property-tested in
-// test_query_plan.cpp).
-
-Result<std::vector<core::ParamDiversity>> diversity_by_param(
-    const DirectFold& direct, const std::string& carrier, const Query& query,
-    std::optional<spectrum::Rat> rat = std::nullopt);
-
-Result<std::vector<core::ParamDependence>> frequency_dependence(
-    const DirectFold& direct, const std::string& carrier, const Query& query);
+    const Query& query = {});
 
 Result<std::map<long, stats::ValueCounts>> priority_by_channel(
     const DirectFold& direct, const std::string& carrier, bool candidate,
-    const Query& query);
+    const Query& query = {});
 
 Result<double> multi_priority_cell_fraction(const DirectFold& direct,
                                             const std::string& carrier,
-                                            const Query& query);
+                                            const Query& query = {});
 
 Result<std::map<long, stats::ValueCounts>> priority_by_city(
     const DirectFold& direct, const std::string& carrier,
-    const std::vector<geo::City>& cities, const Query& query);
+    const std::vector<geo::City>& cities, const Query& query = {});
 
 Result<std::vector<double>> spatial_diversity(const DirectFold& direct,
                                               const std::string& carrier,
                                               config::ParamKey key,
                                               const geo::City& city,
                                               double radius_m,
-                                              const Query& query);
+                                              const Query& query = {});
 
-/// Pooled over the query's selected carriers (sorted name order) when
-/// `carrier` is empty.
+/// Empty carrier = pooled over the query's selected carriers, in name order.
 Result<core::MeasurementGaps> measurement_decision_gaps(
-    const DirectFold& direct, const Query& query,
-    const std::string& carrier = "");
+    const DirectFold& direct, const std::string& carrier = "",
+    const Query& query = {});
 
 // --- the one-pass analysis mix ----------------------------------------------
 
-/// The Fig 21 spatial-diversity query's inputs.
-struct SpatialQuery {
-  config::ParamKey key;
-  geo::City city;
-  double radius_m = 0.0;
-};
-
-struct MixOptions {
-  /// Fig 16's optional RAT filter for the diversity sweep.
-  std::optional<spectrum::Rat> diversity_rat;
-  /// Cities for the Fig 20 location join (empty = every cell maps to -1 and
-  /// priority_by_city comes back empty, matching values_grouped semantics).
-  std::vector<geo::City> cities;
-  /// Fig 21, run only when set.
-  std::optional<SpatialQuery> spatial;
-};
-
-/// Every fig11–22 product of one carrier, from ONE fold over its shards.
-struct CarrierAnalysis {
-  std::vector<core::ParamDiversity> diversity;          // fig 16/17/22
-  std::vector<core::ParamDependence> dependence;        // fig 19
-  std::map<long, stats::ValueCounts> serving_priority;  // fig 18
-  std::map<long, stats::ValueCounts> candidate_priority;
-  double multi_priority_fraction = 0.0;
-  std::map<long, stats::ValueCounts> priority_by_city;  // fig 20
-  std::vector<double> spatial_diversity;                // fig 21
-  core::MeasurementGaps gaps;                           // fig 11
+/// Every fig11–22 product of one carrier plus the fold that produced it.
+struct CarrierAnalysis : core::CarrierFigures {
   FoldStats stats;
 };
 
-/// Fold `carrier` once and compute every analysis product — each member is
-/// bit-identical to the corresponding standalone entry point (which is
-/// bit-identical to the view path in turn).  The per-entry-point folds
-/// would re-parse the store once per figure; this is the economical form
-/// the CLI and soak tool drive.
+/// Fold `carrier` once and compute every product — each member equals the
+/// corresponding standalone entry point.  Only the query's selected blocks
+/// of `carrier` fold (the returned stats carry the plan's store-wide skip
+/// counts).  The mix reads every parameter, so an empty query.params is NOT
+/// narrowed; with a non-empty predicate, fixed-key products whose keys were
+/// filtered out come back empty (that is what the query asked for).
 Result<CarrierAnalysis> analyze_carrier(const DirectFold& direct,
                                         const std::string& carrier,
-                                        const MixOptions& options = {});
-
-/// Planned mix: only the query's selected blocks of `carrier` fold (the
-/// returned stats carry the plan's store-wide skip counts), and any
-/// ParamKey predicate pushes down to the wire.  The mix reads every
-/// parameter, so an empty query.params is NOT narrowed; with a non-empty
-/// predicate, fixed-key products whose keys were filtered out come back
-/// empty (that is what the query asked for).
-Result<CarrierAnalysis> analyze_carrier(const DirectFold& direct,
-                                        const std::string& carrier,
-                                        const MixOptions& options,
-                                        const Query& query);
+                                        const MixOptions& options = {},
+                                        const Query& query = {});
 
 /// The scheduled multi-carrier mix: every carrier the query selects,
 /// analyzed via DirectFold::fold_query — concurrent cross-carrier jobs

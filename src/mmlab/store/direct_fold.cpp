@@ -47,7 +47,7 @@ struct ParsedBlock {
 DirectFold::DirectFold(const ShardSet& set, FoldOptions options)
     : set_(&set), options_(options) {
   const Manifest& m = set.manifest();
-  // Sorted carrier order, same as ColumnarView.
+  // Sorted carrier order, same as ConfigDatabase::carriers().
   std::vector<std::uint32_t> order(m.carriers.size());
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
@@ -482,73 +482,6 @@ Result<FoldStats> DirectFold::fold_query(
   if (per_carrier) *per_carrier = std::move(per);
   return agg;
 }
-
-Result<stats::ValueCounts> DirectFold::values(const std::string& carrier,
-                                              config::ParamKey key) const {
-  stats::ValueCounts out;
-  core::CellFolder folder;
-  const auto r = fold_carrier(carrier, [&](std::uint32_t,
-                                           const core::CellRecord& rec) {
-    folder.fold(rec);
-    for (const double v : folder.unique_values(key)) out.add(v);
-  });
-  if (!r) return Result<stats::ValueCounts>::error(r.error_message());
-  return out;
-}
-
-Result<std::map<long, stats::ValueCounts>> DirectFold::values_grouped(
-    const std::string& carrier, config::ParamKey key,
-    const std::function<long(const core::CellRecord&)>& factor) const {
-  std::map<long, stats::ValueCounts> out;
-  core::CellFolder folder;
-  const auto r = fold_carrier(carrier, [&](std::uint32_t,
-                                           const core::CellRecord& rec) {
-    folder.fold(rec);
-    const auto uniq = folder.unique_values(key);
-    // Same contract as the view: `factor` is only consulted for cells that
-    // observed the key at all, and negative factors drop the cell.
-    if (uniq.empty()) return;
-    const long f = factor(rec);
-    if (f < 0) return;
-    stats::ValueCounts& vc = out[f];
-    for (const double v : uniq) vc.add(v);
-  });
-  if (!r) return Result<std::map<long, stats::ValueCounts>>::error(r.error_message());
-  return out;
-}
-
-Result<std::map<long, stats::ValueCounts>> DirectFold::values_by_context(
-    const std::string& carrier, config::ParamKey key) const {
-  std::map<long, stats::ValueCounts> out;
-  core::CellFolder folder;
-  const auto r = fold_carrier(carrier, [&](std::uint32_t,
-                                           const core::CellRecord& rec) {
-    folder.fold(rec);
-    const auto* slice = folder.find(key);
-    if (!slice) return;
-    const auto contexts = folder.ctx_contexts();
-    const auto values = folder.ctx_values();
-    for (std::uint32_t j = slice->ctx_begin; j < slice->ctx_end; ++j)
-      out[static_cast<long>(contexts[j])].add(values[j]);
-  });
-  if (!r) return Result<std::map<long, stats::ValueCounts>>::error(r.error_message());
-  return out;
-}
-
-Result<std::vector<config::ParamKey>> DirectFold::observed_params(
-    const std::string& carrier) const {
-  std::set<config::ParamKey> seen;
-  core::CellFolder folder;
-  const auto r = fold_carrier(carrier, [&](std::uint32_t,
-                                           const core::CellRecord& rec) {
-    folder.fold(rec);
-    for (const auto& slice : folder.keys()) seen.insert(slice.key);
-  });
-  if (!r) return Result<std::vector<config::ParamKey>>::error(r.error_message());
-  return std::vector<config::ParamKey>(seen.begin(), seen.end());
-}
-
-// --- planned overloads -------------------------------------------------------
 
 Result<stats::ValueCounts> DirectFold::values(const std::string& carrier,
                                               config::ParamKey key,

@@ -1,21 +1,17 @@
 // Shard-direct query folds: answer analysis queries straight off the mapped
-// MMDS v2 blocks, with no ColumnarView (or any other whole-store structure)
+// MMDS v2 blocks, with no database (or any other whole-store structure)
 // materialized in between.
 //
-// The view path pays for generality: build_columnar parses every block,
-// assembles per-carrier column arrays, and only then answers queries — so
-// peak RSS carries the whole view even when the caller wants one number.
-// DirectFold inverts that: it streams each carrier's blocks through a
-// bounded parse window and hands every *fully merged* cell record to a
-// consumer exactly once, in globally ascending cell-id order.  Queries and
-// the figure entry points (store/analytics.hpp) are folds over that stream,
-// so resident memory is O(window) blocks plus the answer — never the store,
-// never a view.
+// DirectFold streams each carrier's blocks through a bounded parse window
+// and hands every *fully merged* cell record to a consumer exactly once, in
+// globally ascending cell-id order.  Queries and the figure entry points
+// (store/analytics.hpp) are folds over that stream, so resident memory is
+// O(window) blocks plus the answer — never the store.
 //
 // Merge contract (DESIGN.md §12): a cell's runs merge via
 // CellRecord::merge_from in global (shard, block) manifest order — exactly
-// what load_database and build_columnar do — so every downstream product is
-// bit-identical to the view path for any thread count and window size.  The
+// what load_database does — so every downstream product is bit-identical to
+// the in-memory path for any thread count and window size.  The
 // windowing invariant that makes streaming safe: with the manifest's
 // per-block cell-id ranges (Manifest::block_extras), a merged cell may be
 // emitted once its id is below every unparsed block's first_cell — ids
@@ -150,7 +146,7 @@ class DirectFold {
 
   const ShardSet& shards() const { return *set_; }
   const FoldOptions& options() const { return options_; }
-  /// Carrier names in sorted order (the ColumnarView carrier order).
+  /// Carrier names in sorted order (the ConfigDatabase carrier order).
   const std::vector<std::string>& carriers() const { return names_; }
 
   /// Receives each of the carrier's cells exactly once, fully merged across
@@ -164,9 +160,9 @@ class DirectFold {
       std::function<void(std::uint32_t id, const core::CellRecord& rec)>;
 
   /// Stream one carrier.  An unknown carrier is an empty success (zero
-  /// stats), matching the view queries' empty-result convention.  Block
-  /// CRC mismatches and structural damage fail the fold; the consumer may
-  /// have seen a prefix of the cells, so callers discard partial
+  /// stats), matching the ConfigDatabase queries' empty-result convention.
+  /// Block CRC mismatches and structural damage fail the fold; the consumer
+  /// may have seen a prefix of the cells, so callers discard partial
   /// accumulation on error (every query in this module does).
   Result<FoldStats> fold_carrier(std::string_view carrier,
                                  const CellConsumer& consumer) const;
@@ -202,49 +198,34 @@ class DirectFold {
           make_consumer,
       std::vector<FoldStats>* per_carrier = nullptr) const;
 
-  // --- ConfigDatabase / ColumnarView query equivalents -----------------------
-  // Bit-identical to the same-named ColumnarView queries (property-tested in
-  // test_direct_fold.cpp); each is one fold over the carrier.
-
-  Result<stats::ValueCounts> values(const std::string& carrier,
-                                    config::ParamKey key) const;
-
-  Result<std::map<long, stats::ValueCounts>> values_grouped(
-      const std::string& carrier, config::ParamKey key,
-      const std::function<long(const core::CellRecord&)>& factor) const;
-
-  Result<std::map<long, stats::ValueCounts>> values_by_context(
-      const std::string& carrier, config::ParamKey key) const;
-
-  Result<std::vector<config::ParamKey>> observed_params(
-      const std::string& carrier) const;
-
-  // --- planned overloads ------------------------------------------------------
-  // Same answers as the plain overloads restricted to the query's selection
-  // (property-tested against a pre-filtered in-memory oracle).  `query`'s
+  // --- ConfigDatabase query equivalents --------------------------------------
+  // Each is one planned fold over `carrier`, bit-identical to the same-named
+  // ConfigDatabase query over load_database(store) restricted to the query's
+  // selection (property-tested in test_direct_fold.cpp and
+  // test_query_plan.cpp).  `query` defaults to selecting everything; its
   // carrier list is ignored — the explicit carrier argument wins.  For the
-  // single-key queries (values / values_by_context) an empty query.params
-  // is narrowed to {key}: the answer provably depends on that key alone,
-  // so the fold skips every other parameter's value bytes.  values_grouped
-  // does NOT narrow — its factor may inspect the record's observations —
-  // and observed_params cannot (it asks about all parameters); both still
+  // single-key queries (values / values_by_context) an empty query.params is
+  // narrowed to {key}: the answer provably depends on that key alone, so the
+  // fold skips every other parameter's value bytes.  values_grouped does NOT
+  // narrow — its factor may inspect the record's observations — and
+  // observed_params cannot (it asks about all parameters); both still
   // benefit from carrier/range pruning and any explicit param predicate.
 
   Result<stats::ValueCounts> values(const std::string& carrier,
                                     config::ParamKey key,
-                                    const Query& query) const;
+                                    const Query& query = {}) const;
 
   Result<std::map<long, stats::ValueCounts>> values_grouped(
       const std::string& carrier, config::ParamKey key,
       const std::function<long(const core::CellRecord&)>& factor,
-      const Query& query) const;
+      const Query& query = {}) const;
 
   Result<std::map<long, stats::ValueCounts>> values_by_context(
       const std::string& carrier, config::ParamKey key,
-      const Query& query) const;
+      const Query& query = {}) const;
 
   Result<std::vector<config::ParamKey>> observed_params(
-      const std::string& carrier, const Query& query) const;
+      const std::string& carrier, const Query& query = {}) const;
 
   /// Cumulative stats over every fold this engine has run (crc_checked and
   /// peak_resident_blocks reflect the whole history: AND and max; planner

@@ -55,7 +55,7 @@ struct Query {
            max_cell == std::numeric_limits<std::uint32_t>::max();
   }
   /// No predicate on any axis — a planned fold degenerates to the plain
-  /// full fold (and the entry points take the plain path).
+  /// full fold.
   bool selects_all() const {
     return carriers.empty() && params.empty() && all_cells();
   }

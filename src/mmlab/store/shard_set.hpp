@@ -4,9 +4,9 @@
 // against the registry, and mmaps every shard (read-only, MAP_PRIVATE) —
 // no shard byte is touched until a block is actually read, so opening a
 // multi-GB store is O(manifest).  Mapping lifetime rule: block spans
-// (block_body) alias the mappings and die with the ShardSet; the
-// out-of-core columnar build copies everything it keeps, which is what
-// lets it madvise consumed regions away mid-build.
+// (block_body) alias the mappings and die with the ShardSet; a direct fold
+// copies everything it keeps out of a parsed block, which is what lets it
+// madvise consumed regions away mid-fold.
 //
 // Integrity is two-layered: the manifest carries its own CRC trailer
 // (checked at open) plus a per-shard whole-file CRC, checked by verify()

@@ -3,8 +3,8 @@
 // Every parallel stage in the repo is embarrassingly parallel across
 // independent shards — diag logs for the extraction pipeline
 // (MobileInsight's offline replayer has the same shape), carriers for the
-// crawl engine, drives for the D1 campaigns, span partitions for the
-// columnar queries — so all we need is the smallest possible pool:
+// crawl engine and the figure walk, drives for the D1 campaigns — so all we
+// need is the smallest possible pool:
 // submit() enqueues a job, wait_idle() blocks until the queue is drained
 // and every worker is resting.  No futures, no work stealing, no external
 // dependencies — determinism comes from the callers writing into

@@ -1,6 +1,6 @@
 // Shard-direct query folds: DirectFold must answer every analysis question
-// bit-identically to BOTH the out-of-core StoreView and the in-memory
-// ConfigDatabase paths, for any thread count and any parse-window size;
+// bit-identically to the reference ConfigDatabase scans over
+// load_database(store), for any thread count and any parse-window size;
 // mid-fold corruption (a flipped byte in any block) must surface as an
 // error with no partial answer escaping; manifest block extras round-trip
 // and their absence (legacy flags=0 stores) degrades to the unwindowed
@@ -17,10 +17,8 @@
 #include <vector>
 
 #include "mmlab/core/analysis.hpp"
-#include "mmlab/core/columnar.hpp"
 #include "mmlab/core/database.hpp"
 #include "mmlab/store/analytics.hpp"
-#include "mmlab/store/columnar_build.hpp"
 #include "mmlab/store/direct_fold.hpp"
 #include "mmlab/store/mmds2.hpp"
 #include "mmlab/store/shard_set.hpp"
@@ -49,6 +47,14 @@ class StoreDir {
  private:
   std::string path_;
 };
+
+/// The oracle's database: the store loaded back into memory.
+core::ConfigDatabase load(const ShardSet& set) {
+  core::ConfigDatabase db;
+  const auto r = load_database(set, db);
+  EXPECT_TRUE(r.ok()) << r.error_message();
+  return db;
+}
 
 /// Same adversarial shape as test_store.cpp: several carriers, multi-visit
 /// cells, mixed RATs, contexts, repeated values.  LTE-heavy so the
@@ -191,7 +197,8 @@ TEST(DirectFold, GenericQueriesMatchViewAcrossThreadsAndWindows) {
   save_small_blocks(db, dir.path());
   auto set = ShardSet::open(dir.path());
   ASSERT_TRUE(set.ok()) << set.error_message();
-  const core::ColumnarView view(db, 1);
+  const auto oracle = load(set.value());
+  ASSERT_EQ(oracle, db);
 
   const auto serving = config::lte_param(config::ParamId::kServingPriority);
   const auto neighbor = config::lte_param(config::ParamId::kNeighborPriority);
@@ -208,26 +215,26 @@ TEST(DirectFold, GenericQueriesMatchViewAcrossThreadsAndWindows) {
       const DirectFold direct(set.value(), fopts);
       const std::string tag = "threads=" + std::to_string(threads) +
                               " window=" + std::to_string(window);
-      ASSERT_EQ(direct.carriers().size(), view.carriers().size());
+      ASSERT_EQ(direct.carriers().size(), oracle.carriers().size());
       for (const auto& carrier : direct.carriers()) {
         auto values = direct.values(carrier, serving);
         ASSERT_TRUE(values.ok()) << values.error_message();
-        EXPECT_EQ(values.value(), view.values(carrier, serving)) << tag;
+        EXPECT_EQ(values.value(), oracle.values(carrier, serving)) << tag;
 
         auto grouped = direct.values_grouped(carrier, serving, by_channel);
         ASSERT_TRUE(grouped.ok()) << grouped.error_message();
         expect_counts(grouped.value(),
-                      view.values_grouped(carrier, serving, by_channel),
+                      oracle.values_grouped(carrier, serving, by_channel),
                       tag + " grouped");
 
         auto ctx = direct.values_by_context(carrier, neighbor);
         ASSERT_TRUE(ctx.ok()) << ctx.error_message();
-        expect_counts(ctx.value(), view.values_by_context(carrier, neighbor),
+        expect_counts(ctx.value(), oracle.values_by_context(carrier, neighbor),
                       tag + " ctx");
 
         auto observed = direct.observed_params(carrier);
         ASSERT_TRUE(observed.ok()) << observed.error_message();
-        EXPECT_EQ(observed.value(), view.observed_params(carrier)) << tag;
+        EXPECT_EQ(observed.value(), oracle.observed_params(carrier)) << tag;
       }
     }
   }
@@ -239,8 +246,7 @@ TEST(DirectFold, EntryPointsMatchViewAndInMemoryBitExact) {
   save_small_blocks(db, dir.path());
   auto set = ShardSet::open(dir.path());
   ASSERT_TRUE(set.ok()) << set.error_message();
-  auto sv = build_columnar(set.value(), {1, false});
-  ASSERT_TRUE(sv.ok()) << sv.error_message();
+  const auto oracle = load(set.value());
   const auto cities = test_cities();
   const auto spatial_key = config::lte_param(config::ParamId::kServingPriority);
 
@@ -254,7 +260,7 @@ TEST(DirectFold, EntryPointsMatchViewAndInMemoryBitExact) {
       // Fig 16/17/22 diversity (both RAT-filtered and not).
       auto div = diversity_by_param(direct, carrier);
       ASSERT_TRUE(div.ok()) << div.error_message();
-      expect_diversity(div.value(), diversity_by_param(sv.value(), carrier),
+      expect_diversity(div.value(), core::diversity_by_param(oracle, carrier),
                        tag + " div " + carrier);
       expect_diversity(div.value(), core::diversity_by_param(db, carrier),
                        tag + " div-mem " + carrier);
@@ -268,7 +274,7 @@ TEST(DirectFold, EntryPointsMatchViewAndInMemoryBitExact) {
       // Fig 19 dependence.
       auto dep = frequency_dependence(direct, carrier);
       ASSERT_TRUE(dep.ok()) << dep.error_message();
-      expect_dependence(dep.value(), frequency_dependence(sv.value(), carrier),
+      expect_dependence(dep.value(), core::frequency_dependence(oracle, carrier),
                         tag + " dep " + carrier);
       expect_dependence(dep.value(), core::frequency_dependence(db, carrier),
                         tag + " dep-mem " + carrier);
@@ -278,7 +284,7 @@ TEST(DirectFold, EntryPointsMatchViewAndInMemoryBitExact) {
         auto pri = priority_by_channel(direct, carrier, candidate);
         ASSERT_TRUE(pri.ok()) << pri.error_message();
         expect_counts(pri.value(),
-                      priority_by_channel(sv.value(), carrier, candidate),
+                      core::priority_by_channel(oracle, carrier, candidate),
                       tag + " pri " + carrier);
         expect_counts(pri.value(),
                       core::priority_by_channel(db, carrier, candidate),
@@ -290,8 +296,8 @@ TEST(DirectFold, EntryPointsMatchViewAndInMemoryBitExact) {
                   core::multi_priority_cell_fraction(db, carrier),
                   tag + " multi " + carrier);
       expect_bits(multi.value(),
-                  multi_priority_cell_fraction(sv.value(), carrier),
-                  tag + " multi-view " + carrier);
+                  core::multi_priority_cell_fraction(oracle, carrier),
+                  tag + " multi-loaded " + carrier);
 
       // Fig 20 city join.
       auto by_city = priority_by_city(direct, carrier, cities);
@@ -494,8 +500,8 @@ TEST(DirectFold, CorruptByteInAnyBlockRejectsTheFoldWithNoPartialAnswer) {
 }
 
 TEST(DirectFold, CrcCheckingCanBeDisabledForTrustedStores) {
-  // build_columnar runs with check_block_crc=false (verify() owns payload
-  // integrity there); the flag must actually bypass the mid-fold check.
+  // Trusted callers that already ran verify() may turn the mid-fold check
+  // off; the flag must actually bypass it.
   StoreDir dir("nocrc");
   save_small_blocks(random_db(61, 1, 30), dir.path());
   auto set = ShardSet::open(dir.path());
@@ -582,9 +588,7 @@ TEST(DirectFold, LegacyStoresWithoutExtrasFoldIdentically) {
     EXPECT_FALSE(fr.value().crc_checked);
   }
 
-  // The legacy store must also still build a view and load.
-  auto sv = build_columnar(legacy_set.value(), {2, false});
-  ASSERT_TRUE(sv.ok()) << sv.error_message();
+  // The legacy store must also still load.
   core::ConfigDatabase loaded;
   ASSERT_TRUE(load_database(legacy_set.value(), loaded, 2).ok());
   EXPECT_EQ(loaded, db);
@@ -622,9 +626,12 @@ TEST(DirectFold, UnknownManifestFlagBitsAreRejected) {
       << r.error_message();
 }
 
-// --- parallel view build -------------------------------------------------------
+// --- many-block folds across thread counts -------------------------------------
 
 TEST(StoreBuildParallel, ManyBlockBuildIsThreadCountInvariant) {
+  // The scheduled whole-store mix over a many-block store answers the same
+  // bits for every engine thread count (cross-carrier jobs at threads > 1,
+  // block-parallel parsing within the sequential loop at 1).
   StoreDir dir("build");
   const auto db = random_db(79, 4, 80, 3);
   save_small_blocks(db, dir.path());
@@ -632,25 +639,25 @@ TEST(StoreBuildParallel, ManyBlockBuildIsThreadCountInvariant) {
   ASSERT_TRUE(set.ok()) << set.error_message();
   ASSERT_GT(set.value().blocks().size(), 16u);
 
-  const core::ColumnarView reference(db, 1);
   const auto serving = config::lte_param(config::ParamId::kServingPriority);
   for (const unsigned threads : {1u, 2u, 4u, 0u}) {
-    BuildOptions bopts;
-    bopts.threads = threads;
-    bopts.release_mapped = true;
-    auto sv = build_columnar(set.value(), bopts);
-    ASSERT_TRUE(sv.ok()) << sv.error_message();
-    EXPECT_EQ(sv.value().stats.rows, db.total_samples());
-    ASSERT_EQ(sv.value().view.carriers().size(), reference.carriers().size());
-    for (const auto& carrier : reference.carriers()) {
-      EXPECT_EQ(sv.value().view.values(carrier.name, serving),
-                reference.values(carrier.name, serving))
-          << "threads " << threads;
-      EXPECT_EQ(sv.value().view.observed_params(carrier.name),
-                reference.observed_params(carrier.name));
-      expect_diversity(diversity_by_param(sv.value(), carrier.name),
-                       core::diversity_by_param(reference, carrier.name),
-                       "build threads=" + std::to_string(threads));
+    FoldOptions fopts;
+    fopts.threads = threads;
+    const DirectFold direct(set.value(), fopts);
+    const std::string tag = "threads=" + std::to_string(threads);
+    auto qa = analyze_query(direct, Query{});
+    ASSERT_TRUE(qa.ok()) << qa.error_message();
+    EXPECT_EQ(qa.value().stats.rows, db.total_samples());
+    ASSERT_EQ(qa.value().carriers.size(), db.carriers().size());
+    for (std::size_t i = 0; i < qa.value().carriers.size(); ++i) {
+      const std::string& carrier = qa.value().carriers[i];
+      const auto& a = qa.value().results[i];
+      EXPECT_EQ(a.values(serving), db.values(carrier, serving)) << tag;
+      std::vector<config::ParamKey> observed;
+      for (const auto& [key, totals] : a.totals) observed.push_back(key);
+      EXPECT_EQ(observed, db.observed_params(carrier)) << tag;
+      expect_diversity(a.diversity, core::diversity_by_param(db, carrier),
+                       tag + " diversity " + carrier);
     }
   }
 }
@@ -672,15 +679,13 @@ TEST(StoreBuildParallel, ConcurrentFoldsOfDistinctCarriersAreIndependent) {
   fopts.release_mapped = false;  // do not discard pages under the other fold
   const DirectFold a(set.value(), fopts);
   const DirectFold b(set.value(), fopts);
-  const core::ColumnarView reference(db, 1);
-
   stats::ValueCounts ra, rb;
   std::thread ta([&] { ra = a.values("C0", serving).value(); });
   std::thread tb([&] { rb = b.values("C1", serving).value(); });
   ta.join();
   tb.join();
-  EXPECT_EQ(ra, reference.values("C0", serving));
-  EXPECT_EQ(rb, reference.values("C1", serving));
+  EXPECT_EQ(ra, db.values("C0", serving));
+  EXPECT_EQ(rb, db.values("C1", serving));
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 
 #include "mmlab/core/analysis.hpp"
 #include "mmlab/core/cell_fold.hpp"
-#include "mmlab/core/columnar.hpp"
 #include "mmlab/core/database.hpp"
 #include "mmlab/store/analytics.hpp"
 #include "mmlab/store/direct_fold.hpp"
@@ -360,7 +359,6 @@ TEST(QueryPlan, PlannedFoldsMatchFilteredOracleAcrossPredicatesThreadsWindows) {
     Query cellwise = query;
     cellwise.carriers.clear();
     const auto oracle_db = filter_db(db, cellwise);
-    const core::ColumnarView oracle(oracle_db, 1);
     for (const unsigned threads : {1u, 2u, 4u, 0u}) {
       for (const std::size_t window : {std::size_t{0}, std::size_t{1},
                                        std::size_t{3}}) {
@@ -379,26 +377,26 @@ TEST(QueryPlan, PlannedFoldsMatchFilteredOracleAcrossPredicatesThreadsWindows) {
         for (const auto& carrier : direct.carriers()) {
           auto vals = direct.values(carrier, serving, query);
           ASSERT_TRUE(vals.ok()) << tag << ": " << vals.error_message();
-          EXPECT_EQ(vals.value(), oracle.values(carrier, serving)) << tag;
+          EXPECT_EQ(vals.value(), oracle_db.values(carrier, serving)) << tag;
 
           auto grouped =
               direct.values_grouped(carrier, serving, by_channel, query);
           ASSERT_TRUE(grouped.ok()) << grouped.error_message();
           expect_counts(grouped.value(),
-                        oracle.values_grouped(carrier, serving, by_channel),
+                        oracle_db.values_grouped(carrier, serving, by_channel),
                         tag + " grouped " + carrier);
 
           auto ctx = direct.values_by_context(carrier, neighbor, query);
           ASSERT_TRUE(ctx.ok()) << ctx.error_message();
           expect_counts(ctx.value(),
-                        oracle.values_by_context(carrier, neighbor),
+                        oracle_db.values_by_context(carrier, neighbor),
                         tag + " ctx " + carrier);
 
           auto observed = direct.observed_params(carrier, query);
           ASSERT_TRUE(observed.ok()) << observed.error_message();
-          EXPECT_EQ(observed.value(), oracle.observed_params(carrier)) << tag;
+          EXPECT_EQ(observed.value(), oracle_db.observed_params(carrier)) << tag;
 
-          auto div = diversity_by_param(direct, carrier, query);
+          auto div = diversity_by_param(direct, carrier, std::nullopt, query);
           ASSERT_TRUE(div.ok()) << div.error_message();
           expect_diversity(div.value(),
                            core::diversity_by_param(oracle_db, carrier),
@@ -410,7 +408,7 @@ TEST(QueryPlan, PlannedFoldsMatchFilteredOracleAcrossPredicatesThreadsWindows) {
                         core::priority_by_channel(oracle_db, carrier, false),
                         tag + " pri " + carrier);
 
-          auto gaps = measurement_decision_gaps(direct, query, carrier);
+          auto gaps = measurement_decision_gaps(direct, carrier, query);
           ASSERT_TRUE(gaps.ok()) << gaps.error_message();
           expect_gaps(gaps.value(),
                       core::measurement_decision_gaps(oracle_db, carrier),

@@ -1,10 +1,12 @@
 // MMDS v2 out-of-core store: property-based round-trips (random database ->
 // sharded store -> load is bit-exact; chunk size and thread count never
-// change results), out-of-core columnar equivalence against the in-memory
-// view, manifest/shard corruption rejection, and the streaming generator's
-// determinism contract against generate_world.
+// change results), the out-of-core figure mix against the in-memory walk
+// and the reference scans, manifest/shard corruption rejection, and the
+// streaming generator's determinism contract against generate_world.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -13,12 +15,10 @@
 #include <vector>
 
 #include "mmlab/core/analysis.hpp"
-#include "mmlab/core/columnar.hpp"
 #include "mmlab/core/database.hpp"
 #include "mmlab/netgen/generator.hpp"
 #include "mmlab/netgen/streamgen.hpp"
 #include "mmlab/store/analytics.hpp"
-#include "mmlab/store/columnar_build.hpp"
 #include "mmlab/store/mmds2.hpp"
 #include "mmlab/store/shard_set.hpp"
 #include "mmlab/store/shard_writer.hpp"
@@ -195,54 +195,11 @@ TEST(StoreRoundTrip, ChunkSizeNeverChangesTheStore) {
   }
 }
 
-/// Bit-level equality of two view carriers, ignoring the raw observation
-/// columns (dropped on the out-of-core path by design) and rec pointers
-/// (compared through the metadata they point at).
-void expect_carriers_identical(const core::ColumnarView::Carrier& a,
-                               const core::ColumnarView::Carrier& b) {
-  EXPECT_EQ(a.name, b.name);
-  ASSERT_EQ(a.cells.size(), b.cells.size());
-  for (std::size_t i = 0; i < a.cells.size(); ++i) {
-    EXPECT_EQ(a.cells[i].id, b.cells[i].id);
-    EXPECT_EQ(a.cells[i].span_begin, b.cells[i].span_begin);
-    EXPECT_EQ(a.cells[i].span_end, b.cells[i].span_end);
-    ASSERT_NE(a.cells[i].rec, nullptr);
-    ASSERT_NE(b.cells[i].rec, nullptr);
-    EXPECT_EQ(a.cells[i].rec->rat, b.cells[i].rec->rat);
-    EXPECT_EQ(a.cells[i].rec->channel, b.cells[i].rec->channel);
-    EXPECT_EQ(a.cells[i].rec->position.x, b.cells[i].rec->position.x);
-    EXPECT_EQ(a.cells[i].rec->position.y, b.cells[i].rec->position.y);
-  }
-  ASSERT_EQ(a.spans.size(), b.spans.size());
-  for (std::size_t i = 0; i < a.spans.size(); ++i) {
-    EXPECT_EQ(a.spans[i].key, b.spans[i].key);
-    EXPECT_EQ(a.spans[i].cell, b.spans[i].cell);
-    EXPECT_EQ(a.spans[i].begin, b.spans[i].begin);
-    EXPECT_EQ(a.spans[i].end, b.spans[i].end);
-    EXPECT_EQ(a.spans[i].uniq_begin, b.spans[i].uniq_begin);
-    EXPECT_EQ(a.spans[i].uniq_end, b.spans[i].uniq_end);
-    EXPECT_EQ(a.spans[i].ctx_begin, b.spans[i].ctx_begin);
-    EXPECT_EQ(a.spans[i].ctx_end, b.spans[i].ctx_end);
-    EXPECT_EQ(a.spans[i].has_latest, b.spans[i].has_latest);
-    if (a.spans[i].has_latest) {
-      EXPECT_EQ(a.spans[i].latest, b.spans[i].latest);
-    }
-  }
-  EXPECT_EQ(a.uniq_col, b.uniq_col);
-  EXPECT_EQ(a.ctx_context_col, b.ctx_context_col);
-  EXPECT_EQ(a.ctx_value_col, b.ctx_value_col);
-  EXPECT_EQ(a.observed, b.observed);
-  EXPECT_EQ(a.spans_by_key, b.spans_by_key);
-  ASSERT_EQ(a.key_ranges.size(), b.key_ranges.size());
-  for (std::size_t i = 0; i < a.key_ranges.size(); ++i) {
-    EXPECT_EQ(a.key_ranges[i].begin, b.key_ranges[i].begin);
-    EXPECT_EQ(a.key_ranges[i].end, b.key_ranges[i].end);
-  }
-  EXPECT_EQ(a.key_totals, b.key_totals);
-}
-
 TEST(StoreColumnar, OutOfCoreViewMatchesInMemory) {
-  StoreDir dir("columnar");
+  // The two cell sources of the figure accumulators agree: the shard-direct
+  // mix (store::analyze_query) equals the in-memory walk over the same data
+  // (core::analyze_database) product for product, at every thread count.
+  StoreDir dir("two_sources");
   const auto db = random_db(21, 5, 50, 4);
   WriterOptions wopts;
   wopts.target_block_bytes = 1024;
@@ -251,25 +208,52 @@ TEST(StoreColumnar, OutOfCoreViewMatchesInMemory) {
   auto set = ShardSet::open(dir.path());
   ASSERT_TRUE(set.ok()) << set.error_message();
 
-  const core::ColumnarView reference(db, 1);
+  MixOptions mopts;
+  mopts.cities = {{1, "West", "C1", "US", {-5e4, -5e4}, 5e4}};
+  mopts.spatial = SpatialQuery{
+      config::lte_param(config::ParamId::kServingPriority),
+      mopts.cities.front(), 2e4};
   for (unsigned threads : {1u, 2u, 4u}) {
-    BuildOptions bopts;
-    bopts.threads = threads;
-    bopts.release_mapped = false;
-    auto sv = build_columnar(set.value(), bopts);
-    ASSERT_TRUE(sv.ok()) << sv.error_message();
-    const auto& view = sv.value().view;
-    ASSERT_EQ(view.carriers().size(), reference.carriers().size());
-    for (std::size_t i = 0; i < view.carriers().size(); ++i)
-      expect_carriers_identical(view.carriers()[i], reference.carriers()[i]);
-    EXPECT_EQ(sv.value().stats.rows, db.total_samples());
-    EXPECT_EQ(view.total_observations(), reference.total_observations());
+    const auto reference = core::analyze_database(db, mopts, threads);
+    FoldOptions fopts;
+    fopts.threads = threads;
+    fopts.release_mapped = false;
+    const DirectFold direct(set.value(), fopts);
+    auto qa = analyze_query(direct, Query{}, mopts);
+    ASSERT_TRUE(qa.ok()) << qa.error_message();
+    EXPECT_EQ(qa.value().stats.rows, db.total_samples());
+    ASSERT_EQ(qa.value().results.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      const auto& a = qa.value().results[i];
+      const auto& b = reference[i];
+      EXPECT_EQ(a.carrier, b.carrier);
+      ASSERT_EQ(a.diversity.size(), b.diversity.size()) << b.carrier;
+      for (std::size_t k = 0; k < b.diversity.size(); ++k) {
+        // Bitwise: cv is NaN for zero-mean keys on both sides.
+        EXPECT_EQ(a.diversity[k].key, b.diversity[k].key);
+        EXPECT_EQ(a.diversity[k].cells, b.diversity[k].cells);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.diversity[k].measures.cv),
+                  std::bit_cast<std::uint64_t>(b.diversity[k].measures.cv));
+        EXPECT_EQ(a.diversity[k].measures.simpson,
+                  b.diversity[k].measures.simpson);
+      }
+      EXPECT_EQ(a.serving_priority, b.serving_priority) << b.carrier;
+      EXPECT_EQ(a.candidate_priority, b.candidate_priority) << b.carrier;
+      EXPECT_EQ(a.priority_by_city, b.priority_by_city) << b.carrier;
+      EXPECT_EQ(a.spatial_diversity, b.spatial_diversity) << b.carrier;
+      EXPECT_EQ(a.gaps.intra_minus_nonintra, b.gaps.intra_minus_nonintra);
+      ASSERT_EQ(a.totals.size(), b.totals.size()) << b.carrier;
+      for (const auto& [key, totals] : b.totals) {
+        EXPECT_EQ(a.values(key), totals.values) << b.carrier;
+        EXPECT_EQ(a.totals.at(key).cells, totals.cells) << b.carrier;
+      }
+    }
   }
 }
 
 TEST(StoreColumnar, ChunkedStreamFromGeneratorMatchesDirectDatabase) {
   // End to end on real generated data: stream_world -> chunked v2 store ->
-  // out-of-core view must answer the analysis queries exactly like a
+  // shard-direct mix must answer the analysis queries exactly like a
   // database assembled by add_snapshot-ing the identical stream.
   class Both final : public netgen::SnapshotSink {
    public:
@@ -311,20 +295,26 @@ TEST(StoreColumnar, ChunkedStreamFromGeneratorMatchesDirectDatabase) {
   ASSERT_TRUE(load_database(set.value(), loaded, 2).ok());
   EXPECT_EQ(loaded, db);
 
-  auto sv = build_columnar(set.value(), {2, false});
-  ASSERT_TRUE(sv.ok()) << sv.error_message();
-  const core::ColumnarView reference(db, 1);
-  for (const auto& carrier : reference.carriers()) {
-    const auto ref_div = core::diversity_by_param(reference, carrier.name);
-    const auto ooc_div = store::diversity_by_param(sv.value(), carrier.name);
-    ASSERT_EQ(ref_div.size(), ooc_div.size()) << carrier.name;
+  FoldOptions fopts;
+  fopts.threads = 2;
+  fopts.release_mapped = false;
+  const DirectFold direct(set.value(), fopts);
+  auto qa = analyze_query(direct, Query{});
+  ASSERT_TRUE(qa.ok()) << qa.error_message();
+  ASSERT_EQ(qa.value().carriers.size(), db.carriers().size());
+  for (std::size_t c = 0; c < qa.value().carriers.size(); ++c) {
+    const std::string& carrier = qa.value().carriers[c];
+    const auto& mix = qa.value().results[c];
+    const auto ref_div = core::diversity_by_param(db, carrier);
+    ASSERT_EQ(ref_div.size(), mix.diversity.size()) << carrier;
     for (std::size_t i = 0; i < ref_div.size(); ++i) {
-      EXPECT_EQ(ref_div[i].key, ooc_div[i].key);
-      EXPECT_EQ(ref_div[i].measures.richness, ooc_div[i].measures.richness);
-      EXPECT_EQ(ref_div[i].cells, ooc_div[i].cells);
+      EXPECT_EQ(ref_div[i].key, mix.diversity[i].key);
+      EXPECT_EQ(ref_div[i].measures.richness,
+                mix.diversity[i].measures.richness);
+      EXPECT_EQ(ref_div[i].cells, mix.diversity[i].cells);
     }
-    EXPECT_EQ(core::priority_by_channel(reference, carrier.name, false, 1),
-              store::priority_by_channel(sv.value(), carrier.name, false, 2));
+    EXPECT_EQ(core::priority_by_channel(db, carrier, false),
+              mix.serving_priority);
   }
 }
 

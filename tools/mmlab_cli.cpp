@@ -15,7 +15,7 @@
 //                                      dataset summary + diversity report;
 //                                      --direct (MMDS v2 stores only) answers
 //                                      straight off the mapped shards via
-//                                      DirectFold — no database, no view —
+//                                      DirectFold — no database —
 //                                      and prints the fold's resident-memory
 //                                      stats.  With --direct, repeatable
 //                                      --carrier / --param flags build a
@@ -62,6 +62,7 @@
 #include "mmlab/core/analysis.hpp"
 #include "mmlab/core/dataset_io.hpp"
 #include "mmlab/core/extractor.hpp"
+#include "mmlab/core/figures.hpp"
 #include "mmlab/core/handoff_extract.hpp"
 #include "mmlab/core/misconfig.hpp"
 #include "mmlab/core/parallel_extract.hpp"
@@ -302,7 +303,7 @@ int cmd_ingest(int argc, char** argv) {
 }
 
 /// `report --direct`: every table straight off the mapped shards.  Nothing
-/// is materialized — not the database, not the view — so resident memory is
+/// is materialized — not even the database — so resident memory is
 /// the fold's parse window plus the per-carrier answers, and the stats line
 /// shows exactly that.
 int report_direct(const CliOptions& opts) {
@@ -315,7 +316,7 @@ int report_direct(const CliOptions& opts) {
   std::uint64_t bytes = 0;
   for (const auto& s : m.shards) bytes += s.file_size;
   std::printf("MMDS v2 store: %zu shards, %zu blocks, %llu rows, %.1f MB "
-              "(direct fold, no view)\n\n",
+              "(direct fold, no database)\n\n",
               m.shards.size(), static_cast<std::size_t>(m.total_blocks()),
               static_cast<unsigned long long>(m.total_rows()),
               static_cast<double>(bytes) / 1e6);
@@ -359,8 +360,8 @@ int report_direct(const CliOptions& opts) {
                                   : qa.value().carriers.front();
   std::printf("\ndiversity report for %s (sorted by Simpson index):\n",
               carrier.c_str());
-  auto div = store::diversity_by_param(direct, carrier, query,
-                                       spectrum::Rat::kLte);
+  auto div = store::diversity_by_param(direct, carrier, spectrum::Rat::kLte,
+                                       query);
   if (!div.ok()) {
     std::fprintf(stderr, "error: %s\n", div.error_message().c_str());
     return 1;
@@ -425,28 +426,38 @@ int cmd_report(int argc, char** argv) {
   std::printf("loaded %zu rows (%zu bad) -> %zu cells, %zu carriers\n\n",
               stats.value().rows, stats.value().bad_rows, db.total_cells(),
               db.carriers().size());
-  // One columnar build serves every query below (and any future report
-  // section) instead of re-scanning the database per table.
-  const core::ColumnarView view(db, opts.threads);
+  if (db.carriers().empty()) {
+    std::fprintf(stderr, "error: dataset has no carriers\n");
+    return 1;
+  }
+  // One walk over the database (carriers concurrently on --threads workers)
+  // serves every table below instead of re-scanning it per table.
+  const auto figures = core::analyze_database(db, {}, opts.threads);
   TablePrinter table({"Carrier", "Cells", "Samples", "LTE params observed"});
-  for (const auto& [carrier, cells] : db.carriers()) {
+  for (const auto& fig : figures) {
     std::size_t lte_params = 0;
-    for (const auto& key : view.observed_params(carrier))
+    for (const auto& [key, totals] : fig.totals)
       lte_params += key.rat == spectrum::Rat::kLte;
-    table.add_row({carrier, std::to_string(cells.size()),
-                   std::to_string(db.sample_count(carrier)),
+    table.add_row({fig.carrier, std::to_string(db.cell_count(fig.carrier)),
+                   std::to_string(db.sample_count(fig.carrier)),
                    std::to_string(lte_params)});
   }
   table.print();
 
   const std::string carrier = opts.positional.size() > 1
                                   ? opts.positional[1]
-                                  : db.carriers().begin()->first;
+                                  : figures.front().carrier;
   std::printf("\ndiversity report for %s (sorted by Simpson index):\n",
               carrier.c_str());
+  const auto fig = std::find_if(
+      figures.begin(), figures.end(),
+      [&](const core::CarrierFigures& f) { return f.carrier == carrier; });
+  const auto ranked =
+      fig == figures.end()
+          ? std::vector<core::ParamDiversity>{}
+          : core::rank_diversity(fig->totals, spectrum::Rat::kLte);
   TablePrinter diversity({"Param", "richness", "D", "Cv"});
-  for (const auto& d :
-       core::diversity_by_param(view, carrier, spectrum::Rat::kLte))
+  for (const auto& d : ranked)
     diversity.add_row({config::param_name(d.key),
                        std::to_string(d.measures.richness),
                        fmt_double(d.measures.simpson, 3),

@@ -3,25 +3,22 @@
 //   store_soak [--scale X] [--visits N] [--chunk-rows R] [--threads T]
 //              [--block-mb B] [--shard-mb S] [--dir PATH]
 //              [--mem-ceiling-mb M] [--equality-scale Y] [--skip-equality]
-//              [--skip-soak] [--seed S] [--keep] [--direct]
+//              [--skip-soak] [--seed S] [--keep]
 //
 // Two phases, exit code 1 on any violation:
 //
 //   1. Equality (D2 scale by default): stream-generate a world straight
-//      into an MMDS v2 store, then check that the out-of-core columnar
-//      build AND the shard-direct fold are bit-identical to the in-memory
-//      reference — ColumnarView(load_database(store)) — across the full
-//      fig 11-22 analysis mix, for build/query thread counts 1, 2, 4 and
-//      hw.
+//      into an MMDS v2 store, then check that both cell sources of the
+//      fig 11-22 products — the in-memory walk (core::analyze_database over
+//      load_database(store)) and the shard-direct fold (store::analyze_query)
+//      — are bit-identical to the reference ConfigDatabase scans over
+//      load_database(store), for thread counts 1, 2, 4 and hw.
 //   2. Soak (countrywide scale by default, ~320k cells / 100M+ rows):
-//      stream-generate into v2, then run the analysis mix — gating peak
-//      RSS (Linux VmHWM) under the ceiling (default 2 GB) the whole way.
-//      Default path: verify every shard CRC, build the view out-of-core,
-//      query the view.  --direct: answer the mix straight off the mapped
-//      shards (store::analyze_carrier, one fold per carrier with per-block
-//      CRC checking mid-fold — no separate verify pass, no view), which is
-//      the O(parse window) resident-memory path; gate it with a much
-//      tighter ceiling (e.g. --mem-ceiling-mb 300 countrywide).
+//      stream-generate into v2, then answer the mix straight off the mapped
+//      shards (one fold per carrier with per-block CRC checking mid-fold —
+//      no separate verify pass, no database), gating peak RSS (Linux
+//      VmHWM) under the ceiling (default 2 GB; the direct path fits a much
+//      tighter one, e.g. --mem-ceiling-mb 300 countrywide).
 //
 // CI runs a reduced configuration (see .github/workflows/ci.yml); the full
 // countrywide soak is the acceptance run for ROADMAP's out-of-core item.
@@ -37,12 +34,11 @@
 #include <vector>
 
 #include "mmlab/core/analysis.hpp"
-#include "mmlab/core/columnar.hpp"
 #include "mmlab/core/database.hpp"
+#include "mmlab/core/figures.hpp"
 #include "mmlab/netgen/profile.hpp"
 #include "mmlab/netgen/streamgen.hpp"
 #include "mmlab/store/analytics.hpp"
-#include "mmlab/store/columnar_build.hpp"
 #include "mmlab/store/shard_set.hpp"
 #include "mmlab/store/shard_writer.hpp"
 
@@ -64,7 +60,6 @@ struct SoakOptions {
   bool run_soak = true;
   std::uint64_t seed = 42;
   bool keep = false;
-  bool direct = false;  ///< soak: shard-direct mix instead of view build
 };
 
 /// Linux VmRSS / VmHWM in bytes; 0 where /proc is unavailable.
@@ -145,8 +140,6 @@ bool parse_args(int argc, char** argv, SoakOptions& opts) {
       opts.seed = std::strtoull(v, nullptr, 10);
     } else if (!std::strcmp(arg, "--keep")) {
       opts.keep = true;
-    } else if (!std::strcmp(arg, "--direct")) {
-      opts.direct = true;
     } else {
       std::fprintf(stderr, "store_soak: unknown flag %s\n", arg);
       return false;
@@ -227,90 +220,87 @@ bool eq(const core::MeasurementGaps& a, const core::MeasurementGaps& b) {
          eq(a.nonintra_minus_slow, b.nonintra_minus_slow);
 }
 
-/// Run the fig 11-22 analysis mix over a StoreView; when `reference` is
-/// non-null, every result must equal the in-memory reference's exactly.
-/// Returns the number of mismatches (0 when reference is null).
-int run_analysis_mix(const store::StoreView& sv,
-                     const core::ColumnarView* reference,
-                     unsigned query_threads, const char* tag) {
+/// The mix every phase runs: the Fig 20 city join over the standard
+/// cities and one Fig 21 spatial query (the priciest product).
+core::MixOptions mix_options() {
+  core::MixOptions mopts;
+  mopts.cities = netgen::standard_cities();
+  mopts.spatial = core::SpatialQuery{
+      config::lte_param(config::ParamId::kServingPriority),
+      mopts.cities.front(), 2'000.0};
+  return mopts;
+}
+
+/// One carrier's products from the reference ConfigDatabase scans.
+core::CarrierFigures oracle_figures(const core::ConfigDatabase& db,
+                                    const std::string& name,
+                                    const core::MixOptions& mopts) {
+  core::CarrierFigures f;
+  f.carrier = name;
+  f.diversity = core::diversity_by_param(db, name);
+  f.dependence = core::frequency_dependence(db, name);
+  f.serving_priority = core::priority_by_channel(db, name, false);
+  f.candidate_priority = core::priority_by_channel(db, name, true);
+  f.multi_priority_fraction = core::multi_priority_cell_fraction(db, name);
+  f.priority_by_city = core::priority_by_city(db, name, mopts.cities);
+  f.spatial_diversity =
+      core::spatial_diversity(db, name, mopts.spatial->key,
+                              mopts.spatial->city, mopts.spatial->radius_m);
+  f.gaps = core::measurement_decision_gaps(db, name);
+  return f;
+}
+
+/// Every product of `got` must equal the reference bit-for-bit.  Returns
+/// the number of mismatching products.
+int compare(const core::CarrierFigures& got, const core::CarrierFigures& want,
+            const char* tag) {
   int mismatches = 0;
-  const auto cities = netgen::standard_cities();
-  auto check = [&](bool same, const std::string& what) {
+  auto check = [&](bool same, const char* what) {
     if (!same) {
-      std::fprintf(stderr, "FAIL: [%s] %s differs from in-memory reference\n",
-                   tag, what.c_str());
+      std::fprintf(stderr, "FAIL: [%s] %s %s differs from the reference\n",
+                   tag, want.carrier.c_str(), what);
       ++mismatches;
     }
   };
+  check(got.carrier == want.carrier, "carrier name");
+  check(eq(got.diversity, want.diversity), "diversity_by_param");
+  check(eq(got.dependence, want.dependence), "frequency_dependence");
+  check(got.serving_priority == want.serving_priority,
+        "priority_by_channel(serving)");
+  check(got.candidate_priority == want.candidate_priority,
+        "priority_by_channel(candidate)");
+  check(eq(got.multi_priority_fraction, want.multi_priority_fraction),
+        "multi_priority_cell_fraction");
+  check(got.priority_by_city == want.priority_by_city, "priority_by_city");
+  check(eq(got.spatial_diversity, want.spatial_diversity), "spatial_diversity");
+  check(eq(got.gaps, want.gaps), "measurement_decision_gaps");
+  return mismatches;
+}
 
-  for (const auto& carrier : sv.view.carriers()) {
-    const std::string& name = carrier.name;
-    const auto div = store::diversity_by_param(sv, name);
-    const auto dep = store::frequency_dependence(sv, name);
-    const auto pri_s =
-        store::priority_by_channel(sv, name, false, query_threads);
-    const auto pri_c = store::priority_by_channel(sv, name, true, query_threads);
-    const auto multi = store::multi_priority_cell_fraction(sv, name);
-    const auto by_city = store::priority_by_city(sv, name, cities);
-    if (reference) {
-      check(eq(div, core::diversity_by_param(*reference, name)),
-            name + " diversity_by_param");
-      check(eq(dep, core::frequency_dependence(*reference, name)),
-            name + " frequency_dependence");
-      check(pri_s == core::priority_by_channel(*reference, name, false, 1),
-            name + " priority_by_channel(serving)");
-      check(pri_c == core::priority_by_channel(*reference, name, true, 1),
-            name + " priority_by_channel(candidate)");
-      check(eq(multi, core::multi_priority_cell_fraction(*reference, name)),
-            name + " multi_priority_cell_fraction");
-      check(by_city == core::priority_by_city(*reference, name, cities),
-            name + " priority_by_city");
-    }
+template <typename Figures>
+int compare_all(const std::vector<Figures>& got,
+                const std::vector<core::CarrierFigures>& want,
+                const char* tag) {
+  if (got.size() != want.size()) {
+    std::fprintf(stderr, "FAIL: [%s] %zu carriers, reference has %zu\n", tag,
+                 got.size(), want.size());
+    return 1;
   }
-  // Pooled gaps (Fig 11) and one spatial pass (Fig 21, priciest query).
-  const auto gaps = store::measurement_decision_gaps(sv);
-  const auto spatial = store::spatial_diversity(
-      sv, sv.view.carriers().empty() ? "" : sv.view.carriers().front().name,
-      config::lte_param(config::ParamId::kServingPriority), cities.front(),
-      2'000.0);
-  if (reference) {
-    check(eq(gaps, core::measurement_decision_gaps(*reference)),
-          "pooled measurement_decision_gaps");
-    check(eq(spatial,
-             core::spatial_diversity(
-                  *reference,
-                  sv.view.carriers().empty() ? ""
-                                             : sv.view.carriers().front().name,
-                  config::lte_param(config::ParamId::kServingPriority),
-                  cities.front(), 2'000.0)),
-          "spatial_diversity");
-  }
+  int mismatches = 0;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    mismatches += compare(got[i], want[i], tag);
   return mismatches;
 }
 
 /// Run the fig 11-22 mix straight off the shards through the cross-carrier
 /// scheduler (store::analyze_query: one fold per carrier, concurrent jobs
 /// under the shared window budget when the engine has threads > 1); when
-/// `reference` is non-null every product must equal the in-memory reference
-/// bit-for-bit.  Returns mismatches + fold failures.
+/// `reference` is non-null every product must equal it bit-for-bit.
+/// Returns mismatches + fold failures.
 int run_direct_mix(const store::DirectFold& direct,
-                   const core::ColumnarView* reference, const char* tag,
-                   store::FoldStats* total = nullptr) {
-  int mismatches = 0;
-  const auto cities = netgen::standard_cities();
-  auto check = [&](bool same, const std::string& what) {
-    if (!same) {
-      std::fprintf(stderr, "FAIL: [%s] %s differs from in-memory reference\n",
-                   tag, what.c_str());
-      ++mismatches;
-    }
-  };
-
-  store::MixOptions mopts;
-  mopts.cities = cities;
-  mopts.spatial = store::SpatialQuery{
-      config::lte_param(config::ParamId::kServingPriority), cities.front(),
-      2'000.0};
+                   const std::vector<core::CarrierFigures>* reference,
+                   const char* tag, store::FoldStats* total = nullptr) {
+  const auto mopts = mix_options();
   auto qa_r = store::analyze_query(direct, store::Query{}, mopts);
   if (!qa_r.ok()) {
     std::fprintf(stderr, "FAIL: [%s] analyze_query: %s\n", tag,
@@ -327,45 +317,19 @@ int run_direct_mix(const store::DirectFold& direct,
         std::max(total->peak_resident_blocks, qa.stats.peak_resident_blocks);
     total->fold_seconds += qa.stats.fold_seconds;
   }
-  for (std::size_t i = 0; reference && i < qa.carriers.size(); ++i) {
-    const std::string& name = qa.carriers[i];
-    const auto& a = qa.results[i];
-    check(eq(a.diversity, core::diversity_by_param(*reference, name)),
-          name + " diversity_by_param(direct)");
-    check(eq(a.dependence, core::frequency_dependence(*reference, name)),
-          name + " frequency_dependence(direct)");
-    check(a.serving_priority ==
-              core::priority_by_channel(*reference, name, false, 1),
-          name + " priority_by_channel(serving,direct)");
-    check(a.candidate_priority ==
-              core::priority_by_channel(*reference, name, true, 1),
-          name + " priority_by_channel(candidate,direct)");
-    check(eq(a.multi_priority_fraction,
-             core::multi_priority_cell_fraction(*reference, name)),
-          name + " multi_priority_cell_fraction(direct)");
-    check(a.priority_by_city ==
-              core::priority_by_city(*reference, name, cities),
-          name + " priority_by_city(direct)");
-    check(eq(a.gaps, core::measurement_decision_gaps(*reference, name)),
-          name + " measurement_decision_gaps(direct)");
-    check(eq(a.spatial_diversity,
-             core::spatial_diversity(
-                 *reference, name,
-                 config::lte_param(config::ParamId::kServingPriority),
-                 cities.front(), 2'000.0)),
-          name + " spatial_diversity(direct)");
-  }
-  return mismatches;
+  return reference ? compare_all(qa.results, *reference, tag) : 0;
 }
 
-/// Planned-fold spot checks against the in-memory reference: a full
-/// single-carrier selection must answer exactly like the unplanned path,
-/// and a ParamKey push-down must answer the view's values() while decoding
-/// strictly fewer bytes than it parsed.  (The exhaustive predicate x
-/// threads x window property lives in tests/test_query_plan.cpp; this keeps
-/// the same invariant gated at soak scales.)
+/// Planned-fold spot checks against the reference scans: a full
+/// single-carrier selection must answer exactly like the whole-store mix,
+/// and a ParamKey push-down must answer ConfigDatabase::values() while
+/// decoding strictly fewer bytes than it parsed.  (The exhaustive predicate
+/// x threads x window property lives in tests/test_query_plan.cpp; this
+/// keeps the same invariant gated at soak scales.)
 int run_planned_checks(const store::DirectFold& direct,
-                       const core::ColumnarView& reference, const char* tag) {
+                       const core::ConfigDatabase& db,
+                       const core::CarrierFigures& reference,
+                       const char* tag) {
   int mismatches = 0;
   auto check = [&](bool same, const std::string& what) {
     if (!same) {
@@ -373,44 +337,32 @@ int run_planned_checks(const store::DirectFold& direct,
       ++mismatches;
     }
   };
-  if (direct.carriers().empty()) return 0;
-  const std::string& name = direct.carriers().front();
+  const std::string& name = reference.carrier;
   const auto key = config::lte_param(config::ParamId::kServingPriority);
-  const auto cities = netgen::standard_cities();
 
-  // Full single-carrier selection: planned == plain == reference.
   store::Query q_carrier;
   q_carrier.carriers = {name};
-  store::MixOptions mopts;
-  mopts.cities = cities;
-  auto planned = store::analyze_carrier(direct, name, mopts, q_carrier);
+  auto planned = store::analyze_carrier(direct, name, mix_options(), q_carrier);
   if (!planned.ok()) {
     std::fprintf(stderr, "FAIL: [%s] planned analyze_carrier(%s): %s\n", tag,
                  name.c_str(), planned.error_message().c_str());
     return 1;
   }
-  check(eq(planned.value().diversity, core::diversity_by_param(reference, name)),
-        name + " planned diversity_by_param != reference");
-  check(planned.value().serving_priority ==
-            core::priority_by_channel(reference, name, false, 1),
-        name + " planned priority_by_channel != reference");
-  check(eq(planned.value().gaps,
-           core::measurement_decision_gaps(reference, name)),
-        name + " planned measurement_decision_gaps != reference");
+  mismatches += compare(planned.value(), reference, tag);
 
-  // ParamKey push-down: same counts as the view, strictly fewer bytes
+  // ParamKey push-down: same counts as the reference, strictly fewer bytes
   // decoded than parsed (the store carries more than one parameter).  The
   // per-call stats surface through the engine's cumulative counter, so diff
   // it around the call.
   const auto before = direct.stats();
-  auto narrowed = direct.values(name, key, store::Query{});
+  auto narrowed = direct.values(name, key);
   const auto after = direct.stats();
   if (!narrowed.ok()) {
     std::fprintf(stderr, "FAIL: [%s] planned values(%s): %s\n", tag,
                  name.c_str(), narrowed.error_message().c_str());
     return mismatches + 1;
   }
-  check(narrowed.value() == reference.values(name, key),
+  check(narrowed.value() == db.values(name, key),
         name + " planned values() != reference values()");
   check(after.values_skipped > before.values_skipped,
         name + " planned values(): push-down decoded every value payload "
@@ -438,7 +390,7 @@ int run_equality_phase(const SoakOptions& opts, unsigned hw) {
   }
   const auto set = std::move(set_r).take();
 
-  // In-memory reference: materialize the database, then the classic view.
+  // Reference: the ConfigDatabase scans over the materialized database.
   core::ConfigDatabase db;
   const auto load = store::load_database(set, db, hw);
   if (!load.ok()) {
@@ -446,7 +398,10 @@ int run_equality_phase(const SoakOptions& opts, unsigned hw) {
                  load.error_message().c_str());
     return 1;
   }
-  const core::ColumnarView reference(db, 1);
+  const auto mopts = mix_options();
+  std::vector<core::CarrierFigures> reference;
+  for (const auto& [name, cells] : db.carriers())
+    reference.push_back(oracle_figures(db, name, mopts));
 
   int failures = 0;
   std::vector<unsigned> thread_counts = {1, 2, 4, hw};
@@ -455,25 +410,21 @@ int run_equality_phase(const SoakOptions& opts, unsigned hw) {
       std::unique(thread_counts.begin(), thread_counts.end()),
       thread_counts.end());
   for (const unsigned t : thread_counts) {
-    store::BuildOptions bopts;
-    bopts.threads = t;
-    bopts.release_mapped = false;  // the store is re-read per thread count
-    auto sv_r = store::build_columnar(set, bopts);
-    if (!sv_r.ok()) {
-      std::fprintf(stderr, "FAIL: equality build (threads %u): %s\n", t,
-                   sv_r.error_message().c_str());
-      ++failures;
-      continue;
-    }
-    const auto sv = std::move(sv_r).take();
     char tag[32];
-    std::snprintf(tag, sizeof tag, "threads %u", t);
-    const int mism = run_analysis_mix(sv, &reference, t, tag);
+    std::snprintf(tag, sizeof tag, "memory threads %u", t);
+    double t0 = now_seconds();
+    const auto figures = core::analyze_database(db, mopts, t);
+    int mism = compare_all(figures, reference, tag);
+    if (t == 1 && !eq(core::pooled_gaps(figures),
+                      core::measurement_decision_gaps(db))) {
+      std::fprintf(stderr, "FAIL: [%s] pooled gaps differ\n", tag);
+      ++mism;
+    }
     failures += mism;
-    std::printf("equality: threads %u -> %s (build %.2f s)\n", t,
-                mism ? "MISMATCH" : "bit-identical", sv.stats.build_seconds);
+    std::printf("equality: in-memory threads %u -> %s (walk %.2f s)\n", t,
+                mism ? "MISMATCH" : "bit-identical", now_seconds() - t0);
 
-    // Same thread count, shard-direct: no view at all.
+    // Same thread count, shard-direct: no database at all.
     store::FoldOptions fopts;
     fopts.threads = t;
     fopts.release_mapped = false;  // the store is re-read per thread count
@@ -481,7 +432,8 @@ int run_equality_phase(const SoakOptions& opts, unsigned hw) {
     char dtag[32];
     std::snprintf(dtag, sizeof dtag, "direct threads %u", t);
     int dmism = run_direct_mix(direct, &reference, dtag);
-    dmism += run_planned_checks(direct, reference, dtag);
+    if (!reference.empty())
+      dmism += run_planned_checks(direct, db, reference.front(), dtag);
     failures += dmism;
     std::printf("equality: direct threads %u -> %s (fold %.2f s)\n", t,
                 dmism ? "MISMATCH" : "bit-identical",
@@ -527,162 +479,120 @@ int run_soak_phase(const SoakOptions& opts, unsigned hw) {
     ++failures;
   }
 
-  if (opts.direct) {
-    // Shard-direct mix through the cross-carrier scheduler: per-block CRC
-    // checking happens inside the folds (manifest extras), so there is no
-    // separate verify pass to fault the whole store through RSS, and no
-    // view is ever materialized.
-    store::FoldOptions fopts;
-    fopts.threads = threads;
-    const store::DirectFold direct(set, fopts);
+  // Shard-direct mix through the cross-carrier scheduler: per-block CRC
+  // checking happens inside the folds (manifest extras), so there is no
+  // separate verify pass to fault the whole store through RSS, and no
+  // database is ever materialized.
+  store::FoldOptions fopts;
+  fopts.threads = threads;
+  const store::DirectFold direct(set, fopts);
+  t0 = now_seconds();
+  store::FoldStats total;
+  failures += run_direct_mix(direct, nullptr, "soak", &total);
+  std::printf("soak: direct fig 11-22 mix over %zu carriers in %.1f s "
+              "(%llu cells, %llu block parses, %.1f MB read, peak window "
+              "%llu blocks, CRC %s); RSS %.1f MB\n",
+              direct.carriers().size(), now_seconds() - t0,
+              static_cast<unsigned long long>(total.cells),
+              static_cast<unsigned long long>(total.blocks),
+              static_cast<double>(total.bytes) / 1e6,
+              static_cast<unsigned long long>(total.peak_resident_blocks),
+              set.manifest().block_extras ? "checked per block"
+                                          : "unavailable (no extras)",
+              static_cast<double>(current_rss_bytes()) / 1e6);
+
+  // Planned single-carrier mix: the planner must confine the fold to
+  // exactly the selected carrier's blocks — everything else is skipped
+  // without being mapped or parsed.  Gate on the MEDIAN-sized carrier:
+  // the skip fraction is 1 - carrier share by construction, so the
+  // largest carrier (AT&T holds ~23% of a countrywide store) would
+  // measure its own size, not planner precision.
+  if (!direct.carriers().empty()) {
+    std::vector<std::size_t> per_carrier(set.manifest().carriers.size(), 0);
+    for (const auto& ref : set.blocks())
+      ++per_carrier[ref.info->carrier_index];
+    std::vector<std::uint32_t> by_size(per_carrier.size());
+    for (std::uint32_t ci = 0; ci < by_size.size(); ++ci) by_size[ci] = ci;
+    std::sort(by_size.begin(), by_size.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return per_carrier[a] < per_carrier[b];
+              });
+    const std::uint32_t carrier_index = by_size[by_size.size() / 2];
+    const std::string& name = set.manifest().carriers[carrier_index];
+    const std::size_t carrier_blocks = per_carrier[carrier_index];
+    store::Query q;
+    q.carriers = {name};
     t0 = now_seconds();
-    store::FoldStats total;
-    failures += run_direct_mix(direct, nullptr, "soak-direct", &total);
-    std::printf("soak: direct fig 11-22 mix over %zu carriers in %.1f s "
-                "(%llu cells, %llu block parses, %.1f MB read, peak window "
-                "%llu blocks, CRC %s); RSS %.1f MB\n",
-                direct.carriers().size(), now_seconds() - t0,
-                static_cast<unsigned long long>(total.cells),
-                static_cast<unsigned long long>(total.blocks),
-                static_cast<double>(total.bytes) / 1e6,
-                static_cast<unsigned long long>(total.peak_resident_blocks),
-                set.manifest().block_extras ? "checked per block"
-                                            : "unavailable (no extras)",
-                static_cast<double>(current_rss_bytes()) / 1e6);
-
-    // Planned single-carrier mix: the planner must confine the fold to
-    // exactly the selected carrier's blocks — everything else is skipped
-    // without being mapped or parsed.  Gate on the MEDIAN-sized carrier:
-    // the skip fraction is 1 - carrier share by construction, so the
-    // largest carrier (AT&T holds ~23% of a countrywide store) would
-    // measure its own size, not planner precision.
-    if (!direct.carriers().empty()) {
-      std::vector<std::size_t> per_carrier(set.manifest().carriers.size(), 0);
-      for (const auto& ref : set.blocks())
-        ++per_carrier[ref.info->carrier_index];
-      std::vector<std::uint32_t> by_size(per_carrier.size());
-      for (std::uint32_t ci = 0; ci < by_size.size(); ++ci) by_size[ci] = ci;
-      std::sort(by_size.begin(), by_size.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return per_carrier[a] < per_carrier[b];
-                });
-      const std::uint32_t carrier_index = by_size[by_size.size() / 2];
-      const std::string& name = set.manifest().carriers[carrier_index];
-      const std::size_t carrier_blocks = per_carrier[carrier_index];
-      store::Query q;
-      q.carriers = {name};
-      store::MixOptions mopts;
-      mopts.cities = netgen::standard_cities();
-      t0 = now_seconds();
-      auto planned = store::analyze_carrier(direct, name, mopts, q);
-      if (!planned.ok()) {
-        std::fprintf(stderr, "FAIL: planned analyze_carrier(%s): %s\n",
-                     name.c_str(), planned.error_message().c_str());
+    auto planned = store::analyze_carrier(direct, name, mix_options(), q);
+    if (!planned.ok()) {
+      std::fprintf(stderr, "FAIL: planned analyze_carrier(%s): %s\n",
+                   name.c_str(), planned.error_message().c_str());
+      ++failures;
+    } else {
+      const auto& ps = planned.value().stats;
+      const std::size_t total_blocks = set.blocks().size();
+      const double skip_pct =
+          total_blocks ? 100.0 * static_cast<double>(ps.blocks_skipped) /
+                             static_cast<double>(total_blocks)
+                       : 0.0;
+      std::printf("soak: planned analyze_carrier(%s) in %.1f s: parsed "
+                  "%llu/%zu blocks, skipped %llu (%.1f%%, %.1f MB never "
+                  "mapped)\n",
+                  name.c_str(), now_seconds() - t0,
+                  static_cast<unsigned long long>(ps.blocks), total_blocks,
+                  static_cast<unsigned long long>(ps.blocks_skipped),
+                  skip_pct, static_cast<double>(ps.bytes_skipped) / 1e6);
+      if (ps.blocks != carrier_blocks) {
+        std::fprintf(stderr,
+                     "FAIL: planned fold parsed %llu blocks, carrier owns "
+                     "%zu\n",
+                     static_cast<unsigned long long>(ps.blocks),
+                     carrier_blocks);
         ++failures;
-      } else {
-        const auto& ps = planned.value().stats;
-        const std::size_t total_blocks = set.blocks().size();
-        const double skip_pct =
-            total_blocks ? 100.0 * static_cast<double>(ps.blocks_skipped) /
-                               static_cast<double>(total_blocks)
-                         : 0.0;
-        std::printf("soak: planned analyze_carrier(%s) in %.1f s: parsed "
-                    "%llu/%zu blocks, skipped %llu (%.1f%%, %.1f MB never "
-                    "mapped)\n",
-                    name.c_str(), now_seconds() - t0,
-                    static_cast<unsigned long long>(ps.blocks), total_blocks,
-                    static_cast<unsigned long long>(ps.blocks_skipped),
-                    skip_pct, static_cast<double>(ps.bytes_skipped) / 1e6);
-        if (ps.blocks != carrier_blocks) {
-          std::fprintf(stderr,
-                       "FAIL: planned fold parsed %llu blocks, carrier owns "
-                       "%zu\n",
-                       static_cast<unsigned long long>(ps.blocks),
-                       carrier_blocks);
-          ++failures;
-        }
-        // The >= 90% skip gate only makes sense when the store actually has
-        // many carriers (countrywide: 10+); tiny test worlds are exempt.
-        if (set.manifest().carriers.size() >= 10 && skip_pct < 90.0) {
-          std::fprintf(stderr,
-                       "FAIL: planned single-carrier fold skipped only "
-                       "%.1f%% of blocks (expected >= 90%%)\n",
-                       skip_pct);
-          ++failures;
-        }
       }
-
-      // Planned single-ParamKey values(): the push-down must decode
-      // strictly fewer bytes than the fold parsed.
-      const auto before = direct.stats();
-      t0 = now_seconds();
-      auto vals = direct.values(
-          name, config::lte_param(config::ParamId::kServingPriority),
-          store::Query{});
-      const auto after = direct.stats();
-      if (!vals.ok()) {
-        std::fprintf(stderr, "FAIL: planned values(%s): %s\n", name.c_str(),
-                     vals.error_message().c_str());
+      // The >= 90% skip gate only makes sense when the store actually has
+      // many carriers (countrywide: 10+); tiny test worlds are exempt.
+      if (set.manifest().carriers.size() >= 10 && skip_pct < 90.0) {
+        std::fprintf(stderr,
+                     "FAIL: planned single-carrier fold skipped only "
+                     "%.1f%% of blocks (expected >= 90%%)\n",
+                     skip_pct);
         ++failures;
-      } else {
-        const std::uint64_t parsed = after.bytes - before.bytes;
-        const std::uint64_t skipped =
-            8 * (after.values_skipped - before.values_skipped);
-        std::printf("soak: planned values(%s, Ps) in %.1f s: "
-                    "parsed %.1f MB, decoded %.1f MB (%.1f MB of value "
-                    "payloads skipped on the wire)\n",
-                    name.c_str(), now_seconds() - t0,
-                    static_cast<double>(parsed) / 1e6,
-                    static_cast<double>(parsed - skipped) / 1e6,
-                    static_cast<double>(skipped) / 1e6);
-        if (skipped == 0 || skipped >= parsed) {
-          std::fprintf(stderr,
-                       "FAIL: planned values() read %llu of %llu bytes "
-                       "(expected 0 < read < parsed)\n",
-                       static_cast<unsigned long long>(parsed - skipped),
-                       static_cast<unsigned long long>(parsed));
-          ++failures;
-        }
       }
     }
-    return failures;
-  }
 
-  t0 = now_seconds();
-  const auto verified = set.verify();
-  if (!verified.ok()) {
-    std::fprintf(stderr, "FAIL: CRC verify: %s\n",
-                 verified.error_message().c_str());
-    ++failures;
-  } else {
-    std::printf("soak: CRC-verified %.1f MB in %.1f s; RSS %.1f MB\n",
-                static_cast<double>(verified.value()) / 1e6,
-                now_seconds() - t0,
-                static_cast<double>(current_rss_bytes()) / 1e6);
+    // Planned single-ParamKey values(): the push-down must decode
+    // strictly fewer bytes than the fold parsed.
+    const auto before = direct.stats();
+    t0 = now_seconds();
+    auto vals = direct.values(
+        name, config::lte_param(config::ParamId::kServingPriority));
+    const auto after = direct.stats();
+    if (!vals.ok()) {
+      std::fprintf(stderr, "FAIL: planned values(%s): %s\n", name.c_str(),
+                   vals.error_message().c_str());
+      ++failures;
+    } else {
+      const std::uint64_t parsed = after.bytes - before.bytes;
+      const std::uint64_t skipped =
+          8 * (after.values_skipped - before.values_skipped);
+      std::printf("soak: planned values(%s, Ps) in %.1f s: "
+                  "parsed %.1f MB, decoded %.1f MB (%.1f MB of value "
+                  "payloads skipped on the wire)\n",
+                  name.c_str(), now_seconds() - t0,
+                  static_cast<double>(parsed) / 1e6,
+                  static_cast<double>(parsed - skipped) / 1e6,
+                  static_cast<double>(skipped) / 1e6);
+      if (skipped == 0 || skipped >= parsed) {
+        std::fprintf(stderr,
+                     "FAIL: planned values() read %llu of %llu bytes "
+                     "(expected 0 < read < parsed)\n",
+                     static_cast<unsigned long long>(parsed - skipped),
+                     static_cast<unsigned long long>(parsed));
+        ++failures;
+      }
+    }
   }
-
-  store::BuildOptions bopts;
-  bopts.threads = threads;
-  auto sv_r = store::build_columnar(set, bopts);
-  if (!sv_r.ok()) {
-    std::fprintf(stderr, "FAIL: soak build: %s\n",
-                 sv_r.error_message().c_str());
-    return failures + 1;
-  }
-  const auto sv = std::move(sv_r).take();
-  std::printf("soak: out-of-core view built in %.1f s (%llu cells, "
-              "~%.1f MB view); RSS %.1f MB\n",
-              sv.stats.build_seconds,
-              static_cast<unsigned long long>(sv.stats.cells),
-              static_cast<double>(sv.stats.view_bytes_estimate) / 1e6,
-              static_cast<double>(current_rss_bytes()) / 1e6);
-
-  t0 = now_seconds();
-  failures += run_analysis_mix(sv, nullptr, threads, "soak");
-  std::printf("soak: fig 11-22 analysis mix over %zu carriers in %.1f s; "
-              "RSS %.1f MB\n",
-              sv.view.carriers().size(), now_seconds() - t0,
-              static_cast<double>(current_rss_bytes()) / 1e6);
   return failures;
 }
 
