@@ -16,6 +16,16 @@ struct RankingCase {
   bool expect_ranks_higher;
 };
 
+// Without this, gtest prints the case as raw bytes, which include the address
+// of `name`; the ctest names gtest_discover_tests derives from that print would
+// then change with every build and run.
+void PrintTo(const RankingCase& c, std::ostream* os) {
+  *os << c.name << " {prio " << c.serving_priority << "->"
+      << c.candidate_priority << ", srxlev " << c.serving_srxlev << "->"
+      << c.candidate_srxlev << ", expect " << std::boolalpha
+      << c.expect_ranks_higher << "}";
+}
+
 class RankingSweep : public ::testing::TestWithParam<RankingCase> {};
 
 config::CellConfig sweep_config() {
