@@ -1,12 +1,13 @@
 #include "mmlab/core/dataset_io.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <set>
 
 #include "mmlab/util/crc.hpp"
 #include "mmlab/util/worker_pool.hpp"
@@ -137,15 +138,6 @@ Result<LoadStats> load_csv_lines(std::string_view text, ConfigDatabase& db) {
 
 // --- MMDS v1 write -----------------------------------------------------------
 
-std::size_t varint_len(std::uint64_t v) {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
 /// Serialize everything except the CRC trailer through `emit(ptr, size)`.
 template <typename Emit>
 void serialize_mmds(const ConfigDatabase& db, Emit&& emit) {
@@ -154,14 +146,18 @@ void serialize_mmds(const ConfigDatabase& db, Emit&& emit) {
   };
 
   // Param table: every distinct key, in ParamKey order — deterministic, so
-  // re-saving a loaded dataset reproduces the file byte for byte.
-  std::set<config::ParamKey> keys;
+  // re-saving a loaded dataset reproduces the file byte for byte.  The
+  // dense table collects the distinct keys; ParamKey's (rat, id) order is
+  // its slot order, so sorting them and assigning in that order gives every
+  // key its sorted index.
+  mmds::ParamIndexMap seen;
   for (const auto& [carrier, cells] : db.carriers())
     for (const auto& [id, rec] : cells)
-      for (const auto& obs : rec.observations) keys.insert(obs.key);
+      for (const auto& obs : rec.observations) seen.assign(obs.key);
+  std::vector<config::ParamKey> keys = seen.keys();
+  std::sort(keys.begin(), keys.end());
   mmds::ParamIndexMap key_index;
-  std::uint32_t next_index = 0;
-  for (const auto& key : keys) key_index.set(key, next_index++);
+  for (const auto& key : keys) key_index.assign(key);
 
   ByteWriter header;
   header.raw(kMmdsMagic, sizeof(kMmdsMagic));
@@ -181,7 +177,7 @@ void serialize_mmds(const ConfigDatabase& db, Emit&& emit) {
   ByteWriter cell;
   std::uint64_t carrier_index = 0;
   for (const auto& [carrier, cells] : db.carriers()) {
-    std::uint64_t body_len = varint_len(cells.size());
+    std::uint64_t body_len = varint_size(cells.size());
     for (const auto& [id, rec] : cells)
       body_len += mmds::encoded_cell_size(id, rec, key_index);
     cell.clear();
@@ -278,8 +274,56 @@ std::size_t parse_block(const BlockSpan& span,
 
 namespace mmds {
 
+namespace {
+
+inline std::uint8_t* put_varint(std::uint8_t* p, std::uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<std::uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
+}
+
+inline std::uint8_t* put_f64(std::uint8_t* p, double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &bits, sizeof(bits));
+  } else {
+    for (int i = 0; i < 8; ++i)
+      p[i] = static_cast<std::uint8_t>(bits >> (8 * i));
+  }
+  return p + 8;
+}
+
+}  // namespace
+
 void encode_cell(ByteWriter& out, std::uint32_t id, const CellRecord& rec,
-                 const ParamIndexMap& params) {
+                 ParamIndexMap& params) {
+  const std::size_t start = out.size();
+  std::uint8_t* const begin =
+      out.extend(max_encoded_cell_size(rec.observations.size()));
+  std::uint8_t* p = begin;
+  p = put_varint(p, id);
+  *p++ = static_cast<std::uint8_t>(rec.rat);
+  p = put_varint(p, rec.channel);
+  p = put_f64(p, rec.position.x);
+  p = put_f64(p, rec.position.y);
+  p = put_varint(p, rec.observations.size());
+  std::int64_t prev_t = 0;
+  for (const auto& obs : rec.observations) {
+    p = put_varint(p, zigzag_encode(obs.t.ms - prev_t));
+    prev_t = obs.t.ms;
+    p = put_varint(p, params.assign(obs.key));
+    p = put_f64(p, obs.value);
+    p = put_varint(p, zigzag_encode(obs.context));
+  }
+  out.truncate(start + static_cast<std::size_t>(p - begin));
+}
+
+void encode_cell_reference(ByteWriter& out, std::uint32_t id,
+                           const CellRecord& rec, const ParamIndexMap& params) {
   out.varint(id);
   out.u8(static_cast<std::uint8_t>(rec.rat));
   out.varint(rec.channel);
@@ -298,14 +342,14 @@ void encode_cell(ByteWriter& out, std::uint32_t id, const CellRecord& rec,
 
 std::size_t encoded_cell_size(std::uint32_t id, const CellRecord& rec,
                               const ParamIndexMap& params) {
-  std::size_t n = varint_len(id) + 1 + varint_len(rec.channel) + 16 +
-                  varint_len(rec.observations.size());
+  std::size_t n = varint_size(id) + 1 + varint_size(rec.channel) + 16 +
+                  varint_size(rec.observations.size());
   std::int64_t prev_t = 0;
   for (const auto& obs : rec.observations) {
-    n += varint_len(zigzag_encode(obs.t.ms - prev_t));
+    n += varint_size(zigzag_encode(obs.t.ms - prev_t));
     prev_t = obs.t.ms;
-    n += varint_len(params.get(obs.key)) + 8 +
-         varint_len(zigzag_encode(obs.context));
+    n += varint_size(params.get(obs.key)) + 8 +
+         varint_size(zigzag_encode(obs.context));
   }
   return n;
 }
@@ -477,7 +521,7 @@ void save_dataset_binary(const ConfigDatabase& db, const std::string& path) {
   const std::uint8_t trailer[2] = {static_cast<std::uint8_t>(crc & 0xFF),
                                    static_cast<std::uint8_t>(crc >> 8)};
   out.write(trailer, sizeof(trailer));
-  out.flush();
+  out.close();
 }
 
 Result<LoadStats> load_dataset_binary(const std::uint8_t* data,

@@ -73,32 +73,64 @@ namespace mmds {
 
 inline constexpr std::uint8_t kMaxRat = 4;  // spectrum::Rat::kCdma1x
 
-/// Dense (rat, param-id) -> table-index map.  v1 assigns indices in sorted
-/// ParamKey order up front; the v2 shard writer assigns them on first
-/// sight.  Slot 0 is the unset default, so set() must cover every key that
-/// get() will see (the writers guarantee this by construction).
+/// Dense (rat, param-id) -> table-index map.  Every slot starts at the
+/// kUnassigned sentinel; assign() hands out indices 0, 1, 2, ... in call
+/// order, so the v2 shard writer gets its first-sight param table straight
+/// from the encode pass, and the v1 saver gets sorted indices by assigning
+/// its keys in sorted order up front.
 class ParamIndexMap {
  public:
-  ParamIndexMap()
-      : index_((static_cast<std::size_t>(kMaxRat) + 1) << 16, 0) {}
-  void set(config::ParamKey key, std::uint32_t index) {
-    index_[slot(key)] = index;
-  }
+  static constexpr std::uint32_t kUnassigned = 0xFFFFFFFF;
+  static constexpr std::size_t kSlots = (std::size_t{kMaxRat} + 1) << 16;
+
+  ParamIndexMap() : index_(kSlots, kUnassigned) {}
+  /// The key's index, or kUnassigned.
   std::uint32_t get(config::ParamKey key) const { return index_[slot(key)]; }
+  /// The key's index, assigning the next one on first sight.
+  std::uint32_t assign(config::ParamKey key) {
+    std::uint32_t& index = index_[slot(key)];
+    if (index == kUnassigned) [[unlikely]] {
+      index = static_cast<std::uint32_t>(keys_.size());
+      keys_.push_back(key);
+    }
+    return index;
+  }
+  /// Assigned keys, in index order.
+  const std::vector<config::ParamKey>& keys() const { return keys_; }
 
  private:
   static std::size_t slot(config::ParamKey key) {
     return (static_cast<std::size_t>(key.rat) << 16) | key.id;
   }
   std::vector<std::uint32_t> index_;
+  std::vector<config::ParamKey> keys_;
 };
 
-/// Append one cell's encoding to `out`.
+/// Worst-case encoded bytes of a cell with `n_obs` observations: the
+/// longest varint of every field (a param index is below kSlots).  The
+/// encode kernel grows its output by this much up front; a record with
+/// every field at its longest encoding reaches it exactly.
+inline constexpr std::size_t kMaxObservationBytes =
+    10 + varint_size(ParamIndexMap::kSlots - 1) + 8 + 10;
+constexpr std::size_t max_encoded_cell_size(std::size_t n_obs) {
+  return 5 + 1 + 5 + 16 + varint_size(n_obs) + n_obs * kMaxObservationBytes;
+}
+
+/// Append one cell's encoding to `out`, assigning table indices to unseen
+/// keys (ParamIndexMap::assign).  The pointer kernel: one resize by
+/// max_encoded_cell_size, raw stores, one trim.
 void encode_cell(ByteWriter& out, std::uint32_t id, const CellRecord& rec,
-                 const ParamIndexMap& params);
+                 ParamIndexMap& params);
+
+/// The ByteWriter-call-per-field encoder encode_cell replaced, kept as the
+/// test oracle (the varint_reference idiom): same bytes for the same map.
+/// Every key must already be assigned.
+void encode_cell_reference(ByteWriter& out, std::uint32_t id,
+                           const CellRecord& rec, const ParamIndexMap& params);
 
 /// Exact byte length encode_cell would emit, without materializing it — the
-/// v1 saver's measuring pass for the block_length prefix.
+/// v1 saver's measuring pass for the block_length prefix.  Every key must
+/// already be assigned.
 std::size_t encoded_cell_size(std::uint32_t id, const CellRecord& rec,
                               const ParamIndexMap& params);
 

@@ -64,7 +64,7 @@ void write_manifest(const std::string& dir, const Manifest& m) {
   const std::uint8_t trailer[2] = {static_cast<std::uint8_t>(crc & 0xFF),
                                    static_cast<std::uint8_t>(crc >> 8)};
   out.write(trailer, sizeof(trailer));
-  out.flush();
+  out.close();
 }
 
 Result<Manifest> read_manifest(const std::string& dir) {

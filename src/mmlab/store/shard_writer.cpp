@@ -36,13 +36,6 @@ void ShardWriter::add_cell(const std::string& carrier, std::uint32_t id,
   const auto [cit, new_carrier] =
       carrier_index_.try_emplace(carrier, manifest_.carriers.size());
   if (new_carrier) manifest_.carriers.push_back(carrier);
-  for (const auto& obs : rec.observations) {
-    if (seen_params_.insert(obs.key).second) {
-      param_index_.set(obs.key,
-                       static_cast<std::uint32_t>(manifest_.params.size()));
-      manifest_.params.push_back(config::param_name(obs.key));
-    }
-  }
 
   // A carrier switch or a non-ascending id means a new run; readers rely on
   // ids ascending *within* a block to drive the k-way cell merge.
@@ -58,6 +51,9 @@ void ShardWriter::add_cell(const std::string& carrier, std::uint32_t id,
     block_rows_ = 0;
   }
   core::mmds::encode_cell(block_, id, rec, param_index_);
+  const auto& keys = param_index_.keys();
+  for (std::size_t i = manifest_.params.size(); i < keys.size(); ++i)
+    manifest_.params.push_back(config::param_name(keys[i]));
   last_id_ = id;
   ++block_cells_;
   block_rows_ += rec.observations.size();
@@ -69,9 +65,10 @@ void ShardWriter::flush_block() {
     close_shard();
   if (!shard_) {
     const std::string name = shard_name(manifest_.shards.size());
-    shard_ = std::make_unique<BufferedFileWriter>(
+    shard_ = std::make_unique<FileWriter>(
         (std::filesystem::path(dir_) / name).string());
     shard_->write(kShardMagic, sizeof(kShardMagic));
+    shard_crc_ = crc16_ccitt(kShardMagic, sizeof(kShardMagic));
     manifest_.shards.push_back({name, 0, 0, {}});
   }
   BlockInfo info;
@@ -84,6 +81,7 @@ void ShardWriter::flush_block() {
   info.first_cell = block_first_id_;
   info.last_cell = last_id_;
   shard_->write(block_.buffer().data(), block_.size());
+  shard_crc_ = crc16_ccitt_combine(shard_crc_, info.crc16, info.length);
   manifest_.shards.back().blocks.push_back(info);
   stats_.rows += block_rows_;
   stats_.cells += block_cells_;
@@ -96,9 +94,9 @@ void ShardWriter::close_shard() {
   if (!shard_) return;
   ShardInfo& info = manifest_.shards.back();
   info.file_size = shard_->bytes_written();
-  info.crc16 = shard_->crc16();
+  info.crc16 = shard_crc_;
   stats_.bytes += info.file_size;
-  shard_->flush();
+  shard_->close();
   shard_.reset();
 }
 

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -75,10 +74,15 @@ class ShardWriter {
   WriterOptions options_;
   Manifest manifest_;
   std::map<std::string, std::uint32_t> carrier_index_;
-  std::set<config::ParamKey> seen_params_;
+  /// Assigned on first sight by the encode pass; manifest_.params mirrors
+  /// its keys() as registry names.
   core::mmds::ParamIndexMap param_index_;
 
-  std::unique_ptr<BufferedFileWriter> shard_;
+  // Blocks go straight from block_ to the file: each block is CRC'd once,
+  // and the shard's whole-file CRC is folded from the block CRCs
+  // (crc16_ccitt_combine), starting from the magic's.
+  std::unique_ptr<FileWriter> shard_;
+  std::uint16_t shard_crc_ = 0;
   ByteWriter block_;
   // Current-block state; carrier index is valid only while in_block_.
   bool in_block_ = false;

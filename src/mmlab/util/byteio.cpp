@@ -133,23 +133,50 @@ void ByteReader::skip(std::size_t n) {
   pos_ += n;
 }
 
+// --- FileWriter --------------------------------------------------------------
+
+FileWriter::FileWriter(const std::string& path)
+    : file_(std::fopen(path.c_str(), "wb")), path_(path) {
+  if (!file_) throw std::runtime_error("FileWriter: cannot open " + path);
+  std::setvbuf(file_, nullptr, _IONBF, 0);
+}
+
+FileWriter::~FileWriter() {
+  if (file_) std::fclose(file_);
+}
+
+void FileWriter::write(const void* data, std::size_t size) {
+  if (size == 0) return;
+  if (!file_) throw std::logic_error("FileWriter: write after close: " + path_);
+  if (std::fwrite(data, 1, size, file_) != size)
+    throw std::runtime_error("FileWriter: write failed: " + path_);
+  bytes_written_ += size;
+}
+
+void FileWriter::close() {
+  if (!file_) return;
+  std::FILE* f = file_;
+  file_ = nullptr;
+  // fclose releases the stream even when it fails, so there is nothing
+  // left for the destructor to clean up either way.
+  const bool flushed = std::fflush(f) == 0;
+  const bool closed = std::fclose(f) == 0;
+  if (!flushed || !closed)
+    throw std::runtime_error("FileWriter: close failed: " + path_);
+}
+
 // --- BufferedFileWriter ------------------------------------------------------
 
 BufferedFileWriter::BufferedFileWriter(const std::string& path,
                                        std::size_t buffer_size)
-    : file_(std::fopen(path.c_str(), "wb")),
-      path_(path),
-      buffer_(buffer_size),
-      crc_state_(kCrc16CcittInit) {
-  if (!file_)
-    throw std::runtime_error("BufferedFileWriter: cannot open " + path);
-}
+    : file_(path), buffer_(buffer_size), crc_state_(kCrc16CcittInit) {}
 
 BufferedFileWriter::~BufferedFileWriter() {
-  if (!file_) return;
   // Best effort: flush() throws on failure, the destructor must not.
-  if (fill_ > 0) std::fwrite(buffer_.data(), 1, fill_, file_);
-  std::fclose(file_);
+  try {
+    flush();
+  } catch (const std::exception&) {
+  }
 }
 
 void BufferedFileWriter::write(const void* data, std::size_t size) {
@@ -171,9 +198,14 @@ std::uint16_t BufferedFileWriter::crc16() const {
 }
 
 void BufferedFileWriter::flush() {
-  if (fill_ > 0 && std::fwrite(buffer_.data(), 1, fill_, file_) != fill_)
-    throw std::runtime_error("BufferedFileWriter: write failed: " + path_);
+  const std::size_t n = fill_;
   fill_ = 0;
+  file_.write(buffer_.data(), n);
+}
+
+void BufferedFileWriter::close() {
+  flush();
+  file_.close();
 }
 
 // --- BufferedFileReader ------------------------------------------------------

@@ -2,9 +2,11 @@
 //
 // Complements util/bitio (bit-packed, for the RRC codec) with the byte-level
 // primitives a file format wants: LEB128 varints, zigzag-mapped signed
-// varints, raw little-endian scalars, and buffered file streaming with an
+// varints, raw little-endian scalars, buffered file streaming with an
 // incremental CRC-16 so multi-hundred-MB datasets never need a full
-// in-memory copy on the write path.
+// in-memory copy on the write path, and an unbuffered writer for callers
+// that already hold whole blocks.  Every writer reports write and close
+// failures by throwing.
 #pragma once
 
 #include <cstddef>
@@ -35,6 +37,16 @@ constexpr std::int64_t zigzag_decode(std::uint64_t u) {
   return static_cast<std::int64_t>((u >> 1) ^ (~(u & 1) + 1));
 }
 
+/// Bytes in the LEB128 encoding of `v` (1..10).
+constexpr std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
 /// Append-only in-memory byte buffer with varint/scalar encoders.
 class ByteWriter {
  public:
@@ -49,6 +61,16 @@ class ByteWriter {
   void raw(const void* data, std::size_t size);
   /// varint length prefix + bytes.
   void str(std::string_view s);
+
+  /// Pointer-kernel support: append `n` zeroed bytes and return a pointer
+  /// to the first.  A kernel sizes `n` by a worst-case bound, writes
+  /// through the pointer, then truncate()s to the bytes it used.
+  std::uint8_t* extend(std::size_t n) {
+    const std::size_t old = bytes_.size();
+    bytes_.resize(old + n);
+    return bytes_.data() + old;
+  }
+  void truncate(std::size_t size) { bytes_.resize(size); }
 
   std::size_t size() const { return bytes_.size(); }
   const std::vector<std::uint8_t>& buffer() const { return bytes_; }
@@ -100,6 +122,35 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
+/// Unbuffered sequential file writer: every write() goes straight to the
+/// OS (stdio buffering is off) and is checked, so no failure can hide in a
+/// library buffer.  The shard writer hands it whole block buffers; small
+/// writes belong in BufferedFileWriter.
+class FileWriter {
+ public:
+  /// Throws std::runtime_error if the file cannot be opened.
+  explicit FileWriter(const std::string& path);
+  /// Closes without reporting errors: call close() to find out whether
+  /// the bytes reached the file.
+  ~FileWriter();
+  FileWriter(const FileWriter&) = delete;
+  FileWriter& operator=(const FileWriter&) = delete;
+
+  /// Throws std::runtime_error on a short or failed write.
+  void write(const void* data, std::size_t size);
+  /// Total bytes written — the current file offset.
+  std::uint64_t bytes_written() const { return bytes_written_; }
+  /// Close the file; throws std::runtime_error if the close (or any write
+  /// the OS deferred to it) failed.  The writer is unusable afterwards;
+  /// a second close() is a no-op.
+  void close();
+
+ private:
+  std::FILE* file_;
+  std::string path_;
+  std::uint64_t bytes_written_ = 0;
+};
+
 /// Buffered sequential file writer that maintains a running CRC-16/CCITT
 /// over every byte written. The dataset saver streams carrier blocks
 /// through it and appends crc16() as the file trailer.
@@ -108,6 +159,7 @@ class BufferedFileWriter {
   /// Throws std::runtime_error if the file cannot be opened.
   explicit BufferedFileWriter(const std::string& path,
                               std::size_t buffer_size = 256 * 1024);
+  /// Best effort, errors unreported: call close() to learn of them.
   ~BufferedFileWriter();
   BufferedFileWriter(const BufferedFileWriter&) = delete;
   BufferedFileWriter& operator=(const BufferedFileWriter&) = delete;
@@ -116,14 +168,17 @@ class BufferedFileWriter {
   /// CRC-16/CCITT of everything written so far.
   std::uint16_t crc16() const;
   /// Total bytes accepted by write() — the current file offset once
-  /// flushed.  The shard writer records block offsets from this.
+  /// flushed.
   std::uint64_t bytes_written() const { return bytes_written_; }
-  /// Flush buffered bytes to the OS; throws on write failure.
+  /// Hand buffered bytes to the OS; throws on write failure.
   void flush();
+  /// flush() then close the file; throws std::runtime_error if either
+  /// fails.  Writers that must not report success on a full disk end
+  /// with this.  A second close() is a no-op.
+  void close();
 
  private:
-  std::FILE* file_;
-  std::string path_;
+  FileWriter file_;
   std::vector<std::uint8_t> buffer_;
   std::size_t fill_ = 0;
   std::uint64_t bytes_written_ = 0;

@@ -37,6 +37,21 @@ constexpr std::array<std::array<std::uint16_t, 256>, kSlice> make_tables() {
 
 constexpr auto kTables = make_tables();
 
+// Polynomials over GF(2) modulo the CRC polynomial, in the reflected bit
+// order of the register: bit 15 is x^0, bit 0 is x^15.
+constexpr std::uint16_t kPolyOne = 0x8000;    // x^0
+constexpr std::uint16_t kPolyXTo8 = 0x0080;   // x^8: one byte of shift
+
+constexpr std::uint16_t mul_mod_poly(std::uint16_t a, std::uint16_t b) {
+  std::uint16_t product = 0;
+  for (std::uint16_t m = kPolyOne; m != 0; m >>= 1) {
+    if (a & m) product ^= b;
+    b = (b & 1u) ? static_cast<std::uint16_t>((b >> 1) ^ 0x8408)
+                 : static_cast<std::uint16_t>(b >> 1);
+  }
+  return product;
+}
+
 }  // namespace
 
 std::uint16_t crc16_ccitt_update_reference(std::uint16_t state,
@@ -64,6 +79,19 @@ std::uint16_t crc16_ccitt_update(std::uint16_t state, const std::uint8_t* data,
 
 std::uint16_t crc16_ccitt(const std::uint8_t* data, std::size_t size) {
   return crc16_ccitt_finalize(crc16_ccitt_update(kCrc16CcittInit, data, size));
+}
+
+// With init == final XOR (both 0xFFFF), crc(A||B) = crc(A) * x^(8 len_b)
+// ^ crc(B) mod P: the init and XOR terms of the two halves cancel.  The
+// power is built by square-and-multiply over the bits of len_b.
+std::uint16_t crc16_ccitt_combine(std::uint16_t crc_a, std::uint16_t crc_b,
+                                  std::uint64_t len_b) {
+  std::uint16_t shift = kPolyOne;
+  for (std::uint16_t power = kPolyXTo8; len_b != 0; len_b >>= 1) {
+    if (len_b & 1u) shift = mul_mod_poly(power, shift);
+    power = mul_mod_poly(power, power);
+  }
+  return static_cast<std::uint16_t>(mul_mod_poly(shift, crc_a) ^ crc_b);
 }
 
 }  // namespace mmlab

@@ -27,4 +27,11 @@ constexpr std::uint16_t crc16_ccitt_finalize(std::uint16_t state) {
   return static_cast<std::uint16_t>(state ^ 0xFFFF);
 }
 
+/// CRC-16/CCITT of the concatenation A||B from the finalized crc16_ccitt of
+/// each part and B's length, in O(log len_b) without touching the bytes
+/// (the zlib crc32_combine construction).  Lets a writer that already
+/// checksums every block derive the whole-file CRC instead of a second pass.
+std::uint16_t crc16_ccitt_combine(std::uint16_t crc_a, std::uint16_t crc_b,
+                                  std::uint64_t len_b);
+
 }  // namespace mmlab

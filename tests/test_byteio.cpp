@@ -158,6 +158,52 @@ TEST(ByteIo, FileHelpersFailOnMissingFile) {
                std::runtime_error);
 }
 
+// A write that fails must throw, whether the bytes fail on their way out
+// of the buffer (flush) or only at close.  /dev/full takes the open and
+// refuses every write with ENOSPC.
+TEST(ByteIo, WriteErrorsThrowOnFullDevice) {
+  if (!std::filesystem::exists("/dev/full"))
+    GTEST_SKIP() << "no /dev/full on this system";
+  const std::string payload(100, 'x');
+  {
+    BufferedFileWriter out("/dev/full");
+    out.write(payload.data(), payload.size());
+    EXPECT_THROW(out.flush(), std::runtime_error);
+  }
+  {
+    BufferedFileWriter out("/dev/full");
+    out.write(payload.data(), payload.size());
+    EXPECT_THROW(out.close(), std::runtime_error);
+  }
+  {
+    FileWriter out("/dev/full");
+    EXPECT_THROW(out.write(payload.data(), payload.size()),
+                 std::runtime_error);
+    EXPECT_NO_THROW(out.close());  // nothing left pending
+  }
+}
+
+TEST(ByteIo, FileWriterWritesThrough) {
+  const auto path =
+      (std::filesystem::temp_directory_path() / "mmlab_filewriter_test.bin")
+          .string();
+  const std::string payload = "block body bytes";
+  {
+    FileWriter out(path);
+    out.write(payload.data(), payload.size());
+    out.write(payload.data(), 0);
+    EXPECT_EQ(out.bytes_written(), payload.size());
+    // Unbuffered: the bytes are in the file before close.
+    EXPECT_EQ(std::filesystem::file_size(path), payload.size());
+    out.close();
+    out.close();  // idempotent
+  }
+  std::string text;
+  ASSERT_TRUE(read_file_text(path, text));
+  EXPECT_EQ(text, payload);
+  std::filesystem::remove(path);
+}
+
 // --- fast varint vs reference oracle ------------------------------------------
 //
 // varint() takes a SWAR fast path whenever >= 10 bytes remain; the sweep

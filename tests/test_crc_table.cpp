@@ -86,6 +86,42 @@ TEST(Crc, SliceBy8MatchesOracleOnLongRandomBuffers) {
   }
 }
 
+TEST(Crc, CombineMatchesConcatenation) {
+  // crc16_ccitt_combine(crc(A), crc(B), |B|) == crc(A||B): every split of
+  // small buffers (lengths 0, 1, 7, 8, 9 on either side), random splits of
+  // buffers up to 1 MB, and chains folding many blocks the way the shard
+  // writer folds its block CRCs onto the magic's.
+  Rng rng(0xc3c4);
+  std::vector<std::uint8_t> buf(1u << 20);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.below(256));
+  const auto crc = [&](std::size_t off, std::size_t len) {
+    return crc16_ccitt(buf.data() + off, len);
+  };
+  for (std::size_t a : {0u, 1u, 7u, 8u, 9u})
+    for (std::size_t b : {0u, 1u, 7u, 8u, 9u})
+      EXPECT_EQ(crc16_ccitt_combine(crc(0, a), crc(a, b), b), crc(0, a + b))
+          << "a " << a << " b " << b;
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto total = static_cast<std::size_t>(rng.below(buf.size() + 1));
+    const auto a = static_cast<std::size_t>(rng.below(total + 1));
+    EXPECT_EQ(crc16_ccitt_combine(crc(0, a), crc(a, total - a), total - a),
+              crc(0, total))
+        << "a " << a << " total " << total;
+  }
+  for (int chain = 0; chain < 8; ++chain) {
+    std::size_t pos = static_cast<std::size_t>(rng.below(9));
+    std::uint16_t folded = crc(0, pos);
+    for (int block = 0; block < 200; ++block) {
+      const auto len = static_cast<std::size_t>(
+          rng.below(chain % 2 ? 10 : 4000));
+      if (pos + len > buf.size()) break;
+      folded = crc16_ccitt_combine(folded, crc(pos, len), len);
+      pos += len;
+    }
+    EXPECT_EQ(folded, crc(0, pos)) << "chain " << chain;
+  }
+}
+
 TEST(Table, RejectsArityMismatch) {
   TablePrinter t({"a", "b"});
   EXPECT_THROW(t.add_row({"1"}), std::invalid_argument);

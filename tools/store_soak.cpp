@@ -12,7 +12,8 @@
 //      fig 11-22 products — the in-memory walk (core::analyze_database over
 //      load_database(store)) and the shard-direct fold (store::analyze_query)
 //      — are bit-identical to the reference ConfigDatabase scans over
-//      load_database(store), for thread counts 1, 2, 4 and hw.
+//      load_database(store), for thread counts 1, 2, 4 and hw.  The store
+//      must first pass ShardSet::verify() (every shard's whole-file CRC).
 //   2. Soak (countrywide scale by default, ~320k cells / 100M+ rows):
 //      stream-generate into v2, then answer the mix straight off the mapped
 //      shards (one fold per carrier with per-block CRC checking mid-fold —
@@ -389,6 +390,16 @@ int run_equality_phase(const SoakOptions& opts, unsigned hw) {
     return 1;
   }
   const auto set = std::move(set_r).take();
+  // Every shard's whole-file CRC, as the writer recorded it (folded from
+  // its block CRCs), against a fresh pass over the bytes on disk.
+  const auto verified = set.verify();
+  if (!verified.ok()) {
+    std::fprintf(stderr, "FAIL: equality verify: %s\n",
+                 verified.error_message().c_str());
+    return 1;
+  }
+  std::printf("equality: verify ok (%.1f MB of shards)\n",
+              static_cast<double>(verified.value()) / 1e6);
 
   // Reference: the ConfigDatabase scans over the materialized database.
   core::ConfigDatabase db;
