@@ -38,22 +38,43 @@ class GridIndex {
   /// otherwise heap-allocate on every call.  Same visit order.
   template <typename Fn>
   void visit_in_radius(Point center, double radius_m, Fn&& fn) const {
-    const auto lo_x = static_cast<std::int64_t>(
-        std::floor((center.x - radius_m) / bucket_m_));
-    const auto hi_x = static_cast<std::int64_t>(
-        std::floor((center.x + radius_m) / bucket_m_));
-    const auto lo_y = static_cast<std::int64_t>(
-        std::floor((center.y - radius_m) / bucket_m_));
-    const auto hi_y = static_cast<std::int64_t>(
-        std::floor((center.y + radius_m) / bucket_m_));
+    const Range r = range(center, radius_m);
     const double r2 = radius_m * radius_m;
-    for (std::int64_t cx = lo_x; cx <= hi_x; ++cx) {
-      for (std::int64_t cy = lo_y; cy <= hi_y; ++cy) {
+    for (std::int64_t cx = r.lo_x; cx <= r.hi_x; ++cx) {
+      for (std::int64_t cy = r.lo_y; cy <= r.hi_y; ++cy) {
         const auto it = buckets_.find(Key{cx, cy});
         if (it == buckets_.end()) continue;
         for (const auto& [id, p] : it->second) {
           const double dx = p.x - center.x, dy = p.y - center.y;
           if (dx * dx + dy * dy <= r2) fn(id);
+        }
+      }
+    }
+  }
+
+  /// One pass serving two radii, inner_m <= outer_m: calls fn(id, inner)
+  /// for every id visit_in_radius(center, outer_m) visits, in that order,
+  /// where `inner` says whether visit_in_radius(center, inner_m) visits the
+  /// id too.  The inner buckets are a sub-rectangle of the outer ones and
+  /// both passes walk buckets in the same (cx, cy) order, so the ids flagged
+  /// inner come in visit_in_radius(center, inner_m)'s order.
+  template <typename Fn>
+  void visit_in_radii(Point center, double outer_m, double inner_m,
+                      Fn&& fn) const {
+    const Range outer = range(center, outer_m);
+    const Range inner = range(center, inner_m);
+    const double r2 = outer_m * outer_m;
+    const double inner_r2 = inner_m * inner_m;
+    for (std::int64_t cx = outer.lo_x; cx <= outer.hi_x; ++cx) {
+      for (std::int64_t cy = outer.lo_y; cy <= outer.hi_y; ++cy) {
+        const auto it = buckets_.find(Key{cx, cy});
+        if (it == buckets_.end()) continue;
+        const bool in_inner = cx >= inner.lo_x && cx <= inner.hi_x &&
+                              cy >= inner.lo_y && cy <= inner.hi_y;
+        for (const auto& [id, p] : it->second) {
+          const double dx = p.x - center.x, dy = p.y - center.y;
+          const double d2 = dx * dx + dy * dy;
+          if (d2 <= r2) fn(id, in_inner && d2 <= inner_r2);
         }
       }
     }
@@ -74,6 +95,21 @@ class GridIndex {
       return static_cast<std::size_t>(h);
     }
   };
+
+  /// Buckets a radius query around `center` has to look at.
+  struct Range {
+    std::int64_t lo_x, hi_x, lo_y, hi_y;
+  };
+  Range range(Point center, double radius_m) const {
+    return {static_cast<std::int64_t>(
+                std::floor((center.x - radius_m) / bucket_m_)),
+            static_cast<std::int64_t>(
+                std::floor((center.x + radius_m) / bucket_m_)),
+            static_cast<std::int64_t>(
+                std::floor((center.y - radius_m) / bucket_m_)),
+            static_cast<std::int64_t>(
+                std::floor((center.y + radius_m) / bucket_m_))};
+  }
 
   Key key_for(Point p) const {
     return {static_cast<std::int64_t>(std::floor(p.x / bucket_m_)),

@@ -22,16 +22,31 @@ struct Transmitter {
 double rsrp_dbm(const Transmitter& tx, geo::Point ue, const PathLossModel& pl,
                 const ShadowingField& shadowing);
 
+/// dBm -> mW.
+double dbm_to_mw(double dbm);
+
+/// Noise plus co-channel power per RE in mW: dbm_to_mw(kNoisePerReDbm),
+/// then each interferer added in the given order.  The denominator of
+/// sinr_db and the "others" term of rsrq_db; callers that sum the same
+/// interferers themselves must add them in the same order, starting from
+/// the noise term, to get the same bits.
+double noise_plus_interference_mw(
+    const std::vector<double>& interferer_rsrp_dbm);
+
 /// Wideband SINR given serving per-RE power and co-channel interferer
 /// per-RE powers (all dBm); noise per kNoisePerReDbm.
 double sinr_db(double serving_rsrp_dbm,
                const std::vector<double>& interferer_rsrp_dbm);
+/// sinr_db with the noise-plus-interference power already summed.
+double sinr_db_mw(double serving_rsrp_dbm, double noise_interference_mw);
 
 /// RSRQ from serving power and total co-channel power.  Uses the TS 36.214
 /// definition N*RSRP/RSSI with a 50 %-loaded RSSI model, which lands values
 /// in the familiar [-19.5, -3] window.
 double rsrq_db(double serving_rsrp_dbm,
                const std::vector<double>& interferer_rsrp_dbm);
+/// rsrq_db with the noise-plus-interference power already summed.
+double rsrq_db_mw(double serving_rsrp_dbm, double noise_interference_mw);
 
 /// Layer-3 exponential filter: F_n = (1-a) F_{n-1} + a M_n, a = 1/2^(k/4).
 /// Default filter coefficient k = 4 gives a = 1/2.

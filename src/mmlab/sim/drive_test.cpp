@@ -9,6 +9,8 @@ namespace mmlab::sim {
 DriveTestResult run_drive_test(const net::Deployment& network,
                                const mobility::Route& route,
                                const DriveTestOptions& options) {
+  if (options.tick_ms <= 0)
+    throw std::invalid_argument("run_drive_test: tick_ms <= 0");
   ue::UeOptions ue_opts;
   ue_opts.seed = options.seed;
   ue_opts.carrier = options.carrier;

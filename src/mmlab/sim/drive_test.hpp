@@ -42,6 +42,7 @@ struct DriveTestResult {
   Millis duration = 0;
 };
 
+/// Throws std::invalid_argument when options.tick_ms <= 0.
 DriveTestResult run_drive_test(const net::Deployment& network,
                                const mobility::Route& route,
                                const DriveTestOptions& options);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <stdexcept>
 
 namespace mmlab::traffic {
 
@@ -42,8 +43,53 @@ double downlink_throughput_bps(double sinr_db, int bandwidth_prbs,
          std::clamp(load_factor, 0.0, 1.0);
 }
 
+namespace {
+
+std::vector<ThroughputSample>::const_iterator first_at_or_after(
+    const std::vector<ThroughputSample>& samples, SimTime from) {
+  return std::lower_bound(
+      samples.begin(), samples.end(), from,
+      [](const ThroughputSample& s, SimTime t) { return s.t < t; });
+}
+
+}  // namespace
+
 double mean_throughput_bps(const std::vector<ThroughputSample>& samples,
                            SimTime from, SimTime to) {
+  double sum = 0.0;
+  std::size_t n = 0;
+  for (auto it = first_at_or_after(samples, from);
+       it != samples.end() && it->t < to; ++it) {
+    sum += it->bps;
+    ++n;
+  }
+  return n == 0 ? 0.0 : sum / static_cast<double>(n);
+}
+
+double min_binned_throughput_bps(const std::vector<ThroughputSample>& samples,
+                                 SimTime from, SimTime to, Millis bin_ms) {
+  if (bin_ms <= 0)
+    throw std::invalid_argument("min_binned_throughput_bps: bin_ms <= 0");
+  double best = -1.0;
+  auto it = first_at_or_after(samples, from);
+  while (it != samples.end() && it->t < to) {
+    // The bin holding the next sample; the bins before it are empty.
+    const SimTime bin = from + (it->t - from) / bin_ms * bin_ms;
+    const SimTime end{std::min(bin.ms + bin_ms, to.ms)};
+    double sum = 0.0;
+    std::size_t n = 0;
+    for (; it != samples.end() && it->t < end; ++it) {
+      sum += it->bps;
+      ++n;
+    }
+    const double m = sum / static_cast<double>(n);
+    if (best < 0.0 || m < best) best = m;
+  }
+  return best < 0.0 ? 0.0 : best;
+}
+
+double mean_throughput_bps_reference(
+    const std::vector<ThroughputSample>& samples, SimTime from, SimTime to) {
   double sum = 0.0;
   std::size_t n = 0;
   for (const auto& s : samples) {
@@ -55,8 +101,12 @@ double mean_throughput_bps(const std::vector<ThroughputSample>& samples,
   return n == 0 ? 0.0 : sum / static_cast<double>(n);
 }
 
-double min_binned_throughput_bps(const std::vector<ThroughputSample>& samples,
-                                 SimTime from, SimTime to, Millis bin_ms) {
+double min_binned_throughput_bps_reference(
+    const std::vector<ThroughputSample>& samples, SimTime from, SimTime to,
+    Millis bin_ms) {
+  if (bin_ms <= 0)
+    throw std::invalid_argument(
+        "min_binned_throughput_bps_reference: bin_ms <= 0");
   double best = -1.0;
   for (SimTime bin = from; bin < to; bin += bin_ms) {
     const SimTime end{std::min(bin.ms + bin_ms, to.ms)};
@@ -68,7 +118,7 @@ double min_binned_throughput_bps(const std::vector<ThroughputSample>& samples,
       }
     }
     if (!any) continue;
-    const double m = mean_throughput_bps(samples, bin, end);
+    const double m = mean_throughput_bps_reference(samples, bin, end);
     if (best < 0.0 || m < best) best = m;
   }
   return best < 0.0 ? 0.0 : best;

@@ -30,13 +30,27 @@ struct ThroughputSample {
   double bps = 0.0;
 };
 
-/// Average of samples whose timestamp falls in [from, to).
+/// Average of samples whose timestamp falls in [from, to); 0 when none
+/// does.  `samples` must be ordered by time (ties allowed), as the apps
+/// record them: a binary search finds `from` and one pass sums the window.
 double mean_throughput_bps(const std::vector<ThroughputSample>& samples,
                            SimTime from, SimTime to);
 
 /// Minimum of per-bin mean throughput over `bin_ms` bins within [from, to) —
-/// the paper's "minimum throughput before handoff" metric (Fig 8).
+/// the paper's "minimum throughput before handoff" metric (Fig 8).  Bins
+/// start at from, from + bin_ms, ...; the last one ends at `to`; bins with
+/// no sample are skipped; 0 when every bin is empty.  `samples` must be
+/// ordered by time; one pass over the window, O(log n + window samples).
+/// Throws std::invalid_argument when bin_ms <= 0.
 double min_binned_throughput_bps(const std::vector<ThroughputSample>& samples,
                                  SimTime from, SimTime to, Millis bin_ms);
+
+/// The original full scans, for any sample order: the test oracles.  On
+/// time-ordered samples they return the same bits as the functions above.
+double mean_throughput_bps_reference(
+    const std::vector<ThroughputSample>& samples, SimTime from, SimTime to);
+double min_binned_throughput_bps_reference(
+    const std::vector<ThroughputSample>& samples, SimTime from, SimTime to,
+    Millis bin_ms);
 
 }  // namespace mmlab::traffic

@@ -34,7 +34,7 @@ constexpr std::size_t kMaxTrackedNeighbors = 12;
 }  // namespace
 
 Ue::Ue(const net::Deployment& network, UeOptions options)
-    : net_(network), opts_(options), rng_(options.seed) {}
+    : net_(network), opts_(options), rng_(options.seed), radio_(network) {}
 
 void Ue::log_rrc(SimTime t, const rrc::Message& msg) {
   diag::Record rec;
@@ -76,7 +76,7 @@ double Ue::srxlev_of(const net::Cell& cell, double rsrp_dbm) const {
   return rsrp_dbm - q_rxlevmin;
 }
 
-CellMeas Ue::measure(const net::Cell& cell, geo::Point pos) {
+CellMeas Ue::measure(const net::Cell& cell) {
   auto& st = meas_state_[cell.id];
   if (!st.noise) {
     st.noise = std::make_unique<radio::MeasurementNoise>(
@@ -85,10 +85,11 @@ CellMeas Ue::measure(const net::Cell& cell, geo::Point pos) {
     st.rsrq_filter = radio::L3Filter(opts_.l3_filter_k);
   }
   st.last_seen = now_;
-  const double raw_rsrp = net_.rsrp_at(cell, pos) + st.noise->next();
+  const double raw_rsrp =
+      radio_.rsrp(net_.index_of(cell)) + st.noise->next();
   const double filtered_rsrp = st.rsrp_filter.update(raw_rsrp);
-  const auto interference = net_.cochannel_interference(cell, pos);
-  const double raw_rsrq = radio::rsrq_db(raw_rsrp, interference);
+  const double raw_rsrq =
+      radio::rsrq_db_mw(raw_rsrp, radio_.noise_interference_mw(cell));
   const double filtered_rsrq = st.rsrq_filter.update(raw_rsrq);
   CellMeas meas;
   meas.cell_id = cell.id;
@@ -98,7 +99,7 @@ CellMeas Ue::measure(const net::Cell& cell, geo::Point pos) {
   return meas;
 }
 
-std::vector<CellMeas> Ue::measure_neighbors(geo::Point pos, SimTime t,
+std::vector<CellMeas> Ue::measure_neighbors(SimTime t,
                                             const MeasurementGate& gate) {
   std::vector<CellMeas> out;
   if (!serving_) return out;
@@ -114,47 +115,52 @@ std::vector<CellMeas> Ue::measure_neighbors(geo::Point pos, SimTime t,
   const auto& forbidden = serving_->is_lte()
                               ? serving_->lte_config.forbidden_cells
                               : kNoForbidden;
-  net_.for_each_cell_near(
-      pos, net::kAudibleRadiusM, opts_.carrier, [&](std::uint32_t idx) {
-        const net::Cell& cand = net_.cells()[idx];
-        if (cand.id == serving_->id) return;
-        if (cand.is_lte() &&
-            !opts_.band_support.supports_earfcn(cand.channel.number))
-          return;
-        // SIB4 access control: blacklisted cells are never candidates.
-        if (std::find(forbidden.begin(), forbidden.end(), cand.id) !=
-            forbidden.end())
-          return;
-        const int prio = priority_of_candidate(cand);
-        if (prio < 0) return;
-        const bool intra = cand.channel == serving_->channel;
-        const bool higher = prio > serving_priority;
-        if (!higher) {
-          if (intra && !gate.measure_intra) return;
-          if (!intra && !gate.measure_nonintra) return;
-        } else if (!gate.measure_higher_priority) {
-          return;
-        }
-        const double approx_rsrp = net_.rsrp_at(cand, pos);
-        if (approx_rsrp <= net::kDetectionFloorDbm - 3.0) return;
-        prescan.emplace_back(approx_rsrp, &cand);
-      });
-  std::sort(prescan.begin(), prescan.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  if (prescan.size() > kMaxTrackedNeighbors) prescan.resize(kMaxTrackedNeighbors);
+  for (const RadioMemo::Nearby& nb : radio_.nearby(opts_.carrier)) {
+    const std::uint32_t idx = nb.index;
+    const net::Cell& cand = net_.cells()[idx];
+    if (cand.id == serving_->id) continue;
+    if (cand.is_lte() && !opts_.band_support.supports_band(net_.lte_band(idx)))
+      continue;
+    // SIB4 access control: blacklisted cells are never candidates.
+    if (std::find(forbidden.begin(), forbidden.end(), cand.id) !=
+        forbidden.end())
+      continue;
+    const int prio = priority_of_candidate(cand);
+    if (prio < 0) continue;
+    const bool intra = cand.channel == serving_->channel;
+    const bool higher = prio > serving_priority;
+    if (!higher) {
+      if (intra && !gate.measure_intra) continue;
+      if (!intra && !gate.measure_nonintra) continue;
+    } else if (!gate.measure_higher_priority) {
+      continue;
+    }
+    const double approx_rsrp = radio_.rsrp(idx);
+    if (approx_rsrp <= net::kDetectionFloorDbm - 3.0) continue;
+    prescan.emplace_back(approx_rsrp, &cand);
+  }
+  // Only the strongest kMaxTrackedNeighbors are kept, so only they are
+  // ordered.  Without exact RSRP ties this is the order a full sort gives.
+  const std::size_t tracked = std::min(prescan.size(), kMaxTrackedNeighbors);
+  std::partial_sort(
+      prescan.begin(), prescan.begin() + static_cast<std::ptrdiff_t>(tracked),
+      prescan.end(),
+      [](const auto& a, const auto& b) { return a.first > b.first; });
+  prescan.resize(tracked);
   for (const auto& [approx, cand] : prescan) {
-    CellMeas meas = measure(*cand, pos);
+    CellMeas meas = measure(*cand);
     if (meas.rsrp_dbm <= net::kDetectionFloorDbm) continue;
     out.push_back(meas);
   }
   std::sort(out.begin(), out.end(), [](const CellMeas& a, const CellMeas& b) {
     return a.rsrp_dbm > b.rsrp_dbm;
   });
-  // Drop measurement state for cells unseen for 5 s.
+  // Drop measurement state and radio memos of cells unseen for 5 s.
   for (auto it = meas_state_.begin(); it != meas_state_.end();) {
     it = (t - it->second.last_seen > 5'000) ? meas_state_.erase(it)
                                             : std::next(it);
   }
+  radio_.evict_unseen_before(t - 5'000);
   return out;
 }
 
@@ -185,26 +191,30 @@ void Ue::camp_on(const net::Cell& cell, geo::Point pos, SimTime t,
 }
 
 bool Ue::attach(geo::Point pos, SimTime t) {
+  radio_.begin_tick(pos, t);
+  return attach_in_tick(pos, t);
+}
+
+bool Ue::attach_in_tick(geo::Point pos, SimTime t) {
   const net::Cell* best = nullptr;
   double best_rsrp = net::kDetectionFloorDbm;
   bool best_is_lte = false;
-  net_.for_each_cell_near(
-      pos, net::kAudibleRadiusM, opts_.carrier, [&](std::uint32_t idx) {
-        const net::Cell& cand = net_.cells()[idx];
-        if (cand.is_lte() &&
-            !opts_.band_support.supports_earfcn(cand.channel.number))
-          return;
-        const double rsrp = net_.rsrp_at(cand, pos);
-        if (rsrp <= net::kDetectionFloorDbm) return;
-        // Prefer any audible LTE cell over any legacy cell.
-        const bool better = (cand.is_lte() && !best_is_lte) ||
-                            (cand.is_lte() == best_is_lte && rsrp > best_rsrp);
-        if (best == nullptr || better) {
-          best = &cand;
-          best_rsrp = rsrp;
-          best_is_lte = cand.is_lte();
-        }
-      });
+  for (const RadioMemo::Nearby& nb : radio_.nearby(opts_.carrier)) {
+    const std::uint32_t idx = nb.index;
+    const net::Cell& cand = net_.cells()[idx];
+    if (cand.is_lte() && !opts_.band_support.supports_band(net_.lte_band(idx)))
+      continue;
+    const double rsrp = radio_.rsrp(idx);
+    if (rsrp <= net::kDetectionFloorDbm) continue;
+    // Prefer any audible LTE cell over any legacy cell.
+    const bool better = (cand.is_lte() && !best_is_lte) ||
+                        (cand.is_lte() == best_is_lte && rsrp > best_rsrp);
+    if (best == nullptr || better) {
+      best = &cand;
+      best_rsrp = rsrp;
+      best_is_lte = cand.is_lte();
+    }
+  }
   if (!best) return false;
   camp_on(*best, pos, t, diag::CampCause::kInitial);
   return true;
@@ -356,15 +366,16 @@ void Ue::run_idle(SimTime t, const CellMeas& serving_meas,
 
 void Ue::step(geo::Point pos, SimTime t) {
   now_ = t;
+  radio_.begin_tick(pos, t);
   if (!serving_) {
-    attach(pos, t);
+    attach_in_tick(pos, t);
     if (!serving_) {
       link_tick_ = traffic::LinkTick{t, -20.0, 0, true};
       return;
     }
   }
 
-  CellMeas serving_meas = measure(*serving_, pos);
+  CellMeas serving_meas = measure(*serving_);
 
   // Radio link failure: sustained deep outage forces a re-attach.
   static_assert(kRlfTicks > 0);
@@ -373,12 +384,12 @@ void Ue::step(geo::Point pos, SimTime t) {
       ++rlf_count_;
       rlf_streak_ = 0;
       detach();
-      attach(pos, t);
+      attach_in_tick(pos, t);
       if (!serving_) {
         link_tick_ = traffic::LinkTick{t, -20.0, 0, true};
         return;
       }
-      serving_meas = measure(*serving_, pos);
+      serving_meas = measure(*serving_);
     }
   } else {
     rlf_streak_ = 0;
@@ -391,11 +402,11 @@ void Ue::step(geo::Point pos, SimTime t) {
     const net::Cell* target = net_.find_cell(ph.target);
     if (!target) {
       failures_.emplace_back(t, HandoffFailure::kTargetVanished);
-    } else if (target->is_lte() &&
-               !opts_.band_support.supports_earfcn(target->channel.number)) {
+    } else if (target->is_lte() && !opts_.band_support.supports_band(
+                                       net_.lte_band(net_.index_of(*target)))) {
       failures_.emplace_back(t, HandoffFailure::kTargetNotSupported);
     } else {
-      CellMeas target_meas = measure(*target, pos);
+      CellMeas target_meas = measure(*target);
       if (target_meas.rsrp_dbm <= net::kDetectionFloorDbm) {
         failures_.emplace_back(t, HandoffFailure::kTargetVanished);
       } else {
@@ -428,7 +439,7 @@ void Ue::step(geo::Point pos, SimTime t) {
         camp_on(*target, pos, t, diag::CampCause::kActiveHandoff);
         interruption_until_ = t + opts_.interruption_ms;
         handoff_prohibit_until_ = t + opts_.handoff_prohibit_ms;
-        serving_meas = measure(*serving_, pos);
+        serving_meas = measure(*serving_);
       }
     }
   }
@@ -442,7 +453,7 @@ void Ue::step(geo::Point pos, SimTime t) {
   ++meas_stats_.ticks;
   meas_stats_.intra_active += gate.measure_intra;
   meas_stats_.nonintra_active += gate.measure_nonintra;
-  const auto neighbors = measure_neighbors(pos, t, gate);
+  const auto neighbors = measure_neighbors(t, gate);
 
   if (opts_.active_mode && serving_->is_lte())
     run_active(t, serving_meas, neighbors, pos);
@@ -450,8 +461,8 @@ void Ue::step(geo::Point pos, SimTime t) {
     run_idle(t, serving_meas, neighbors, pos);
 
   // Link state for the traffic layer.
-  const auto interference = net_.cochannel_interference(*serving_, pos);
-  const double sinr = radio::sinr_db(serving_meas.rsrp_dbm, interference);
+  const double sinr = radio::sinr_db_mw(
+      serving_meas.rsrp_dbm, radio_.noise_interference_mw(*serving_));
   link_tick_ = traffic::LinkTick{t, sinr, serving_->bandwidth_prbs,
                                  t < interruption_until_};
 

@@ -28,6 +28,7 @@
 #include "mmlab/rrc/messages.hpp"
 #include "mmlab/traffic/apps.hpp"
 #include "mmlab/ue/event_engine.hpp"
+#include "mmlab/ue/radio_memo.hpp"
 #include "mmlab/ue/reselection.hpp"
 #include "mmlab/util/rng.hpp"
 
@@ -85,9 +86,12 @@ class Ue {
   Ue(const net::Deployment& network, UeOptions options);
 
   /// Camp on the strongest audible, band-supported cell. False if none.
+  /// Starts a new radio tick at `pos` (nothing measured at an earlier
+  /// position is reused).
   bool attach(geo::Point pos, SimTime t);
 
-  /// Advance one tick (caller controls cadence; 100 ms typical).
+  /// Advance one tick (caller controls cadence; 100 ms typical).  Each
+  /// cell's RSRP at `pos` is computed once for the whole tick.
   void step(geo::Point pos, SimTime t);
 
   /// Type-I proactive cell switching: camp on a specific cell directly.
@@ -100,12 +104,12 @@ class Ue {
   /// random numbers and performs no radio measurement, so distinct Ue
   /// instances may force_camp concurrently as long as nothing else mutates
   /// the cells they camp on (sim::run_crawl guarantees that by sharding
-  /// per carrier).  The id-keyed overload additionally reads every cell's
-  /// immutable `id` field during lookup.
+  /// per carrier).  The id-keyed overload additionally reads the
+  /// deployment's immutable id index during lookup.
   bool force_camp(net::CellId id, geo::Point pos, SimTime t);
-  /// Same, with the cell already in hand — skips the O(cells) id lookup
-  /// (the crawl engine visits cells by index, so the lookup is pure
-  /// overhead there).  `cell` must belong to this Ue's deployment.
+  /// Same, with the cell already in hand — skips the id lookup (the crawl
+  /// engine visits cells by index, so the lookup is pure overhead there).
+  /// `cell` must belong to this Ue's deployment.
   void force_camp(const net::Cell& cell, geo::Point pos, SimTime t);
 
   /// Detach (camp on nothing); next step() will re-attach.
@@ -153,11 +157,15 @@ class Ue {
 
   void camp_on(const net::Cell& cell, geo::Point pos, SimTime t,
                diag::CampCause cause);
+  /// attach() within the current radio tick.
+  bool attach_in_tick(geo::Point pos, SimTime t);
   void log_rrc(SimTime t, const rrc::Message& msg);
-  /// Measure a cell with noise + L3 filtering; returns filled CellMeas.
-  CellMeas measure(const net::Cell& cell, geo::Point pos);
-  /// Audible candidate cells of our carrier (band-supported), measured.
-  std::vector<CellMeas> measure_neighbors(geo::Point pos, SimTime t,
+  /// Measure a cell at the tick's position with noise + L3 filtering;
+  /// returns filled CellMeas.
+  CellMeas measure(const net::Cell& cell);
+  /// Audible candidate cells of our carrier (band-supported), measured at
+  /// the tick's position.
+  std::vector<CellMeas> measure_neighbors(SimTime t,
                                           const MeasurementGate& gate);
   void run_idle(SimTime t, const CellMeas& serving_meas,
                 const std::vector<CellMeas>& neighbors, geo::Point pos);
@@ -189,6 +197,7 @@ class Ue {
   };
   std::map<net::CellId, MeasState> meas_state_;
   SimTime now_{0};
+  RadioMemo radio_;
 
   diag::Writer diag_;
   std::vector<HandoffRecord> handoffs_;

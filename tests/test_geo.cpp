@@ -93,6 +93,38 @@ TEST_P(GridIndexPropertySweep, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Radii, GridIndexPropertySweep,
                          ::testing::Values(50.0, 200.0, 500.0, 1500.0, 4000.0));
 
+TEST(GridIndex, VisitInRadiiFlagsTheInnerVisitInItsOrder) {
+  Rng rng(31);
+  for (double bucket : {100.0, 2000.0, 333.3}) {
+    GridIndex index(bucket);
+    for (std::uint32_t i = 0; i < 3'000; ++i)
+      index.insert(i, {rng.uniform(-20'000.0, 20'000.0),
+                       rng.uniform(-20'000.0, 20'000.0)});
+    for (int q = 0; q < 200; ++q) {
+      const Point c{rng.uniform(-21'000.0, 21'000.0),
+                    rng.uniform(-21'000.0, 21'000.0)};
+      const double outer = rng.uniform(0.0, 8'000.0);
+      // Inner radii include the outer one and bucket multiples.
+      const double inner = q % 3 == 0   ? outer
+                           : q % 3 == 1 ? bucket * static_cast<double>(
+                                                       rng.below(4))
+                                        : rng.uniform(0.0, outer);
+      if (inner > outer) continue;
+      std::vector<std::uint32_t> outer_ids, inner_ids, want_outer, want_inner;
+      index.visit_in_radii(c, outer, inner, [&](std::uint32_t id, bool in) {
+        outer_ids.push_back(id);
+        if (in) inner_ids.push_back(id);
+      });
+      index.visit_in_radius(c, outer,
+                            [&](std::uint32_t id) { want_outer.push_back(id); });
+      index.visit_in_radius(c, inner,
+                            [&](std::uint32_t id) { want_inner.push_back(id); });
+      ASSERT_EQ(outer_ids, want_outer);
+      ASSERT_EQ(inner_ids, want_inner);
+    }
+  }
+}
+
 TEST(GridIndex, ForEachVisitsAll) {
   GridIndex index(100.0);
   for (std::uint32_t i = 0; i < 10; ++i)

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "test_helpers.hpp"
 
 namespace mmlab::net {
@@ -44,6 +46,57 @@ TEST(Deployment, FindCell) {
   net.add_cell(test::lte_cell(7, a, {0, 0}, 850, test::basic_lte_config()));
   ASSERT_NE(net.find_cell(7), nullptr);
   EXPECT_EQ(net.find_cell(8), nullptr);
+}
+
+TEST(Deployment, RejectsDuplicateCellId) {
+  Deployment net;
+  const auto a = net.add_carrier({0, "A", "A", "US"});
+  const auto b = net.add_carrier({0, "B", "B", "US"});
+  net.add_cell(test::lte_cell(7, a, {0, 0}, 850, test::basic_lte_config()));
+  // Same id on another carrier and elsewhere: still a duplicate.
+  EXPECT_THROW(net.add_cell(test::lte_cell(7, b, {5'000, 0}, 850,
+                                           test::basic_lte_config())),
+               std::invalid_argument);
+  EXPECT_EQ(net.cells().size(), 1u);
+  EXPECT_TRUE(net.cells_near({5'000, 0}, 100.0, b).empty());
+  EXPECT_EQ(net.find_cell(7)->carrier, a);
+}
+
+TEST(Deployment, IdIndexFindsCellsAddedInAnyOrder) {
+  Deployment net;
+  const auto a = net.add_carrier({0, "A", "A", "US"});
+  std::vector<CellId> ids;
+  for (CellId id = 1; id <= 200; ++id) ids.push_back(id * 7919 % 1000);
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    net.add_cell(test::lte_cell(ids[i], a, {static_cast<double>(i), 0}, 850,
+                                test::basic_lte_config()));
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(net.cell_index(ids[i]), i);
+    ASSERT_NE(net.find_cell(ids[i]), nullptr);
+    EXPECT_EQ(net.index_of(*net.find_cell(ids[i])), i);
+  }
+  EXPECT_EQ(net.cell_index(1001), Deployment::kNoCell);
+  EXPECT_EQ(net.find_cell(1001), nullptr);
+  net.update_lte_config(ids[50], test::basic_lte_config(2));
+  EXPECT_EQ(net.cells()[50].lte_config.serving.priority, 2);
+  EXPECT_EQ(net.cells()[51].lte_config.serving.priority, 4);
+}
+
+TEST(Deployment, LteBandPrecomputedPerCell) {
+  Deployment net;
+  const auto a = net.add_carrier({0, "A", "A", "US"});
+  net.add_cell(test::lte_cell(1, a, {0, 0}, 850, test::basic_lte_config()));
+  net.add_cell(test::lte_cell(2, a, {0, 0}, 9820, test::basic_lte_config()));
+  net.add_cell(test::lte_cell(3, a, {0, 0}, 60'000, test::basic_lte_config()));
+  Cell umts;
+  umts.id = 4;
+  umts.carrier = a;
+  umts.channel = {spectrum::Rat::kUmts, 850};
+  net.add_cell(umts);
+  EXPECT_EQ(net.lte_band(0), 2);
+  EXPECT_EQ(net.lte_band(1), 30);
+  EXPECT_EQ(net.lte_band(2), -1);  // outside the band table
+  EXPECT_EQ(net.lte_band(3), -1);  // not LTE
 }
 
 TEST(Deployment, UpdateLteConfig) {

@@ -22,6 +22,16 @@ TEST(DriveTest, SpeedtestProducesHandoffsAndThroughput) {
               static_cast<double>(result.duration / 100 + 1), 2.0);
 }
 
+TEST(DriveTest, RejectsNonPositiveTick) {
+  auto net = test::two_cell_corridor(test::a3_event(3.0));
+  const auto route = mobility::highway_drive({0, 0}, {2000, 0}, 15.0);
+  DriveTestOptions opts;
+  for (Millis tick : {0, -100}) {
+    opts.tick_ms = tick;
+    EXPECT_THROW(run_drive_test(net, route, opts), std::invalid_argument);
+  }
+}
+
 TEST(DriveTest, IdleDriveHasNoThroughput) {
   auto net = test::two_cell_corridor(test::a3_event(3.0));
   const auto route = mobility::highway_drive({0, 0}, {2000, 0}, 15.0);
