@@ -538,10 +538,10 @@ void BM_StoreLoadV2(benchmark::State& state) {
 BENCHMARK(BM_StoreLoadV2)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Small-block store fixture for the block-parallel paths: tiny rotation
-// targets turn the same 1M rows into hundreds of blocks, so the intra-
-// carrier parse fan-out (and the direct fold's windowed merge) is the
-// dominant cost, not one giant block per carrier.
+// Small-block store fixture for the direct folds: tiny rotation targets
+// turn the same 1M rows into hundreds of blocks, so the windowed merge and
+// the cross-carrier scheduler see many blocks per carrier, not one giant
+// block each.
 const std::string& small_block_store_dir() {
   static const std::string dir = [] {
     std::string path =
@@ -584,7 +584,7 @@ void BM_StoreDirectFold(benchmark::State& state) {
       state.iterations() *
       static_cast<std::int64_t>(dataset_db().total_samples()));
 }
-BENCHMARK(BM_StoreDirectFold)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
+BENCHMARK(BM_StoreDirectFold)->Arg(1)->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 // Planned single-carrier mix over the same many-block fixture: the query
@@ -613,7 +613,7 @@ void BM_StoreDirectFoldPlanned(benchmark::State& state) {
       state.iterations() *
       static_cast<std::int64_t>(dataset_db().total_samples() / 4));
 }
-BENCHMARK(BM_StoreDirectFoldPlanned)->Arg(1)->Arg(4)
+BENCHMARK(BM_StoreDirectFoldPlanned)->Arg(1)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // The cross-carrier scheduler driving the whole mix: analyze_query folds

@@ -546,9 +546,9 @@ Result<LoadStats> load_dataset_binary(const std::uint8_t* data,
     ByteReader r(data, size - 2);  // CRC trailer already consumed
     r.skip(sizeof(kMmdsMagic) + 2);
 
-    std::vector<std::string> carriers(r.varint());
+    std::vector<std::string> carriers(r.count("carrier table"));
     for (auto& carrier : carriers) carrier = std::string(r.str());
-    std::vector<config::ParamKey> params(r.varint());
+    std::vector<config::ParamKey> params(r.count("param table"));
     for (auto& key : params) {
       const std::string name(r.str());
       const auto parsed = config::parse_param_name(name);

@@ -45,80 +45,37 @@ struct ParsedBlock {
 }  // namespace
 
 DirectFold::DirectFold(const ShardSet& set, FoldOptions options)
-    : set_(&set), options_(options) {
-  const Manifest& m = set.manifest();
+    : set_(&set), options_(options), names_(set.manifest().carriers) {
   // Sorted carrier order, same as ConfigDatabase::carriers().
-  std::vector<std::uint32_t> order(m.carriers.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return m.carriers[a] < m.carriers[b];
-  });
-
-  std::vector<std::vector<std::size_t>> blocks_of(m.carriers.size());
-  for (std::size_t i = 0; i < set.blocks().size(); ++i)
-    blocks_of[set.blocks()[i].info->carrier_index].push_back(i);
-
-  names_.reserve(order.size());
-  plans_.reserve(order.size());
-  for (const std::uint32_t ci : order) {
-    names_.push_back(m.carriers[ci]);
-    CarrierPlan plan;
-    plan.carrier_index = ci;
-    plan.blocks = std::move(blocks_of[ci]);
-    if (m.block_extras) {
-      plan.safe_floor.resize(plan.blocks.size());
-      std::uint32_t floor = std::numeric_limits<std::uint32_t>::max();
-      for (std::size_t i = plan.blocks.size(); i-- > 0;) {
-        floor = std::min(floor, set.blocks()[plan.blocks[i]].info->first_cell);
-        plan.safe_floor[i] = floor;
-      }
-    }
-    plans_.push_back(std::move(plan));
-  }
-  stats_.crc_checked = m.block_extras && options_.check_block_crc;
+  std::sort(names_.begin(), names_.end());
+  stats_.crc_checked = options_.check_block_crc;
 }
 
-DirectFold::FoldJob DirectFold::make_job(
-    const std::vector<std::size_t>& blocks,
-    const std::vector<std::uint32_t>& safe_floor, std::string_view carrier,
-    const QueryPlan* plan) const {
-  FoldJob job;
-  job.blocks = &blocks;
-  job.safe_floor = &safe_floor;
-  job.carrier = carrier;
-  job.max_cell = std::numeric_limits<std::uint32_t>::max();
-  if (plan) {
-    job.param_mask = &plan->param_mask();
-    job.min_cell = plan->query().min_cell;
-    job.max_cell = plan->query().max_cell;
-    job.filtered = plan->filtered();
-  }
-  unsigned threads = options_.threads == 0 ? WorkerPool::default_thread_count()
-                                           : options_.threads;
-  if (threads == 0) threads = 1;
-  job.threads = threads;
-  std::size_t window = options_.window_blocks;
-  if (window == 0) window = std::max<std::size_t>(2, std::size_t{2} * threads);
-  // No per-block cell-id ranges means no emission frontier: every block
-  // could still contribute a run of any cell, so parse them all up front.
-  if (safe_floor.empty()) window = blocks.size();
-  job.window = window;
-  job.gauge = options_.gauge;
-  return job;
+unsigned DirectFold::thread_count() const {
+  const unsigned threads = options_.threads == 0
+                               ? WorkerPool::default_thread_count()
+                               : options_.threads;
+  return std::max(threads, 1u);
+}
+
+std::size_t DirectFold::window_budget() const {
+  if (options_.window_blocks != 0) return options_.window_blocks;
+  return std::max<std::size_t>(2, std::size_t{2} * thread_count());
 }
 
 Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
                                        const CellConsumer& consumer) const {
   using R = Result<FoldStats>;
   const auto start = std::chrono::steady_clock::now();
-  const std::vector<std::size_t>& blocks = *job.blocks;
-  const bool extras = set_->manifest().block_extras;
-  const bool check_crc = extras && options_.check_block_crc;
-  static const std::vector<char> kNoMask;
-  const std::vector<char>& keep = job.param_mask ? *job.param_mask : kNoMask;
+  const CarrierQueryPlan& cp = *job.carrier;
+  const std::vector<std::size_t>& blocks = cp.blocks;
+  const std::vector<char>& keep = job.plan->param_mask();
+  const std::uint32_t min_cell = job.plan->query().min_cell;
+  const std::uint32_t max_cell = job.plan->query().max_cell;
+  const bool filtered = job.plan->filtered();
 
   FoldStats fs;
-  fs.crc_checked = check_crc;
+  fs.crc_checked = options_.check_block_crc;
   std::deque<ParsedBlock> live;
   std::size_t resident = 0;  // live blocks still holding parsed cells
   std::size_t next_block = 0;
@@ -126,12 +83,13 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
   const auto parse_one = [&](ParsedBlock& pb) {
     const BlockInfo& info = *set_->blocks()[pb.global].info;
     const auto body = set_->block_body(pb.global);
-    if (check_crc && crc16_ccitt(body.data(), body.size()) != info.crc16)
+    if (options_.check_block_crc &&
+        crc16_ccitt(body.data(), body.size()) != info.crc16)
       throw std::runtime_error("block CRC mismatch at shard offset " +
                                std::to_string(info.offset));
     ByteReader r(body.data(), body.size());
     std::uint64_t rows = 0;
-    if (!job.filtered) {
+    if (!filtered) {
       pb.cells.reserve(static_cast<std::size_t>(info.cell_count));
       while (r.remaining() > 0) {
         ParsedCell pc;
@@ -145,9 +103,8 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
         throw std::runtime_error("block cell count disagrees with manifest");
       if (rows != info.row_count)
         throw std::runtime_error("block row count disagrees with manifest");
-      if (extras && !pb.cells.empty() &&
-          (pb.cells.front().id != info.first_cell ||
-           pb.cells.back().id != info.last_cell))
+      if (!pb.cells.empty() && (pb.cells.front().id != info.first_cell ||
+                                pb.cells.back().id != info.last_cell))
         throw std::runtime_error("block cell-id range disagrees with manifest");
       return;
     }
@@ -161,7 +118,7 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
     core::mmds::CellScan scan;
     while (r.remaining() > 0) {
       const std::uint32_t id = core::mmds::parse_cell_filtered(
-          r, set_->params(), keep, job.min_cell, job.max_cell, rec, scan);
+          r, set_->params(), keep, min_cell, max_cell, rec, scan);
       if (any && id <= last_raw)
         throw std::runtime_error("cell ids not ascending within a block");
       if (!any) first_raw = id;
@@ -170,7 +127,7 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
       ++scanned;
       rows += scan.rows;
       pb.values_skipped += scan.values_skipped;
-      if (id >= job.min_cell && id <= job.max_cell) {
+      if (id >= min_cell && id <= max_cell) {
         ParsedCell pc;
         pc.id = id;
         pc.rec = std::move(rec);
@@ -183,49 +140,30 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
       throw std::runtime_error("block cell count disagrees with manifest");
     if (rows != info.row_count)
       throw std::runtime_error("block row count disagrees with manifest");
-    if (extras && any &&
-        (first_raw != info.first_cell || last_raw != info.last_cell))
+    if (any && (first_raw != info.first_cell || last_raw != info.last_cell))
       throw std::runtime_error("block cell-id range disagrees with manifest");
   };
 
-  // Parse the next `window` blocks, concurrently.  Errors are captured per
-  // block and the first one in manifest order wins (the load_database
-  // convention), so diagnostics are deterministic under any thread count.
+  // Parse the next `window` blocks, one at a time in manifest order.  The
+  // first error names its block and stops the fold.
   const auto parse_batch = [&]() -> std::string {
     const std::size_t n = std::min(job.window, blocks.size() - next_block);
-    const std::size_t base = live.size();
-    for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t k = 0; k < n; ++k, ++next_block) {
+      const BlockInfo& info = *set_->blocks()[blocks[next_block]].info;
       live.emplace_back();
-      live.back().global = blocks[next_block + k];
-    }
-    std::vector<std::string> errors(n);
-    const auto run = [&](std::size_t k) {
+      live.back().global = blocks[next_block];
       try {
-        parse_one(live[base + k]);
+        parse_one(live.back());
       } catch (const std::exception& e) {
-        errors[k] = e.what();
+        return "block " + std::to_string(next_block) + " of carrier " +
+               cp.name + " (offset " + std::to_string(info.offset) +
+               "): " + e.what();
       }
-    };
-    if (job.threads == 1 || n <= 1) {
-      for (std::size_t k = 0; k < n; ++k) run(k);
-    } else {
-      parallel_for_index(job.threads, n, run);
-    }
-    for (std::size_t k = 0; k < n; ++k) {
-      if (errors[k].empty()) continue;
-      const BlockInfo& info = *set_->blocks()[blocks[next_block + k]].info;
-      return "block " + std::to_string(next_block + k) + " of carrier " +
-             std::string(job.carrier) + " (offset " +
-             std::to_string(info.offset) + "): " + errors[k];
-    }
-    for (std::size_t k = 0; k < n; ++k) {
-      const BlockInfo& info = *set_->blocks()[blocks[next_block + k]].info;
       fs.rows += info.row_count;
       fs.bytes += info.length;
-      fs.values_skipped += live[base + k].values_skipped;
+      fs.values_skipped += live.back().values_skipped;
     }
     fs.blocks += n;
-    next_block += n;
     resident += n;
     if (job.gauge) job.gauge->add(n);
     fs.peak_resident_blocks =
@@ -257,24 +195,17 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
       }
     }
     // Emission frontier: every id at or below it has all its runs parsed.
-    // Without extras there is no frontier information at all (safe_floor is
-    // empty — indexing it here was the seed's latent out-of-bounds read):
-    // nothing is emittable until every block has parsed, so the frontier
-    // sits below any possible id.
     std::int64_t safe = std::numeric_limits<std::int64_t>::max();
     if (next_block < blocks.size())
-      safe = job.safe_floor->empty()
-                 ? std::int64_t{-1}
-                 : static_cast<std::int64_t>((*job.safe_floor)[next_block]) - 1;
+      safe = static_cast<std::int64_t>(cp.safe_floor[next_block]) - 1;
     if (!found || min_id > safe) {
-      if (next_block >= blocks.size()) {
-        if (!found) break;  // fully drained
-        // Unreachable: safe is +inf once everything is parsed.
-      } else {
-        const std::string err = parse_batch();
-        if (!err.empty()) return R::error("fold_carrier: " + err);
-        continue;
+      if (next_block >= blocks.size()) break;  // fully drained
+      const std::string err = parse_batch();
+      if (!err.empty()) {
+        if (job.gauge) job.gauge->sub(resident);
+        return R::error("fold: " + err);
       }
+      continue;
     }
     // Merge every front run of min_id, in window (= manifest) order — the
     // pairwise ConfigDatabase::merge the loader and view builder perform.
@@ -294,7 +225,7 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
     for (ParsedBlock& pb : live) {
       if (pb.exhausted() || pb.cells[pb.next].id != min_id) continue;
       ParsedCell& pc = pb.cells[pb.next];
-      if (job.filtered) {
+      if (filtered) {
         const bool wins =
             pc.has_front && (!have_front || pc.front_t < best_front);
         if (first || wins) {
@@ -316,7 +247,7 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
       ++pb.next;
       if (pb.exhausted()) retire(pb);
     }
-    if (job.filtered) {
+    if (filtered) {
       merged.rat = m_rat;
       merged.channel = m_channel;
       merged.position = m_position;
@@ -351,16 +282,6 @@ FoldStats DirectFold::stats() const {
   return stats_;
 }
 
-Result<FoldStats> DirectFold::fold_carrier(std::string_view carrier,
-                                           const CellConsumer& consumer) const {
-  const auto it = std::lower_bound(names_.begin(), names_.end(), carrier);
-  if (it == names_.end() || *it != carrier) return FoldStats{};
-  const CarrierPlan& plan =
-      plans_[static_cast<std::size_t>(it - names_.begin())];
-  return run_fold(make_job(plan.blocks, plan.safe_floor, *it, nullptr),
-                  consumer);
-}
-
 Result<FoldStats> DirectFold::fold_planned(const QueryPlan& plan,
                                            std::string_view carrier,
                                            const CellConsumer& consumer) const {
@@ -369,8 +290,7 @@ Result<FoldStats> DirectFold::fold_planned(const QueryPlan& plan,
     return R::error("fold_planned: plan is bound to a different shard set");
   const CarrierQueryPlan* cp = plan.find_carrier(carrier);
   if (!cp) return FoldStats{};
-  auto r = run_fold(make_job(cp->blocks, cp->safe_floor, cp->name, &plan),
-                    consumer);
+  auto r = run_fold({cp, &plan, window_budget(), options_.gauge}, consumer);
   if (!r) return r;
   FoldStats fs = r.value();
   fs.blocks_skipped = plan.blocks_skipped();
@@ -396,85 +316,62 @@ Result<FoldStats> DirectFold::fold_query(
   for (std::size_t i = 0; i < cps.size(); ++i)
     consumers.push_back(make_consumer(i, cps[i]));
 
-  unsigned threads = options_.threads == 0 ? WorkerPool::default_thread_count()
-                                           : options_.threads;
-  if (threads == 0) threads = 1;
   std::size_t nonempty = 0;
   for (const CarrierQueryPlan& cp : cps)
     if (!cp.blocks.empty()) ++nonempty;
-  const std::size_t jobs =
-      std::min<std::size_t>(threads, std::max<std::size_t>(nonempty, 1));
-
-  FoldStats agg;
-  agg.crc_checked = set_->manifest().block_extras && options_.check_block_crc;
-  agg.blocks_skipped = plan.blocks_skipped();
-  agg.bytes_skipped = plan.bytes_skipped();
+  const std::size_t jobs = std::min<std::size_t>(
+      thread_count(), std::max<std::size_t>(nonempty, 1));
+  // Each job gets a 1/jobs slice of the one global window budget, so total
+  // residency honors the same bound whatever the job count.
+  const std::size_t window = std::max<std::size_t>(1, window_budget() / jobs);
+  ResidencyGauge local_gauge;
+  ResidencyGauge* gauge = options_.gauge ? options_.gauge : &local_gauge;
 
   std::vector<std::string> errors(cps.size());
   std::vector<FoldStats> per(cps.size());
-
-  if (jobs <= 1) {
-    // The sequential per-carrier loop, with intra-carrier parallelism as
-    // configured — one thread means exactly the pre-scheduler behavior.
-    for (std::size_t i = 0; i < cps.size(); ++i) {
-      const auto r = run_fold(
-          make_job(cps[i].blocks, cps[i].safe_floor, cps[i].name, &plan),
-          consumers[i]);
-      if (!r) return R::error(r.error_message());
+  const auto run_job = [&](std::size_t i) {
+    const auto r = run_fold({&cps[i], &plan, window, gauge}, consumers[i]);
+    if (!r) {
+      errors[i] = r.error_message();
+    } else {
       per[i] = r.value();
-      agg.peak_resident_blocks =
-          std::max(agg.peak_resident_blocks, per[i].peak_resident_blocks);
+    }
+  };
+
+  if (jobs == 1) {
+    // The sequential per-carrier loop, inline: no pool thread.
+    for (std::size_t i = 0; i < cps.size(); ++i) {
+      run_job(i);
+      if (!errors[i].empty()) break;
     }
   } else {
-    // Cross-carrier concurrency replaces intra-carrier fan-out: each job
-    // folds with one parse thread and a 1/jobs slice of the global window
-    // budget, so total residency honors the same bound the sequential path
-    // had.  Submission is largest-carrier-first (FIFO pool start order):
-    // the longest fold starts immediately instead of becoming the tail.
-    std::size_t budget = options_.window_blocks;
-    if (budget == 0) budget = std::max<std::size_t>(2, std::size_t{2} * threads);
-    const std::size_t per_window = std::max<std::size_t>(1, budget / jobs);
-    ResidencyGauge local_gauge;
-    ResidencyGauge* gauge = options_.gauge ? options_.gauge : &local_gauge;
-
+    // Submission is largest-carrier-first (FIFO pool start order): the
+    // longest fold starts immediately instead of becoming the tail.
     std::vector<std::size_t> order(cps.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
       if (cps[a].rows != cps[b].rows) return cps[a].rows > cps[b].rows;
       return a < b;
     });
-
     WorkerPool pool(static_cast<unsigned>(jobs));
-    for (const std::size_t i : order) {
-      pool.submit([this, &plan, &cps, &consumers, &errors, &per, per_window,
-                   gauge, i] {
-        FoldJob job =
-            make_job(cps[i].blocks, cps[i].safe_floor, cps[i].name, &plan);
-        job.threads = 1;
-        if (!cps[i].safe_floor.empty()) job.window = per_window;
-        job.gauge = gauge;
-        const auto r = run_fold(job, consumers[i]);
-        if (!r) {
-          errors[i] = r.error_message();
-        } else {
-          per[i] = r.value();
-        }
-      });
-    }
+    for (const std::size_t i : order) pool.submit([&run_job, i] { run_job(i); });
     pool.wait_idle();
-    agg.peak_resident_blocks = gauge->peak.load(std::memory_order_relaxed);
-    // First failing carrier in sorted order wins, deterministically.
-    for (std::size_t i = 0; i < cps.size(); ++i)
-      if (!errors[i].empty()) return R::error(errors[i]);
   }
+  // First failing carrier in sorted order wins, deterministically.
+  for (std::size_t i = 0; i < cps.size(); ++i)
+    if (!errors[i].empty()) return R::error(errors[i]);
 
+  FoldStats agg;
+  agg.crc_checked = options_.check_block_crc;
+  agg.blocks_skipped = plan.blocks_skipped();
+  agg.bytes_skipped = plan.bytes_skipped();
+  agg.peak_resident_blocks = gauge->peak.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < cps.size(); ++i) {
     agg.rows += per[i].rows;
     agg.cells += per[i].cells;
     agg.blocks += per[i].blocks;
     agg.bytes += per[i].bytes;
     agg.values_skipped += per[i].values_skipped;
-    agg.crc_checked = agg.crc_checked && per[i].crc_checked;
   }
   agg.fold_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

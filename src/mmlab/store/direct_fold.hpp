@@ -11,20 +11,18 @@
 // Merge contract (DESIGN.md §12): a cell's runs merge via
 // CellRecord::merge_from in global (shard, block) manifest order — exactly
 // what load_database does — so every downstream product is bit-identical to
-// the in-memory path for any thread count and window size.  The
-// windowing invariant that makes streaming safe: with the manifest's
-// per-block cell-id ranges (Manifest::block_extras), a merged cell may be
-// emitted once its id is below every unparsed block's first_cell — ids
-// within a block lie inside [first_cell, last_cell], so no later block can
-// contribute another run of it.  Stores without the extras (written before
-// they existed) still fold correctly; they just parse all of a carrier's
-// blocks before emitting (no frontier information) and skip the per-block
-// CRC (no stored block CRC).
+// the in-memory path for any thread count and window size.  Blocks parse
+// serially, in manifest order.  The windowing invariant that makes
+// streaming safe: with the manifest's per-block cell-id ranges, a merged
+// cell may be emitted once its id is below every unparsed block's
+// first_cell — ids within a block lie inside [first_cell, last_cell], so no
+// later block can contribute another run of it.
 //
-// Planned folds (DESIGN.md §13): a store::QueryPlan narrows a fold to the
-// blocks that can contribute to a query — other carriers' blocks and (with
-// the extras) blocks whose cell-id range misses the query are never mapped,
-// checksummed, or parsed; FoldStats counts what the planner skipped.  A
+// Planned folds (DESIGN.md §13): every fold is planned.  A store::QueryPlan
+// narrows a fold to the blocks that can contribute to a query — other
+// carriers' blocks and blocks whose cell-id range misses the query are
+// never mapped, checksummed, or parsed; FoldStats counts what the planner
+// skipped (a plan of Query{} selects everything: the unfiltered fold).  A
 // ParamKey predicate additionally pushes down to the wire: filtered
 // observations' 8-byte value payloads are skipped, not decoded.  Filtered
 // folds preserve the merge contract exactly — the metadata tie-break
@@ -34,7 +32,7 @@
 // selected carriers as concurrent pool jobs (largest first) under one
 // shared parse-window budget.
 //
-// Integrity: with the extras present, each block body is checksummed right
+// Integrity: each block body is checksummed against its manifest CRC right
 // before parsing (FoldOptions::check_block_crc).  A mismatch — or any
 // structural damage the parser trips on — fails the whole fold; a query
 // never returns a partial answer built from a corrupt prefix.
@@ -79,28 +77,27 @@ struct ResidencyGauge {
 };
 
 struct FoldOptions {
-  /// Blocks within the parse window parse concurrently when != 1 (0 = all
-  /// cores).  The merge is serial in manifest order, so results are
-  /// identical for every value.  fold_query additionally uses this as the
-  /// cross-carrier job count (concurrency moves between carriers, never
-  /// multiplies).
+  /// The cross-carrier job count of fold_query (0 = all cores): at most
+  /// this many selected carriers fold concurrently, one pool job each.
+  /// Each carrier's blocks always parse serially in manifest order, so
+  /// results are identical for every value.  fold_planned folds one
+  /// carrier inline; there `threads` only sizes the default window.
   unsigned threads = 1;
   /// madvise(MADV_DONTNEED) each block's mapped bytes once its last cell
   /// has been merged out.  Disable to keep the page cache warm when the
   /// same store will be re-read immediately (equality passes).
   bool release_mapped = true;
-  /// Parse window in blocks (0 = auto: max(2, 2 * threads)).  Larger
-  /// windows trade memory for parse parallelism.  The window is a floor on
-  /// batching, not a ceiling on residency: blocks stay resident until their
-  /// cells are merged out, so a layout with interleaved cell-id ranges can
-  /// hold more than `window_blocks` parsed blocks alive (correctness never
-  /// depends on the window).  Without manifest extras the whole carrier
-  /// parses up front regardless.  fold_query treats this as the GLOBAL
-  /// budget and splits it across concurrent carrier jobs.
+  /// Parse window in blocks (0 = auto: max(2, 2 * threads)).  The window
+  /// bounds residency; it buys no parse parallelism (blocks parse one at a
+  /// time).  It is a floor on batching, not a ceiling on residency: blocks
+  /// stay resident until their cells are merged out, so a layout with
+  /// interleaved cell-id ranges can hold more than `window_blocks` parsed
+  /// blocks alive (correctness never depends on the window).  fold_query
+  /// treats this as the GLOBAL budget and gives each of its concurrent
+  /// carrier jobs max(1, budget / jobs).
   std::size_t window_blocks = 0;
   /// Checksum each block body against the manifest's per-block CRC right
-  /// before parsing it.  Only effective when the store carries the extras
-  /// (see FoldStats::crc_checked for what actually happened).
+  /// before parsing it (FoldStats::crc_checked reports this flag).
   bool check_block_crc = true;
   /// Optional shared residency gauge; every fold run through this engine
   /// reports its resident-block count there (fold_query supplies its own
@@ -159,19 +156,16 @@ class DirectFold {
   using CellConsumer =
       std::function<void(std::uint32_t id, const core::CellRecord& rec)>;
 
-  /// Stream one carrier.  An unknown carrier is an empty success (zero
-  /// stats), matching the ConfigDatabase queries' empty-result convention.
-  /// Block CRC mismatches and structural damage fail the fold; the consumer
-  /// may have seen a prefix of the cells, so callers discard partial
-  /// accumulation on error (every query in this module does).
-  Result<FoldStats> fold_carrier(std::string_view carrier,
-                                 const CellConsumer& consumer) const;
-
   /// Stream one planned carrier: only the plan's selected blocks parse,
-  /// and the plan's wire predicates (cell range, param mask) apply.  The
-  /// plan must be bound to this engine's ShardSet.  A carrier the plan did
-  /// not select is an empty success.  Returned skip counts are the plan's
-  /// store-wide numbers (see FoldStats).
+  /// and the plan's wire predicates (cell range, param mask) apply; a plan
+  /// of Query{} streams the whole carrier unfiltered.  The plan must be
+  /// bound to this engine's ShardSet.  A carrier the plan did not select
+  /// (an unknown one included) is an empty success, matching the
+  /// ConfigDatabase queries' empty-result convention.  Block CRC mismatches
+  /// and structural damage fail the fold; the consumer may have seen a
+  /// prefix of the cells, so callers discard partial accumulation on error
+  /// (every query in this module does).  Returned skip counts are the
+  /// plan's store-wide numbers (see FoldStats).
   Result<FoldStats> fold_planned(const QueryPlan& plan,
                                  std::string_view carrier,
                                  const CellConsumer& consumer) const;
@@ -179,8 +173,8 @@ class DirectFold {
   /// Cross-carrier scheduler: fold every carrier the plan selected, as
   /// concurrent pool jobs when options().threads > 1 (largest carrier
   /// first, so stragglers start early), under ONE shared parse-window
-  /// budget (options().window_blocks, split across jobs).  With one
-  /// thread this is exactly the sequential per-carrier loop.
+  /// budget (options().window_blocks, split across jobs).  With one job
+  /// this is the sequential per-carrier loop, run inline.
   ///
   /// `make_consumer(slot, cp)` is called serially, in sorted carrier order,
   /// once per selected carrier before any fold starts; each returned
@@ -234,33 +228,19 @@ class DirectFold {
   FoldStats stats() const;
 
  private:
-  struct CarrierPlan {
-    std::uint32_t carrier_index = 0;
-    std::vector<std::size_t> blocks;  ///< global indices, manifest order
-    /// safe_floor[i] = min first_cell over blocks[i..] — the emission
-    /// frontier once blocks[0..i) are parsed.  Empty without extras.
-    std::vector<std::uint32_t> safe_floor;
-  };
-
-  /// One windowed streaming fold, fully parameterized: the shared engine
-  /// under fold_carrier (no filter), fold_planned (plan selection + wire
-  /// predicates) and fold_query's jobs (split window, shared gauge).
+  /// One windowed streaming fold of one planned carrier: the shared engine
+  /// under fold_planned and fold_query's jobs.
   struct FoldJob {
-    const std::vector<std::size_t>* blocks = nullptr;
-    const std::vector<std::uint32_t>* safe_floor = nullptr;
-    std::string_view carrier;               ///< for error messages
-    const std::vector<char>* param_mask = nullptr;  ///< empty/null = all
-    std::uint32_t min_cell = 0;
-    std::uint32_t max_cell = 0;
-    bool filtered = false;  ///< any wire predicate active
-    unsigned threads = 1;
-    std::size_t window = 0;  ///< resolved; 0 only for empty block lists
+    const CarrierQueryPlan* carrier = nullptr;  ///< blocks + frontier
+    const QueryPlan* plan = nullptr;            ///< wire predicates
+    std::size_t window = 0;  ///< blocks parsed per batch, >= 1
     ResidencyGauge* gauge = nullptr;
   };
 
-  FoldJob make_job(const std::vector<std::size_t>& blocks,
-                   const std::vector<std::uint32_t>& safe_floor,
-                   std::string_view carrier, const QueryPlan* plan) const;
+  /// options().threads with 0 resolved to the machine's core count.
+  unsigned thread_count() const;
+  /// options().window_blocks with 0 resolved to max(2, 2 * threads).
+  std::size_t window_budget() const;
   Result<FoldStats> run_fold(const FoldJob& job,
                              const CellConsumer& consumer) const;
   void accumulate(const FoldStats& fs) const;
@@ -268,7 +248,6 @@ class DirectFold {
   const ShardSet* set_;
   FoldOptions options_;
   std::vector<std::string> names_;   ///< sorted
-  std::vector<CarrierPlan> plans_;   ///< parallel to names_
   mutable std::mutex stats_mutex_;
   mutable FoldStats stats_;
 };

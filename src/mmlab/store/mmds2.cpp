@@ -10,6 +10,9 @@ namespace mmlab::store {
 
 namespace {
 
+/// Flags byte: bit 0 = per-block extras, the only layout there is.
+constexpr std::uint8_t kManifestFlags = 0x01;
+
 std::string manifest_path(const std::string& dir) {
   return (std::filesystem::path(dir) / core::kMmds2ManifestName).string();
 }
@@ -33,7 +36,7 @@ void write_manifest(const std::string& dir, const Manifest& m) {
   ByteWriter w;
   w.raw(core::kMmdsMagic, sizeof(core::kMmdsMagic));
   w.u8(core::kMmds2Version);
-  w.u8(m.block_extras ? 0x01 : 0x00);  // flags
+  w.u8(kManifestFlags);
   w.varint(m.carriers.size());
   for (const auto& c : m.carriers) w.str(c);
   w.varint(m.params.size());
@@ -50,11 +53,9 @@ void write_manifest(const std::string& dir, const Manifest& m) {
       w.varint(b.length);
       w.varint(b.cell_count);
       w.varint(b.row_count);
-      if (m.block_extras) {
-        w.u16le(b.crc16);
-        w.varint(b.first_cell);
-        w.varint(b.last_cell);
-      }
+      w.u16le(b.crc16);
+      w.varint(b.first_cell);
+      w.varint(b.last_cell);
     }
   }
 
@@ -81,11 +82,12 @@ Result<Manifest> read_manifest(const std::string& dir) {
     return R::error("read_manifest: unsupported version " +
                     std::to_string(bytes[4]) + " (expected " +
                     std::to_string(core::kMmds2Version) + ")");
-  // Same policy as the version byte: a flag bit we don't know changes the
-  // block-entry layout, so refusing is the only safe reading.
-  if (bytes[5] & ~std::uint8_t{0x01})
-    return R::error("read_manifest: unknown flag bits " +
-                    std::to_string(bytes[5]));
+  // Same policy as the version byte: the flags select the block-entry
+  // layout, and 0x01 (per-block extras) is the only one this reader knows.
+  if (bytes[5] != kManifestFlags)
+    return R::error("read_manifest: unsupported flags " +
+                    std::to_string(bytes[5]) + " (expected " +
+                    std::to_string(kManifestFlags) + ")");
   const std::size_t size = bytes.size();
   const std::uint16_t stored_crc = static_cast<std::uint16_t>(
       bytes[size - 2] | (static_cast<std::uint16_t>(bytes[size - 1]) << 8));
@@ -97,12 +99,11 @@ Result<Manifest> read_manifest(const std::string& dir) {
     ByteReader r(bytes.data(), size - 2);
     r.skip(sizeof(core::kMmdsMagic) + 2);
     Manifest m;
-    m.block_extras = (bytes[5] & 0x01) != 0;
-    m.carriers.resize(r.varint());
+    m.carriers.resize(r.count("carrier table"));
     for (auto& c : m.carriers) c = std::string(r.str());
-    m.params.resize(r.varint());
+    m.params.resize(r.count("param table"));
     for (auto& p : m.params) p = std::string(r.str());
-    m.shards.resize(r.varint());
+    m.shards.resize(r.count("shard table"));
     for (auto& s : m.shards) {
       s.filename = std::string(r.str());
       if (s.filename.empty() ||
@@ -112,7 +113,7 @@ Result<Manifest> read_manifest(const std::string& dir) {
                         s.filename);
       s.file_size = r.varint();
       s.crc16 = r.u16le();
-      s.blocks.resize(r.varint());
+      s.blocks.resize(r.count("block table"));
       std::uint64_t cursor = sizeof(kShardMagic);
       for (auto& b : s.blocks) {
         const std::uint64_t carrier_index = r.varint();
@@ -123,16 +124,14 @@ Result<Manifest> read_manifest(const std::string& dir) {
         b.length = r.varint();
         b.cell_count = r.varint();
         b.row_count = r.varint();
-        if (m.block_extras) {
-          b.crc16 = r.u16le();
-          const std::uint64_t first = r.varint();
-          const std::uint64_t last = r.varint();
-          if (first > last || last > 0xFFFFFFFFull)
-            return R::error("read_manifest: bad block cell-id range in " +
-                            s.filename);
-          b.first_cell = static_cast<std::uint32_t>(first);
-          b.last_cell = static_cast<std::uint32_t>(last);
-        }
+        b.crc16 = r.u16le();
+        const std::uint64_t first = r.varint();
+        const std::uint64_t last = r.varint();
+        if (first > last || last > 0xFFFFFFFFull)
+          return R::error("read_manifest: bad block cell-id range in " +
+                          s.filename);
+        b.first_cell = static_cast<std::uint32_t>(first);
+        b.last_cell = static_cast<std::uint32_t>(last);
         // Blocks are written back to back; the manifest must agree, or the
         // offsets were corrupted in a way the CRC (of the manifest, not the
         // shard) cannot see.

@@ -19,7 +19,7 @@
 //
 //   [4]  magic "MMDS"            shared with v1 so format sniffing is cheap
 //   [1]  version (= 2)
-//   [1]  flags (bit 0 = per-block extras present; other bits reserved)
+//   [1]  flags (must be 0x01: bit 0 = per-block extras present)
 //   carrier table: varint N, then N strings        first-seen order
 //   param table:   varint P, then P registry names  first-seen order
 //   varint shard_count, then per shard:
@@ -32,19 +32,19 @@
 //       varint length             block body bytes
 //       varint cell_count
 //       varint row_count          observations
-//       when flags bit 0 (per-block extras):
-//         u16le  crc16            CRC-16/CCITT of the block body alone
-//         varint first_cell       lowest cell id in the block
-//         varint last_cell        highest cell id in the block
+//       u16le  crc16              CRC-16/CCITT of the block body alone
+//       varint first_cell         lowest cell id in the block
+//       varint last_cell          highest cell id in the block
 //   [2]  CRC-16/CCITT over every preceding manifest byte
 //
 // The version byte shares v1's policy: readers reject versions they don't
-// know; unknown flag bits are likewise rejected (no silent best-effort).
-// The per-block extras let the direct-fold query path checksum each block
-// right before parsing it (mid-fold corruption rejection without a whole-
-// store verify pass) and bound its merge window by cell-id range; stores
-// written before the extras existed (flags = 0) still load everywhere, the
-// readers just fall back to unwindowed folding with shard-level CRCs only.
+// know.  The flags byte must be exactly 0x01; any other value (an unknown
+// bit, or bit 0 cleared by a writer that predates the extras) is rejected
+// with an error naming it.  The per-block extras let the direct-fold query
+// path checksum each block right before parsing it (mid-fold corruption
+// rejection without a whole-store verify pass) and bound its merge window
+// by cell-id range.  Every table count is checked against the bytes left
+// before anything is allocated for it.
 // A cell may appear in many blocks (each flush of the streaming writer
 // emits a new run); readers merge runs under the ConfigDatabase::merge
 // contract, in (shard, block) manifest order, which keeps every downstream
@@ -69,18 +69,14 @@ struct BlockInfo {
   std::uint64_t length = 0;
   std::uint64_t cell_count = 0;
   std::uint64_t row_count = 0;
-  // Per-block extras, valid only when Manifest::block_extras is set.
-  // Extras are all-or-nothing at the manifest level: a single flags byte
-  // governs every block of every shard, so a store either supports range
-  // pruning everywhere or nowhere (store::QueryPlan relies on this).
   std::uint16_t crc16 = 0;        ///< CRC-16/CCITT of the block body alone
   std::uint32_t first_cell = 0;   ///< lowest cell id in the block
   std::uint32_t last_cell = 0;    ///< highest cell id in the block
 
-  /// The block's cell-id range intersects [min_cell, max_cell].  Only
-  /// meaningful when the manifest carries the extras; a non-overlapping
-  /// block cannot contain any in-range cell (ids within a block lie inside
-  /// [first_cell, last_cell]), so a range query may skip it entirely.
+  /// The block's cell-id range intersects [min_cell, max_cell].  A
+  /// non-overlapping block cannot contain any in-range cell (ids within a
+  /// block lie inside [first_cell, last_cell]), so a range query may skip
+  /// it entirely.
   bool overlaps(std::uint32_t min_cell, std::uint32_t max_cell) const {
     return last_cell >= min_cell && first_cell <= max_cell;
   }
@@ -97,10 +93,6 @@ struct Manifest {
   std::vector<std::string> carriers;  ///< first-seen order
   std::vector<std::string> params;    ///< registry names, first-seen order
   std::vector<ShardInfo> shards;
-  /// Per-block extras (body CRC + cell-id range) are present.  Set by
-  /// every ShardWriter since the direct-fold engine landed; false for
-  /// stores written before then (they remain fully readable).
-  bool block_extras = false;
 
   std::uint64_t total_rows() const;
   std::uint64_t total_blocks() const;
@@ -110,8 +102,9 @@ struct Manifest {
 /// std::runtime_error on I/O failure.
 void write_manifest(const std::string& dir, const Manifest& m);
 
-/// Parse <dir>/manifest.mmds2.  Structural damage (magic/version/CRC,
-/// out-of-range indices, blocks outside their shard's size) fails the load.
+/// Parse <dir>/manifest.mmds2.  Structural damage (magic/version/flags/CRC,
+/// table counts the input cannot hold, out-of-range indices, blocks outside
+/// their shard's size) fails the load.
 Result<Manifest> read_manifest(const std::string& dir);
 
 }  // namespace mmlab::store

@@ -18,7 +18,6 @@ QueryPlan::QueryPlan(const ShardSet& set, Query query)
       if (m.carriers[ci] == name) want[ci] = 1;
   }
 
-  const bool extras = m.block_extras;
   std::vector<std::vector<std::size_t>> blocks_of(m.carriers.size());
   std::vector<std::uint64_t> pruned_blocks(m.carriers.size(), 0);
   std::vector<std::uint64_t> pruned_bytes(m.carriers.size(), 0);
@@ -28,10 +27,7 @@ QueryPlan::QueryPlan(const ShardSet& set, Query query)
     ++total_blocks;
     total_bytes += info.length;
     if (!want[info.carrier_index]) continue;
-    // Cell-range pruning needs the per-block id range; without the extras
-    // every carrier block stays selected and out-of-range cells drop at
-    // parse time instead.
-    if (extras && !info.overlaps(query_.min_cell, query_.max_cell)) {
+    if (!info.overlaps(query_.min_cell, query_.max_cell)) {
       ++pruned_blocks[info.carrier_index];
       pruned_bytes[info.carrier_index] += info.length;
       continue;
@@ -61,14 +57,11 @@ QueryPlan::QueryPlan(const ShardSet& set, Query query)
       cp.rows += info.row_count;
       cp.bytes += info.length;
     }
-    if (extras) {
-      cp.safe_floor.resize(cp.blocks.size());
-      std::uint32_t floor = std::numeric_limits<std::uint32_t>::max();
-      for (std::size_t i = cp.blocks.size(); i-- > 0;) {
-        floor =
-            std::min(floor, set.blocks()[cp.blocks[i]].info->first_cell);
-        cp.safe_floor[i] = floor;
-      }
+    cp.safe_floor.resize(cp.blocks.size());
+    std::uint32_t floor = std::numeric_limits<std::uint32_t>::max();
+    for (std::size_t i = cp.blocks.size(); i-- > 0;) {
+      floor = std::min(floor, set.blocks()[cp.blocks[i]].info->first_cell);
+      cp.safe_floor[i] = floor;
     }
     blocks_selected_ += cp.blocks.size();
     bytes_selected_ += cp.bytes;

@@ -4,9 +4,8 @@
 // range, a ParamKey subset — instead of the caller folding everything and
 // filtering the answer.  QueryPlan turns that declaration into a block
 // selection using only the manifest: per-block carrier indices prune other
-// carriers' blocks, and (when the manifest carries the per-block extras)
-// per-block [first_cell, last_cell] ranges prune blocks that cannot
-// intersect the requested id range.  A skipped block is never mapped,
+// carriers' blocks, and the manifest's per-block [first_cell, last_cell]
+// ranges prune blocks that cannot intersect the requested id range.  A skipped block is never mapped,
 // CRC-checked, or parsed — its bytes are simply never touched — and the
 // skip counts surface in FoldStats so callers can see what the planner
 // saved.
@@ -18,13 +17,9 @@
 // query reads strictly fewer bytes than an unfiltered fold of the same
 // blocks.
 //
-// Legacy fallback: stores written before the extras existed (manifest
-// flags = 0) still plan and fold correctly — carrier pruning works (the
-// carrier index is core manifest data), cell-range pruning degrades to
-// "select every block and drop out-of-range cells at parse time", and the
-// fold runs unwindowed exactly as the plain path does.  Extras are
-// all-or-nothing at the manifest level (see mmds2.hpp), so a plan never
-// mixes prunable and unprunable blocks.
+// Every manifest carries the per-block extras (read_manifest rejects one
+// without them), so range pruning always applies and every selected
+// carrier has an emission frontier.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +37,7 @@ namespace mmlab::store {
 struct Query {
   /// Carriers to fold (any order, duplicates ignored); empty = all.
   /// Unknown names are ignored — the planner simply selects nothing for
-  /// them, matching the empty-success convention of fold_carrier.
+  /// them, and folding such a carrier is an empty success.
   std::vector<std::string> carriers;
   /// Inclusive cell-id range.
   std::uint32_t min_cell = 0;
@@ -54,8 +49,8 @@ struct Query {
     return min_cell == 0 &&
            max_cell == std::numeric_limits<std::uint32_t>::max();
   }
-  /// No predicate on any axis — a planned fold degenerates to the plain
-  /// full fold.
+  /// No predicate on any axis: the plan selects every block of the store
+  /// and the fold is the unfiltered one.
   bool selects_all() const {
     return carriers.empty() && params.empty() && all_cells();
   }
@@ -70,7 +65,7 @@ struct CarrierQueryPlan {
   std::vector<std::size_t> blocks;
   /// safe_floor[i] = min first_cell over blocks[i..] — the emission
   /// frontier over the *selected* subset.  Pruned blocks cannot contain
-  /// in-range ids, so the frontier stays correct.  Empty without extras.
+  /// in-range ids, so the frontier stays correct.  Parallel to `blocks`.
   std::vector<std::uint32_t> safe_floor;
   std::uint64_t rows = 0;   ///< manifest row total of selected blocks
   std::uint64_t bytes = 0;  ///< body bytes of selected blocks

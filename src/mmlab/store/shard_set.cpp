@@ -191,18 +191,13 @@ Result<core::LoadStats> load_database(const ShardSet& set,
     // for every thread count, including 1.
     std::vector<core::ConfigDatabase> parts(n);
     std::vector<std::string> errors(n);
-    const auto parse_one = [&](std::size_t i) {
+    parallel_for_index(threads, n, [&](std::size_t i) {
       try {
         parse_block_body(set, i, parts[i]);
       } catch (const std::exception& e) {
         errors[i] = e.what();
       }
-    };
-    if (threads == 1 || n <= 1) {
-      for (std::size_t i = 0; i < n; ++i) parse_one(i);
-    } else {
-      parallel_for_index(threads, n, parse_one);
-    }
+    });
     for (const auto& err : errors)
       if (!err.empty()) return R::error("load_database: " + err);
     for (std::size_t i = 0; i < n; ++i) {

@@ -22,7 +22,6 @@ std::string shard_name(std::size_t index) {
 
 ShardWriter::ShardWriter(std::string dir, WriterOptions options)
     : dir_(std::move(dir)), options_(options) {
-  manifest_.block_extras = true;
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   if (ec)

@@ -128,6 +128,15 @@ std::string_view ByteReader::str() {
   return {reinterpret_cast<const char*>(p), static_cast<std::size_t>(n)};
 }
 
+std::size_t ByteReader::count(std::string_view table) {
+  const std::uint64_t n = varint();
+  if (n > remaining())
+    throw ByteUnderflow(std::string(table) + " count " + std::to_string(n) +
+                        " exceeds the " + std::to_string(remaining()) +
+                        " bytes left");
+  return static_cast<std::size_t>(n);
+}
+
 void ByteReader::skip(std::size_t n) {
   if (size_ - pos_ < n) throw ByteUnderflow();
   pos_ += n;

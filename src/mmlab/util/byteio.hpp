@@ -24,6 +24,7 @@ namespace mmlab {
 class ByteUnderflow : public std::runtime_error {
  public:
   explicit ByteUnderflow(const char* what) : std::runtime_error(what) {}
+  explicit ByteUnderflow(const std::string& what) : std::runtime_error(what) {}
   ByteUnderflow() : std::runtime_error("byte buffer underflow") {}
 };
 
@@ -111,6 +112,11 @@ class ByteReader {
   const std::uint8_t* raw(std::size_t size);
   /// Inverse of ByteWriter::str.
   std::string_view str();
+  /// A varint table count, checked before the caller allocates for it:
+  /// every table entry takes at least one byte, so a count above
+  /// remaining() is damage.  Throws ByteUnderflow naming `table`, which
+  /// keeps a decoder's allocation bounded by its input size.
+  std::size_t count(std::string_view table);
   void skip(std::size_t n);
 
   std::size_t position() const { return pos_; }

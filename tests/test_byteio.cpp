@@ -117,6 +117,29 @@ TEST(ByteIo, ReaderRejectsTruncatedString) {
   EXPECT_THROW(r.str(), ByteUnderflow);
 }
 
+TEST(ByteIo, CountRejectsMoreEntriesThanBytesLeft) {
+  ByteWriter w;
+  w.varint(3);  // three one-byte entries follow: plausible
+  w.u8('a');
+  w.u8('b');
+  w.u8('c');
+  ByteReader ok(w.buffer());
+  EXPECT_EQ(ok.count("test table"), 3u);
+
+  ByteWriter big;
+  big.varint(4);  // four entries cannot fit in three bytes
+  big.u8('a');
+  big.u8('b');
+  big.u8('c');
+  ByteReader r(big.buffer());
+  try {
+    r.count("test table");
+    FAIL() << "count above remaining() accepted";
+  } catch (const ByteUnderflow& e) {
+    EXPECT_STREQ(e.what(), "test table count 4 exceeds the 3 bytes left");
+  }
+}
+
 TEST(ByteIo, BufferedFileRoundTripWithCrc) {
   const auto path =
       (std::filesystem::temp_directory_path() / "mmlab_byteio_test.bin")

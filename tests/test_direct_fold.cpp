@@ -2,9 +2,8 @@
 // bit-identically to the reference ConfigDatabase scans over
 // load_database(store), for any thread count and any parse-window size;
 // mid-fold corruption (a flipped byte in any block) must surface as an
-// error with no partial answer escaping; manifest block extras round-trip
-// and their absence (legacy flags=0 stores) degrades to the unwindowed
-// fold without changing a single bit of the results.
+// error with no partial answer escaping; manifest block extras round-trip,
+// and a manifest without them (flags other than 0x01) is rejected.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -388,10 +387,10 @@ TEST(DirectFold, UnknownCarrierYieldsEmptySuccess) {
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value().empty());
   std::size_t calls = 0;
-  auto fr = direct.fold_carrier("NOPE", [&](std::uint32_t,
-                                            const core::CellRecord&) {
-    ++calls;
-  });
+  auto fr = direct.fold_planned(QueryPlan(set.value(), Query{}), "NOPE",
+                                [&](std::uint32_t, const core::CellRecord&) {
+                                  ++calls;
+                                });
   ASSERT_TRUE(fr.ok());
   EXPECT_EQ(calls, 0u);
   EXPECT_EQ(fr.value().blocks, 0u);
@@ -408,7 +407,6 @@ TEST(DirectFold, ResidencyStaysWithinTheParseWindow) {
   save_small_blocks(db, dir.path());
   auto set = ShardSet::open(dir.path());
   ASSERT_TRUE(set.ok()) << set.error_message();
-  ASSERT_TRUE(set.value().manifest().block_extras);
   const std::size_t blocks = set.value().blocks().size();
   ASSERT_GT(blocks, 8u) << "rotation targets too lax";
 
@@ -417,7 +415,7 @@ TEST(DirectFold, ResidencyStaysWithinTheParseWindow) {
     fopts.window_blocks = window;
     const DirectFold direct(set.value(), fopts);
     for (const auto& carrier : direct.carriers()) {
-      auto r = direct.fold_carrier(carrier,
+      auto r = direct.fold_planned(QueryPlan(set.value(), Query{}), carrier,
                                    [](std::uint32_t, const core::CellRecord&) {});
       ASSERT_TRUE(r.ok()) << r.error_message();
       EXPECT_LE(r.value().peak_resident_blocks, window)
@@ -510,7 +508,7 @@ TEST(DirectFold, CrcCheckingCanBeDisabledForTrustedStores) {
   fopts.check_block_crc = false;
   const DirectFold direct(set.value(), fopts);
   EXPECT_FALSE(direct.stats().crc_checked);
-  auto r = direct.fold_carrier("C0",
+  auto r = direct.fold_planned(QueryPlan(set.value(), Query{}), "C0",
                                [](std::uint32_t, const core::CellRecord&) {});
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r.value().crc_checked);
@@ -524,8 +522,6 @@ TEST(DirectFold, ManifestExtrasRoundTripAndMatchTheBlocks) {
   save_small_blocks(db, dir.path());
   auto set = ShardSet::open(dir.path());
   ASSERT_TRUE(set.ok()) << set.error_message();
-  const auto& m = set.value().manifest();
-  EXPECT_TRUE(m.block_extras);
   for (std::size_t i = 0; i < set.value().blocks().size(); ++i) {
     const auto& info = *set.value().blocks()[i].info;
     EXPECT_LE(info.first_cell, info.last_cell);
@@ -536,94 +532,53 @@ TEST(DirectFold, ManifestExtrasRoundTripAndMatchTheBlocks) {
   const DirectFold direct(set.value(), {});
   std::uint64_t cells = 0;
   for (const auto& carrier : direct.carriers()) {
-    auto r = direct.fold_carrier(
-        carrier, [&](std::uint32_t, const core::CellRecord&) { ++cells; });
+    auto r = direct.fold_planned(
+        QueryPlan(set.value(), Query{}), carrier,
+        [&](std::uint32_t, const core::CellRecord&) { ++cells; });
     ASSERT_TRUE(r.ok()) << r.error_message();
     EXPECT_TRUE(r.value().crc_checked);
   }
   EXPECT_GT(cells, 0u);
 }
 
-TEST(DirectFold, LegacyStoresWithoutExtrasFoldIdentically) {
-  // A flags=0 manifest (pre-extras stores) must still fold — unwindowed,
-  // CRC deferred to verify() — with bit-identical results.
-  StoreDir dir("legacy");
-  const auto db = random_db(71, 2, 50, 3);
-  save_small_blocks(db, dir.path());
-
-  auto modern_set = ShardSet::open(dir.path());
-  ASSERT_TRUE(modern_set.ok());
-  const DirectFold modern(modern_set.value(), {});
-  const auto serving = config::lte_param(config::ParamId::kServingPriority);
-  std::map<std::string, stats::ValueCounts> expected;
-  for (const auto& carrier : modern.carriers())
-    expected[carrier] = modern.values(carrier, serving).value();
-
-  // Strip the extras: rewrite the manifest with block_extras=false.
-  {
-    auto m = read_manifest(dir.path());
-    ASSERT_TRUE(m.ok()) << m.error_message();
-    Manifest stripped = m.value();
-    stripped.block_extras = false;
-    write_manifest(dir.path(), stripped);
-  }
-
-  auto legacy_set = ShardSet::open(dir.path());
-  ASSERT_TRUE(legacy_set.ok()) << legacy_set.error_message();
-  EXPECT_FALSE(legacy_set.value().manifest().block_extras);
-  for (const unsigned threads : {1u, 4u}) {
-    FoldOptions fopts;
-    fopts.threads = threads;
-    const DirectFold legacy(legacy_set.value(), fopts);
-    EXPECT_FALSE(legacy.stats().crc_checked);  // nothing to check against
-    for (const auto& carrier : legacy.carriers()) {
-      auto r = legacy.values(carrier, serving);
-      ASSERT_TRUE(r.ok()) << r.error_message();
-      EXPECT_EQ(r.value(), expected[carrier]) << carrier;
-    }
-    // Unwindowed: the whole carrier is resident at once.
-    auto fr = legacy.fold_carrier(legacy.carriers()[0],
-                                  [](std::uint32_t, const core::CellRecord&) {});
-    ASSERT_TRUE(fr.ok());
-    EXPECT_FALSE(fr.value().crc_checked);
-  }
-
-  // The legacy store must also still load.
-  core::ConfigDatabase loaded;
-  ASSERT_TRUE(load_database(legacy_set.value(), loaded, 2).ok());
-  EXPECT_EQ(loaded, db);
-}
-
 TEST(DirectFold, UnknownManifestFlagBitsAreRejected) {
   // Forward-compat contract: a store written with flag bits we do not
-  // understand must refuse to open, not silently best-effort.
+  // understand must refuse to open, not silently best-effort.  So must a
+  // store without the per-block extras (bit 0 cleared).
   StoreDir dir("flags");
   save_small_blocks(random_db(73, 1, 10), dir.path());
   const auto manifest_path =
       (fs::path(dir.path()) / core::kMmds2ManifestName).string();
 
-  std::vector<char> bytes;
+  std::vector<char> pristine;
   {
     std::ifstream in(manifest_path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
+    pristine.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
   }
-  ASSERT_GT(bytes.size(), 8u);
-  bytes[5] = static_cast<char>(bytes[5] | 0x02);  // an undefined flag bit
-  // Fix up the CRC trailer so only the flag byte is "wrong".
-  {
-    const auto payload = bytes.size() - 2;
-    const std::uint16_t crc = crc16_ccitt(
-        reinterpret_cast<const std::uint8_t*>(bytes.data()), payload);
-    bytes[payload] = static_cast<char>(crc & 0xFF);
-    bytes[payload + 1] = static_cast<char>((crc >> 8) & 0xFF);
-    std::ofstream out(manifest_path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_GT(pristine.size(), 8u);
+  const char flags[] = {
+      static_cast<char>(pristine[5] | 0x02),  // an undefined flag bit
+      static_cast<char>(pristine[5] & ~0x01),  // no per-block extras
+  };
+  for (const char flag : flags) {
+    std::vector<char> bytes = pristine;
+    bytes[5] = flag;
+    // Fix up the CRC trailer so only the flag byte is "wrong".
+    {
+      const auto payload = bytes.size() - 2;
+      const std::uint16_t crc = crc16_ccitt(
+          reinterpret_cast<const std::uint8_t*>(bytes.data()), payload);
+      bytes[payload] = static_cast<char>(crc & 0xFF);
+      bytes[payload + 1] = static_cast<char>((crc >> 8) & 0xFF);
+      std::ofstream out(manifest_path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    auto r = ShardSet::open(dir.path());
+    ASSERT_FALSE(r.ok()) << "flags " << int{flag};
+    EXPECT_NE(r.error_message().find("flag"), std::string::npos)
+        << r.error_message();
   }
-  auto r = ShardSet::open(dir.path());
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.error_message().find("flag"), std::string::npos)
-      << r.error_message();
 }
 
 // --- many-block folds across thread counts -------------------------------------
@@ -631,7 +586,7 @@ TEST(DirectFold, UnknownManifestFlagBitsAreRejected) {
 TEST(StoreBuildParallel, ManyBlockBuildIsThreadCountInvariant) {
   // The scheduled whole-store mix over a many-block store answers the same
   // bits for every engine thread count (cross-carrier jobs at threads > 1,
-  // block-parallel parsing within the sequential loop at 1).
+  // the sequential loop at 1).
   StoreDir dir("build");
   const auto db = random_db(79, 4, 80, 3);
   save_small_blocks(db, dir.path());

@@ -255,7 +255,6 @@ TEST(QueryPlan, CellRangePruningMatchesManifestRangesAndKeepsFrontier) {
   save_small_blocks(db, dir.path());
   auto set = ShardSet::open(dir.path());
   ASSERT_TRUE(set.ok()) << set.error_message();
-  ASSERT_TRUE(set.value().manifest().block_extras);
   const std::uint32_t mid = median_cell_id(db);
 
   Query q;
@@ -446,74 +445,6 @@ TEST(QueryPlan, PlannedSkipCountsAndPushDownBytesAreVisibleInStats) {
   EXPECT_EQ(direct.stats().blocks_skipped, 0u);
 }
 
-// --- legacy flags=0 fallback -------------------------------------------------
-
-TEST(QueryPlan, LegacyStoresWithoutExtrasCannotSkipButAnswerIdentically) {
-  // A flags=0 manifest plans with carrier pruning only: cell-range pruning
-  // degrades to select-everything-and-drop-at-parse, the fold runs
-  // unwindowed, and every planned answer still matches the oracle exactly.
-  StoreDir dir("legacy");
-  const auto db = random_db(127, 2, 50, 3);
-  save_small_blocks(db, dir.path());
-  const std::uint32_t mid = median_cell_id(db);
-  const auto serving = config::lte_param(config::ParamId::kServingPriority);
-
-  Query q;
-  q.carriers = {"C0"};
-  q.max_cell = mid;
-  q.params = {serving};
-
-  stats::ValueCounts with_extras;
-  {
-    auto set = ShardSet::open(dir.path());
-    ASSERT_TRUE(set.ok());
-    const DirectFold direct(set.value(), {});
-    with_extras = direct.values("C0", serving, q).value();
-  }
-
-  // Strip the extras: rewrite the manifest with block_extras=false.
-  {
-    auto m = read_manifest(dir.path());
-    ASSERT_TRUE(m.ok()) << m.error_message();
-    Manifest stripped = m.value();
-    stripped.block_extras = false;
-    write_manifest(dir.path(), stripped);
-  }
-
-  auto set = ShardSet::open(dir.path());
-  ASSERT_TRUE(set.ok()) << set.error_message();
-  ASSERT_FALSE(set.value().manifest().block_extras);
-  const QueryPlan plan(set.value(), q);
-  ASSERT_EQ(plan.carriers().size(), 1u);
-  const auto& cp = plan.carriers()[0];
-  // Cannot skip by range without per-block id ranges: every carrier block
-  // stays selected and no frontier exists.
-  EXPECT_EQ(cp.blocks_pruned, 0u);
-  EXPECT_TRUE(cp.safe_floor.empty());
-  std::size_t c0_blocks = 0;
-  for (const auto& ref : set.value().blocks())
-    c0_blocks +=
-        set.value().manifest().carriers[ref.info->carrier_index] == "C0";
-  EXPECT_EQ(cp.blocks.size(), c0_blocks);
-
-  const auto oracle_db = filter_db(db, q);
-  for (const unsigned threads : {1u, 4u}) {
-    FoldOptions fopts;
-    fopts.threads = threads;
-    const DirectFold legacy(set.value(), fopts);
-    auto r = legacy.values("C0", serving, q);
-    ASSERT_TRUE(r.ok()) << r.error_message();
-    EXPECT_EQ(r.value(), with_extras);
-    EXPECT_EQ(r.value(), oracle_db.values("C0", serving));
-
-    auto fr = legacy.fold_planned(plan, "C0",
-                                  [](std::uint32_t, const core::CellRecord&) {});
-    ASSERT_TRUE(fr.ok());
-    EXPECT_FALSE(fr.value().crc_checked);  // no stored block CRC to check
-    EXPECT_GT(fr.value().values_skipped, 0u);  // push-down still works
-  }
-}
-
 // --- cross-carrier scheduler -------------------------------------------------
 
 TEST(CrossCarrier, ScheduledMixMatchesSequentialAndOracleForEveryThreadCount) {
@@ -650,7 +581,6 @@ TEST(CrossCarrier, SharedWindowBudgetBoundsTotalConcurrentResidency) {
   save_small_blocks(db, dir.path());
   auto set = ShardSet::open(dir.path());
   ASSERT_TRUE(set.ok()) << set.error_message();
-  ASSERT_TRUE(set.value().manifest().block_extras);
   ASSERT_GT(set.value().blocks().size(), 32u) << "rotation targets too lax";
 
   for (const std::size_t budget : {std::size_t{4}, std::size_t{8}}) {

@@ -322,7 +322,7 @@ int report_direct(const CliOptions& opts) {
               static_cast<double>(bytes) / 1e6);
 
   store::FoldOptions fopts;
-  fopts.threads = opts.threads == 0 ? 0 : opts.threads;
+  fopts.threads = opts.threads;
   const store::DirectFold direct(set.value(), fopts);
   std::uint64_t max_block = 0;
   for (const auto& ref : set.value().blocks())

