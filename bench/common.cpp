@@ -2,6 +2,8 @@
 
 #include "mmlab/core/dataset_io.hpp"
 #include "mmlab/mobility/route.hpp"
+#include "mmlab/store/shard_set.hpp"
+#include "mmlab/store/shard_writer.hpp"
 
 #include <algorithm>
 #include <cstdio>
@@ -52,6 +54,19 @@ const core::CarrierFigures& D2Data::figures(const std::string& carrier) const {
   return it != all.end() && it->carrier == carrier ? *it : kEmpty;
 }
 
+namespace {
+
+/// A store directory through the store, anything else as CSV.
+Result<core::LoadStats> load_replay(const char* path,
+                                    core::ConfigDatabase& db) {
+  if (!store::is_store(path)) return core::load_dataset(path, db);
+  auto set = store::ShardSet::open(path);
+  if (!set.ok()) return Result<core::LoadStats>::error(set.error_message());
+  return store::load_database(set.value(), db, env_threads());
+}
+
+}  // namespace
+
 D2Data build_d2(double scale, double mean_rounds) {
   D2Data data;
   netgen::WorldOptions wopts;
@@ -59,12 +74,12 @@ D2Data build_d2(double scale, double mean_rounds) {
   wopts.scale = scale;
   data.world = netgen::generate_world(wopts);
 
-  // Dataset replay: MMLAB_DATASET points at a saved crawl (CSV or MMDS
-  // binary).  An existing file short-circuits the crawl — at D2 scale the
-  // binary load is orders of magnitude faster than re-crawling.
+  // Dataset replay: MMLAB_DATASET points at a saved crawl (a v2 store or a
+  // CSV).  An existing path short-circuits the crawl — at D2 scale the
+  // store load is orders of magnitude faster than re-crawling.
   const char* dataset = std::getenv("MMLAB_DATASET");
   if (dataset && std::filesystem::exists(dataset)) {
-    const auto stats = core::load_dataset_any(dataset, data.db, env_threads());
+    const auto stats = load_replay(dataset, data.db);
     if (!stats.ok())
       throw std::runtime_error("MMLAB_DATASET: " + stats.error_message());
     std::fprintf(stderr, "[bench] replayed %zu observations from %s\n",
@@ -82,11 +97,12 @@ D2Data build_d2(double scale, double mean_rounds) {
 
   if (dataset) {
     const bool binary = std::string_view(dataset).ends_with(".mmds");
-    core::save_dataset(data.db, dataset,
-                       binary ? core::DatasetFormat::kBinary
-                              : core::DatasetFormat::kCsv);
+    if (binary)
+      store::save_database(data.db, dataset);
+    else
+      core::save_dataset(data.db, dataset);
     std::fprintf(stderr, "[bench] saved dataset to %s (%s)\n", dataset,
-                 binary ? "MMDS v1" : "csv");
+                 binary ? "MMDS v2 store" : "csv");
   }
   return data;
 }

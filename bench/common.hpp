@@ -5,12 +5,13 @@
 //   MMLAB_THREADS — worker threads for the crawl/campaign simulation AND the
 //                   extraction (default: hardware concurrency); results are
 //                   bit-identical for every value
-//   MMLAB_DATASET — path of a saved dataset (CSV or MMDS binary, sniffed):
-//                   if the file exists, build_d2 replays it instead of
-//                   re-running the crawl+extract; if it does not exist yet,
-//                   the freshly built database is saved there (binary when
-//                   the path ends in .mmds, CSV otherwise), so the first
-//                   bench of a session pays the crawl and the rest replay.
+//   MMLAB_DATASET — path of a saved dataset (an MMDS v2 store directory or
+//                   a CSV, sniffed by store::is_store): if the path exists,
+//                   build_d2 replays it instead of re-running the
+//                   crawl+extract; if it does not exist yet, the freshly
+//                   built database is saved there (a v2 store when the path
+//                   ends in .mmds, CSV otherwise), so the first bench of a
+//                   session pays the crawl and the rest replay.
 // Every bench prints the paper-style rows to stdout and mirrors them to
 // bench_out/<name>.csv.
 #pragma once

@@ -1,9 +1,8 @@
 // google-benchmark microbenches for the hot paths: RRC codec, diag framing,
 // event evaluation, reselection ranking, the end-to-end extract pipeline,
-// dataset I/O (CSV vs the MMDS v1 binary format at ~1M rows), the
-// fig11–22 analysis mix (in memory and straight off an MMDS v2 store), and
-// the deterministic parallel simulation engine (crawl + campaign thread
-// scaling).
+// CSV dataset I/O at ~1M rows, the fig11–22 analysis mix (in memory and
+// straight off an MMDS v2 store), and the deterministic parallel simulation
+// engine (crawl + campaign thread scaling).
 #include <benchmark/benchmark.h>
 
 #include <sstream>
@@ -300,7 +299,7 @@ BENCHMARK(BM_IngestDeviceScaling)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// --- dataset I/O: CSV vs MMDS v1 binary at ~1M rows --------------------------
+// --- dataset I/O: CSV at ~1M rows -------------------------------------------
 
 // Synthetic D2-shaped database: 4 carriers x 2,500 cells x 100 observations
 // = 1M rows, with the real mix of params, timestamps, and contexts.
@@ -342,15 +341,6 @@ const std::string& dataset_csv() {
   return text;
 }
 
-const std::vector<std::uint8_t>& dataset_bin() {
-  static const auto bytes = [] {
-    std::vector<std::uint8_t> out;
-    core::save_dataset_binary(dataset_db(), out);
-    return out;
-  }();
-  return bytes;
-}
-
 void BM_DatasetSaveCsv(benchmark::State& state) {
   const auto& db = dataset_db();
   for (auto _ : state) {
@@ -378,37 +368,6 @@ void BM_DatasetLoadCsv(benchmark::State& state) {
                           static_cast<std::int64_t>(dataset_csv().size()));
 }
 BENCHMARK(BM_DatasetLoadCsv)->Unit(benchmark::kMillisecond);
-
-void BM_DatasetSaveBin(benchmark::State& state) {
-  const auto& db = dataset_db();
-  for (auto _ : state) {
-    std::vector<std::uint8_t> out;
-    core::save_dataset_binary(db, out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(db.total_samples()));
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(dataset_bin().size()));
-}
-BENCHMARK(BM_DatasetSaveBin)->Unit(benchmark::kMillisecond);
-
-void BM_DatasetLoadBin(benchmark::State& state) {
-  const auto& bytes = dataset_bin();
-  const auto threads = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    core::ConfigDatabase db;
-    benchmark::DoNotOptimize(
-        core::load_dataset_binary(bytes.data(), bytes.size(), db, threads));
-  }
-  state.SetItemsProcessed(
-      state.iterations() *
-      static_cast<std::int64_t>(dataset_db().total_samples()));
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(bytes.size()));
-}
-BENCHMARK(BM_DatasetLoadBin)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 // --- the fig11–22 analysis mix, in memory ----------------------------------
 // Same 1M-row database the dataset-I/O benches use.  One pass of each

@@ -46,7 +46,7 @@ class ParamKeySet {
 
   /// Per-index keep mask over a dataset's param table (1 = key selected) —
   /// the O(1)-per-observation form the wire-level push-down parser consumes
-  /// (core::mmds::parse_cell_filtered).
+  /// (store::parse_cell_filtered).
   std::vector<char> index_mask(
       const std::vector<config::ParamKey>& table) const;
 

@@ -1,0 +1,201 @@
+#include "mmlab/store/cell_codec.hpp"
+
+#include <bit>
+#include <cstring>
+#include <stdexcept>
+
+namespace mmlab::store {
+
+using core::CellRecord;
+using core::ConfigDatabase;
+using core::Observation;
+
+namespace {
+
+class MmdsError : public std::runtime_error {
+ public:
+  explicit MmdsError(const std::string& what) : std::runtime_error(what) {}
+};
+
+std::uint32_t checked_u32(std::uint64_t v, const char* what) {
+  if (v > 0xFFFFFFFFull)
+    throw MmdsError(std::string(what) + " out of 32-bit range");
+  return static_cast<std::uint32_t>(v);
+}
+
+/// The fixed per-cell prefix shared by every parse_cell variant.
+struct CellHeader {
+  std::uint32_t id;
+  std::uint8_t rat_raw;
+  std::uint32_t channel;
+  double x, y;
+  std::uint64_t n_obs;
+};
+
+CellHeader parse_cell_header(ByteReader& r) {
+  CellHeader h;
+  h.id = checked_u32(r.varint(), "cell_id");
+  h.rat_raw = r.u8();
+  if (h.rat_raw > kMaxRat) throw MmdsError("rat out of range");
+  h.channel = checked_u32(r.varint(), "channel");
+  h.x = r.f64le();
+  h.y = r.f64le();
+  h.n_obs = r.varint();
+  // Each observation is at least 11 bytes; a count beyond that is
+  // corruption — catch it before reserve() tries to allocate it.
+  if (h.n_obs > r.remaining() / 11 + 1)
+    throw MmdsError("observation count exceeds block size");
+  return h;
+}
+
+void parse_observations(ByteReader& r, std::uint64_t n_obs,
+                        const std::vector<config::ParamKey>& params,
+                        std::vector<Observation>& out) {
+  out.reserve(out.size() + static_cast<std::size_t>(n_obs));
+  std::int64_t t_ms = 0;
+  for (std::uint64_t i = 0; i < n_obs; ++i) {
+    t_ms += r.svarint();
+    const std::uint64_t param_index = r.varint();
+    if (param_index >= params.size())
+      throw MmdsError("param index out of range");
+    const double value = r.f64le();
+    const std::int64_t context = r.svarint();
+    out.push_back({params[param_index], value, SimTime{t_ms}, context});
+  }
+}
+
+inline std::uint8_t* put_varint(std::uint8_t* p, std::uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<std::uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
+}
+
+inline std::uint8_t* put_f64(std::uint8_t* p, double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &bits, sizeof(bits));
+  } else {
+    for (int i = 0; i < 8; ++i)
+      p[i] = static_cast<std::uint8_t>(bits >> (8 * i));
+  }
+  return p + 8;
+}
+
+}  // namespace
+
+void encode_cell(ByteWriter& out, std::uint32_t id, const CellRecord& rec,
+                 ParamIndexMap& params) {
+  const std::size_t start = out.size();
+  std::uint8_t* const begin =
+      out.extend(max_encoded_cell_size(rec.observations.size()));
+  std::uint8_t* p = begin;
+  p = put_varint(p, id);
+  *p++ = static_cast<std::uint8_t>(rec.rat);
+  p = put_varint(p, rec.channel);
+  p = put_f64(p, rec.position.x);
+  p = put_f64(p, rec.position.y);
+  p = put_varint(p, rec.observations.size());
+  std::int64_t prev_t = 0;
+  for (const auto& obs : rec.observations) {
+    p = put_varint(p, zigzag_encode(obs.t.ms - prev_t));
+    prev_t = obs.t.ms;
+    p = put_varint(p, params.assign(obs.key));
+    p = put_f64(p, obs.value);
+    p = put_varint(p, zigzag_encode(obs.context));
+  }
+  out.truncate(start + static_cast<std::size_t>(p - begin));
+}
+
+void encode_cell_reference(ByteWriter& out, std::uint32_t id,
+                           const CellRecord& rec, const ParamIndexMap& params) {
+  out.varint(id);
+  out.u8(static_cast<std::uint8_t>(rec.rat));
+  out.varint(rec.channel);
+  out.f64le(rec.position.x);
+  out.f64le(rec.position.y);
+  out.varint(rec.observations.size());
+  std::int64_t prev_t = 0;
+  for (const auto& obs : rec.observations) {
+    out.svarint(obs.t.ms - prev_t);
+    prev_t = obs.t.ms;
+    out.varint(params.get(obs.key));
+    out.f64le(obs.value);
+    out.svarint(obs.context);
+  }
+}
+
+std::size_t parse_cell(ByteReader& r, const std::string& carrier,
+                       const std::vector<config::ParamKey>& params,
+                       ConfigDatabase& out) {
+  const CellHeader h = parse_cell_header(r);
+  CellRecord& rec = out.upsert_cell(carrier, h.id);
+  if (rec.observations.empty()) {
+    rec.cell_id = h.id;
+    rec.rat = static_cast<spectrum::Rat>(h.rat_raw);
+    rec.channel = h.channel;
+    rec.position = {h.x, h.y};
+  }
+  parse_observations(r, h.n_obs, params, rec.observations);
+  return static_cast<std::size_t>(h.n_obs);
+}
+
+std::uint32_t parse_cell(ByteReader& r,
+                         const std::vector<config::ParamKey>& params,
+                         CellRecord& rec) {
+  const CellHeader h = parse_cell_header(r);
+  rec.observations.clear();  // keep capacity — this path runs per row chunk
+  rec.cell_id = h.id;
+  rec.rat = static_cast<spectrum::Rat>(h.rat_raw);
+  rec.channel = h.channel;
+  rec.position = {h.x, h.y};
+  parse_observations(r, h.n_obs, params, rec.observations);
+  return h.id;
+}
+
+std::uint32_t parse_cell_filtered(ByteReader& r,
+                                  const std::vector<config::ParamKey>& params,
+                                  const std::vector<char>& keep,
+                                  std::uint32_t min_cell,
+                                  std::uint32_t max_cell, CellRecord& rec,
+                                  CellScan& scan) {
+  const CellHeader h = parse_cell_header(r);
+  rec.observations.clear();  // keep capacity, as in the unfiltered overload
+  rec.cell_id = h.id;
+  rec.rat = static_cast<spectrum::Rat>(h.rat_raw);
+  rec.channel = h.channel;
+  rec.position = {h.x, h.y};
+  scan.rows = h.n_obs;
+  scan.values_skipped = 0;
+  scan.front_t_ms = 0;
+  scan.has_front = h.n_obs > 0;
+  const bool in_range = h.id >= min_cell && h.id <= max_cell;
+  if (in_range && keep.empty()) {
+    parse_observations(r, h.n_obs, params, rec.observations);
+    if (!rec.observations.empty()) scan.front_t_ms = rec.observations.front().t.ms;
+    return h.id;
+  }
+  std::int64_t t_ms = 0;
+  for (std::uint64_t i = 0; i < h.n_obs; ++i) {
+    t_ms += r.svarint();
+    if (i == 0) scan.front_t_ms = t_ms;
+    const std::uint64_t param_index = r.varint();
+    if (param_index >= params.size())
+      throw MmdsError("param index out of range");
+    if (in_range && (keep.empty() || keep[param_index])) {
+      const double value = r.f64le();
+      rec.observations.push_back(
+          {params[param_index], value, SimTime{t_ms}, r.svarint()});
+    } else {
+      r.skip(8);
+      ++scan.values_skipped;
+      (void)r.svarint();  // context: varint-decoded only to advance
+    }
+  }
+  return h.id;
+}
+
+}  // namespace mmlab::store

@@ -1,0 +1,115 @@
+// The MMDS cell codec: one cell's wire encoding inside a v2 shard block body
+// (store/mmds2.hpp has the layout around it).  The shard writer encodes
+// through encode_cell; load_database and the direct fold parse through the
+// parse_cell family, so writer and readers cannot drift apart.
+#pragma once
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "mmlab/core/database.hpp"
+#include "mmlab/util/byteio.hpp"
+
+namespace mmlab::store {
+
+inline constexpr std::uint8_t kMaxRat = 4;  // spectrum::Rat::kCdma1x
+
+/// Dense (rat, param-id) -> table-index map.  Every slot starts at the
+/// kUnassigned sentinel; assign() hands out indices 0, 1, 2, ... in call
+/// order, so the shard writer gets its first-sight param table straight
+/// from the encode pass.
+class ParamIndexMap {
+ public:
+  static constexpr std::uint32_t kUnassigned = 0xFFFFFFFF;
+  static constexpr std::size_t kSlots = (std::size_t{kMaxRat} + 1) << 16;
+
+  ParamIndexMap() : index_(kSlots, kUnassigned) {}
+  /// The key's index, or kUnassigned.
+  std::uint32_t get(config::ParamKey key) const { return index_[slot(key)]; }
+  /// The key's index, assigning the next one on first sight.
+  std::uint32_t assign(config::ParamKey key) {
+    std::uint32_t& index = index_[slot(key)];
+    if (index == kUnassigned) [[unlikely]] {
+      index = static_cast<std::uint32_t>(keys_.size());
+      keys_.push_back(key);
+    }
+    return index;
+  }
+  /// Assigned keys, in index order.
+  const std::vector<config::ParamKey>& keys() const { return keys_; }
+
+ private:
+  static std::size_t slot(config::ParamKey key) {
+    return (static_cast<std::size_t>(key.rat) << 16) | key.id;
+  }
+  std::vector<std::uint32_t> index_;
+  std::vector<config::ParamKey> keys_;
+};
+
+/// Worst-case encoded bytes of a cell with `n_obs` observations: the
+/// longest varint of every field (a param index is below kSlots).  The
+/// encode kernel grows its output by this much up front; a record with
+/// every field at its longest encoding reaches it exactly.
+inline constexpr std::size_t kMaxObservationBytes =
+    10 + varint_size(ParamIndexMap::kSlots - 1) + 8 + 10;
+constexpr std::size_t max_encoded_cell_size(std::size_t n_obs) {
+  return 5 + 1 + 5 + 16 + varint_size(n_obs) + n_obs * kMaxObservationBytes;
+}
+
+/// Append one cell's encoding to `out`, assigning table indices to unseen
+/// keys (ParamIndexMap::assign).  The pointer kernel: one resize by
+/// max_encoded_cell_size, raw stores, one trim.
+void encode_cell(ByteWriter& out, std::uint32_t id,
+                 const core::CellRecord& rec, ParamIndexMap& params);
+
+/// The ByteWriter-call-per-field encoder encode_cell replaced, kept as the
+/// test oracle (the varint_reference idiom): same bytes for the same map.
+/// Every key must already be assigned.
+void encode_cell_reference(ByteWriter& out, std::uint32_t id,
+                           const core::CellRecord& rec,
+                           const ParamIndexMap& params);
+
+/// Parse one cell into `out` (upsert semantics: observations append, cell
+/// identity metadata is taken only when the record was fresh).  Returns the
+/// observation count.  Throws std::runtime_error subclasses on structural
+/// damage (bad rat, out-of-range param index, implausible counts).
+std::size_t parse_cell(ByteReader& r, const std::string& carrier,
+                       const std::vector<config::ParamKey>& params,
+                       core::ConfigDatabase& out);
+
+/// Parse one cell into a standalone record (the out-of-core path, where no
+/// database exists).  `rec` is reset first; rec.cell_id is filled.  Returns
+/// the cell id.
+std::uint32_t parse_cell(ByteReader& r,
+                         const std::vector<config::ParamKey>& params,
+                         core::CellRecord& rec);
+
+/// Wire-level facts parse_cell_filtered reports about the *unfiltered* cell
+/// run it just scanned — everything a filtering reader needs to (a) validate
+/// raw counts against the manifest and (b) preserve the merge contract's
+/// metadata tie-break, which is defined over unfiltered runs.
+struct CellScan {
+  std::uint64_t rows = 0;            ///< observations on the wire
+  std::uint64_t values_skipped = 0;  ///< 8-byte value payloads not decoded
+  std::int64_t front_t_ms = 0;  ///< first wire observation's t (has_front)
+  bool has_front = false;       ///< the run had at least one observation
+};
+
+/// Predicate push-down variant of the record-reuse parse_cell: decodes the
+/// cell's full wire structure (every varint must be walked to find the next
+/// cell) but materializes only observations whose param-table index is set
+/// in `keep` — the 8-byte value payload of a filtered observation is
+/// *skipped*, never loaded, and counted in CellScan::values_skipped.  An
+/// empty `keep` keeps every observation.  When the returned id falls
+/// outside [min_cell, max_cell] nothing is materialized at all (the caller
+/// drops the cell); `rec` still carries the header metadata either way.
+/// Same structural-damage errors as parse_cell.
+std::uint32_t parse_cell_filtered(ByteReader& r,
+                                  const std::vector<config::ParamKey>& params,
+                                  const std::vector<char>& keep,
+                                  std::uint32_t min_cell,
+                                  std::uint32_t max_cell,
+                                  core::CellRecord& rec, CellScan& scan);
+
+}  // namespace mmlab::store

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "mmlab/core/cell_fold.hpp"
+#include "mmlab/store/cell_codec.hpp"
 #include "mmlab/util/byteio.hpp"
 #include "mmlab/util/crc.hpp"
 #include "mmlab/util/worker_pool.hpp"
@@ -93,7 +94,7 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
       pb.cells.reserve(static_cast<std::size_t>(info.cell_count));
       while (r.remaining() > 0) {
         ParsedCell pc;
-        pc.id = core::mmds::parse_cell(r, set_->params(), pc.rec);
+        pc.id = parse_cell(r, set_->params(), pc.rec);
         if (!pb.cells.empty() && pc.id <= pb.cells.back().id)
           throw std::runtime_error("cell ids not ascending within a block");
         rows += pc.rec.observations.size();
@@ -115,9 +116,9 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
     std::uint32_t first_raw = 0, last_raw = 0;
     bool any = false;
     core::CellRecord rec;
-    core::mmds::CellScan scan;
+    CellScan scan;
     while (r.remaining() > 0) {
-      const std::uint32_t id = core::mmds::parse_cell_filtered(
+      const std::uint32_t id = parse_cell_filtered(
           r, set_->params(), keep, min_cell, max_cell, rec, scan);
       if (any && id <= last_raw)
         throw std::runtime_error("cell ids not ascending within a block");

@@ -14,10 +14,16 @@ namespace {
 constexpr std::uint8_t kManifestFlags = 0x01;
 
 std::string manifest_path(const std::string& dir) {
-  return (std::filesystem::path(dir) / core::kMmds2ManifestName).string();
+  return (std::filesystem::path(dir) / kMmds2ManifestName).string();
 }
 
 }  // namespace
+
+bool is_store(const std::string& path) {
+  std::error_code ec;
+  return std::filesystem::is_directory(path, ec) &&
+         std::filesystem::exists(manifest_path(path), ec);
+}
 
 std::uint64_t Manifest::total_rows() const {
   std::uint64_t n = 0;
@@ -34,8 +40,8 @@ std::uint64_t Manifest::total_blocks() const {
 
 void write_manifest(const std::string& dir, const Manifest& m) {
   ByteWriter w;
-  w.raw(core::kMmdsMagic, sizeof(core::kMmdsMagic));
-  w.u8(core::kMmds2Version);
+  w.raw(kMmdsMagic, sizeof(kMmdsMagic));
+  w.u8(kMmds2Version);
   w.u8(kManifestFlags);
   w.varint(m.carriers.size());
   for (const auto& c : m.carriers) w.str(c);
@@ -73,15 +79,14 @@ Result<Manifest> read_manifest(const std::string& dir) {
   std::vector<std::uint8_t> bytes;
   if (!read_file_bytes(manifest_path(dir), bytes))
     return R::error("read_manifest: cannot open " + manifest_path(dir));
-  if (bytes.size() < sizeof(core::kMmdsMagic) + 2 + 2)
+  if (bytes.size() < sizeof(kMmdsMagic) + 2 + 2)
     return R::error("read_manifest: file too small for a manifest header");
-  if (std::memcmp(bytes.data(), core::kMmdsMagic,
-                  sizeof(core::kMmdsMagic)) != 0)
+  if (std::memcmp(bytes.data(), kMmdsMagic, sizeof(kMmdsMagic)) != 0)
     return R::error("read_manifest: bad magic (not an MMDS manifest)");
-  if (bytes[4] != core::kMmds2Version)
+  if (bytes[4] != kMmds2Version)
     return R::error("read_manifest: unsupported version " +
                     std::to_string(bytes[4]) + " (expected " +
-                    std::to_string(core::kMmds2Version) + ")");
+                    std::to_string(kMmds2Version) + ")");
   // Same policy as the version byte: the flags select the block-entry
   // layout, and 0x01 (per-block extras) is the only one this reader knows.
   if (bytes[5] != kManifestFlags)
@@ -97,7 +102,7 @@ Result<Manifest> read_manifest(const std::string& dir) {
 
   try {
     ByteReader r(bytes.data(), size - 2);
-    r.skip(sizeof(core::kMmdsMagic) + 2);
+    r.skip(sizeof(kMmdsMagic) + 2);
     Manifest m;
     m.carriers.resize(r.count("carrier table"));
     for (auto& c : m.carriers) c = std::string(r.str());

@@ -1,4 +1,7 @@
-// MMDS v2: the sharded out-of-core dataset layout (DESIGN.md §11).
+// MMDS v2: the binary dataset format, a sharded out-of-core layout
+// (DESIGN.md §11).  This header is its full specification, and the store
+// module is the only code that reads or writes it (cells through
+// store/cell_codec.hpp, the manifest through the codec below).
 //
 // A v2 store is a directory:
 //
@@ -6,18 +9,29 @@
 //   <dir>/shard-0000.mmds2      raw carrier-run payloads
 //   <dir>/shard-0001.mmds2      ...
 //
+// All multi-byte scalars are little-endian; varint = LEB128, svarint =
+// zigzag + LEB128, f64 = IEEE-754 bits, str = varint length + bytes.
+//
 // Shard file layout: an 8-byte magic "MMS2SHRD" followed by concatenated
 // *block bodies* — nothing else.  A block body is a run of cells of one
-// carrier with ascending cell ids, each encoded exactly as in an MMDS v1
-// carrier block (core/dataset_io's shared cell codec), but with NO leading
-// cell_count and no per-block framing: every structural fact (owning
-// carrier, byte offset, byte length, cell count, row count) lives in the
-// manifest, so the writer streams cells straight to disk in a single pass
-// and a reader can map a shard and jump to any block without scanning.
+// carrier with ascending cell ids and no leading cell_count or per-block
+// framing.  Each cell is encoded as
 //
-// Manifest layout (little-endian; varint = LEB128, as in v1):
+//   varint cell_id | u8 rat | varint channel | f64 x | f64 y | varint n_obs
+//   then n_obs observations, in stored order:
+//     svarint delta_t_ms          vs. the previous observation (first vs. 0)
+//     varint  param_index         into the manifest's param table
+//     f64     value               raw bits, so every value round-trips
+//     svarint context
 //
-//   [4]  magic "MMDS"            shared with v1 so format sniffing is cheap
+// Every structural fact (owning carrier, byte offset, byte length, cell
+// count, row count) lives in the manifest, so the writer streams cells
+// straight to disk in a single pass and a reader can map a shard and jump
+// to any block without scanning.
+//
+// Manifest layout:
+//
+//   [4]  magic "MMDS"
 //   [1]  version (= 2)
 //   [1]  flags (must be 0x01: bit 0 = per-block extras present)
 //   carrier table: varint N, then N strings        first-seen order
@@ -37,14 +51,14 @@
 //       varint last_cell          highest cell id in the block
 //   [2]  CRC-16/CCITT over every preceding manifest byte
 //
-// The version byte shares v1's policy: readers reject versions they don't
-// know.  The flags byte must be exactly 0x01; any other value (an unknown
-// bit, or bit 0 cleared by a writer that predates the extras) is rejected
-// with an error naming it.  The per-block extras let the direct-fold query
-// path checksum each block right before parsing it (mid-fold corruption
-// rejection without a whole-store verify pass) and bound its merge window
-// by cell-id range.  Every table count is checked against the bytes left
-// before anything is allocated for it.
+// Versioning policy: the version byte bumps on any layout change, and
+// readers reject versions they don't know.  The flags byte must be exactly
+// 0x01; any other value (an unknown bit, or bit 0 cleared by a writer that
+// predates the extras) is rejected with an error naming it.  The per-block
+// extras let the direct-fold query path checksum each block right before
+// parsing it (mid-fold corruption rejection without a whole-store verify
+// pass) and bound its merge window by cell-id range.  Every table count is
+// checked against the bytes left before anything is allocated for it.
 // A cell may appear in many blocks (each flush of the streaming writer
 // emits a new run); readers merge runs under the ConfigDatabase::merge
 // contract, in (shard, block) manifest order, which keeps every downstream
@@ -55,10 +69,14 @@
 #include <string>
 #include <vector>
 
-#include "mmlab/core/dataset_io.hpp"
 #include "mmlab/util/result.hpp"
 
 namespace mmlab::store {
+
+inline constexpr std::uint8_t kMmdsMagic[4] = {'M', 'M', 'D', 'S'};
+inline constexpr std::uint8_t kMmds2Version = 2;
+/// Name of the manifest file inside a store directory.
+inline constexpr char kMmds2ManifestName[] = "manifest.mmds2";
 
 inline constexpr std::uint8_t kShardMagic[8] = {'M', 'M', 'S', '2',
                                                 'S', 'H', 'R', 'D'};
@@ -97,6 +115,10 @@ struct Manifest {
   std::uint64_t total_rows() const;
   std::uint64_t total_blocks() const;
 };
+
+/// True for a directory that holds a manifest.mmds2 — the format sniff every
+/// dataset reader uses.  A manifest file path is not a store.
+bool is_store(const std::string& path);
 
 /// Serialize `m` to <dir>/manifest.mmds2 (CRC trailer included).  Throws
 /// std::runtime_error on I/O failure.

@@ -13,7 +13,7 @@
 // The ParamKey predicate cannot prune blocks (the manifest has no per-block
 // param census); it pushes down to the wire instead: the fold decodes each
 // selected block's structure but skips the 8-byte value payload of every
-// filtered observation (core::mmds::parse_cell_filtered), so a single-key
+// filtered observation (store::parse_cell_filtered), so a single-key
 // query reads strictly fewer bytes than an unfiltered fold of the same
 // blocks.
 //

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include "mmlab/store/cell_codec.hpp"
 #include "mmlab/util/byteio.hpp"
 #include "mmlab/util/crc.hpp"
 #include "mmlab/util/worker_pool.hpp"
@@ -168,7 +169,7 @@ std::size_t parse_block_body(const ShardSet& set, std::size_t index,
   std::size_t rows = 0;
   std::uint64_t cells = 0;
   while (r.remaining() > 0) {
-    rows += core::mmds::parse_cell(r, carrier, set.params(), out);
+    rows += parse_cell(r, carrier, set.params(), out);
     ++cells;
   }
   if (cells != info.cell_count || rows != info.row_count)

@@ -49,7 +49,7 @@ void ShardWriter::add_cell(const std::string& carrier, std::uint32_t id,
     block_cells_ = 0;
     block_rows_ = 0;
   }
-  core::mmds::encode_cell(block_, id, rec, param_index_);
+  encode_cell(block_, id, rec, param_index_);
   const auto& keys = param_index_.keys();
   for (std::size_t i = manifest_.params.size(); i < keys.size(); ++i)
     manifest_.params.push_back(config::param_name(keys[i]));

@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "mmlab/core/database.hpp"
-#include "mmlab/core/dataset_io.hpp"
+#include "mmlab/store/cell_codec.hpp"
 #include "mmlab/store/mmds2.hpp"
 #include "mmlab/util/byteio.hpp"
 
@@ -76,7 +76,7 @@ class ShardWriter {
   std::map<std::string, std::uint32_t> carrier_index_;
   /// Assigned on first sight by the encode pass; manifest_.params mirrors
   /// its keys() as registry names.
-  core::mmds::ParamIndexMap param_index_;
+  ParamIndexMap param_index_;
 
   // Blocks go straight from block_ to the file: each block is CRC'd once,
   // and the shard's whole-file CRC is folded from the block CRCs

@@ -76,8 +76,8 @@ class WorkerPool {
 /// `fn` must be safe to call concurrently for distinct indices.  With one
 /// thread or one index it runs inline, with no pool.  The pool is built and
 /// joined per call: every caller (crawl, campaign, analyze_database,
-/// store::load_database, the MMDS v1 load) calls it once per operation, not
-/// per batch, so thread start-up stays out of any inner loop.
+/// store::load_database) calls it once per operation, not per batch, so
+/// thread start-up stays out of any inner loop.
 void parallel_for_index(unsigned threads, std::size_t n,
                         const std::function<void(std::size_t)>& fn);
 

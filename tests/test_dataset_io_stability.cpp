@@ -131,6 +131,10 @@ TEST(DatasetIo, LoadRejectsBadHeader) {
   std::stringstream buffer("not,a,header\n1,2,3\n");
   ConfigDatabase db;
   EXPECT_FALSE(load_dataset(buffer, db).ok());
+  // A file from the retired MMDS v1 binary format is not a CSV either.
+  const char v1_head[] = {'M', 'M', 'D', 'S', 1, 0, 1, 1, 'A', 0};
+  std::stringstream v1(std::string(v1_head, sizeof(v1_head)));
+  EXPECT_FALSE(load_dataset(v1, db).ok());
 }
 
 TEST(DatasetIo, LoadSkipsMalformedRows) {

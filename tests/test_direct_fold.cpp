@@ -548,7 +548,7 @@ TEST(DirectFold, UnknownManifestFlagBitsAreRejected) {
   StoreDir dir("flags");
   save_small_blocks(random_db(73, 1, 10), dir.path());
   const auto manifest_path =
-      (fs::path(dir.path()) / core::kMmds2ManifestName).string();
+      (fs::path(dir.path()) / kMmds2ManifestName).string();
 
   std::vector<char> pristine;
   {

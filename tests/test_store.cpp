@@ -1,27 +1,33 @@
 // MMDS v2 out-of-core store: property-based round-trips (random database ->
 // sharded store -> load is bit-exact; chunk size and thread count never
 // change results), the out-of-core figure mix against the in-memory walk
-// and the reference scans, manifest/shard corruption rejection, and the
-// streaming generator's determinism contract against generate_world.
+// and the reference scans, manifest/shard corruption rejection (down to an
+// every-byte flip sweep), the store sniff, and the streaming generator's
+// determinism contract against generate_world.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "mmlab/core/analysis.hpp"
 #include "mmlab/core/database.hpp"
+#include "mmlab/core/dataset_io.hpp"
 #include "mmlab/netgen/generator.hpp"
 #include "mmlab/netgen/streamgen.hpp"
 #include "mmlab/store/analytics.hpp"
 #include "mmlab/store/mmds2.hpp"
 #include "mmlab/store/shard_set.hpp"
 #include "mmlab/store/shard_writer.hpp"
+#include "mmlab/util/byteio.hpp"
+#include "mmlab/util/crc.hpp"
 #include "mmlab/util/rng.hpp"
 
 namespace mmlab::store {
@@ -110,6 +116,68 @@ TEST(StoreRoundTrip, RandomDatabasesAreBitExact) {
     ASSERT_TRUE(lstats.ok()) << lstats.error_message();
     EXPECT_EQ(lstats.value().rows, db.total_samples());
     EXPECT_EQ(loaded, db);
+  }
+}
+
+/// A small database exercising the encoder's edge cases: extreme and
+/// denormal doubles, huge coordinates, negative/zero/out-of-order
+/// timestamps, multiple RATs, large ids and contexts.
+core::ConfigDatabase edge_case_db() {
+  using config::ParamId;
+  core::ConfigDatabase db;
+  const auto ps = config::lte_param(ParamId::kServingPriority);
+  const auto pc = config::lte_param(ParamId::kNeighborPriority);
+  db.add_snapshot("X", 0xFFFFFFFFu, spectrum::Rat::kLte, 0,
+                  {1.7e308, -1.7e308}, SimTime{-123'456'789},
+                  {{ps, std::numeric_limits<double>::denorm_min(), -1}});
+  db.add_snapshot("X", 0xFFFFFFFFu, spectrum::Rat::kLte, 0,
+                  {1.7e308, -1.7e308}, SimTime{0},
+                  {{pc, -std::numeric_limits<double>::max(),
+                    std::numeric_limits<std::int64_t>::max()}});
+  db.add_snapshot("X", 1, spectrum::Rat::kUmts, 4'294'967'294u, {-0.0, 0.1},
+                  SimTime{std::numeric_limits<Millis>::max() / 2},
+                  {{config::ParamKey{spectrum::Rat::kUmts, 2}, 0.1, -1}});
+  db.add_snapshot("ZZ", 7, spectrum::Rat::kGsm, 850, {1e-300, -1e-300},
+                  SimTime{42},
+                  {{config::ParamKey{spectrum::Rat::kGsm, 0}, -7.25, -1}});
+  return db;
+}
+
+TEST(StoreRoundTrip, EdgeCaseValuesAreBitExact) {
+  StoreDir dir("roundtrip_edge");
+  const auto db = edge_case_db();
+  save_database(db, dir.path());
+  auto set = ShardSet::open(dir.path());
+  ASSERT_TRUE(set.ok()) << set.error_message();
+  core::ConfigDatabase loaded;
+  const auto stats = load_database(set.value(), loaded);
+  ASSERT_TRUE(stats.ok()) << stats.error_message();
+  EXPECT_EQ(stats.value().rows, db.total_samples());
+  EXPECT_EQ(loaded, db);
+}
+
+TEST(StoreRoundTrip, ResaveIsByteIdentical) {
+  // A loaded store written again reproduces every file byte for byte.
+  const auto db = random_db(41, 3, 30);
+  WriterOptions wopts;
+  wopts.target_block_bytes = 1024;
+  wopts.target_shard_bytes = 8192;
+  StoreDir first("resave_first"), second("resave_second");
+  save_database(db, first.path(), wopts);
+  auto set = ShardSet::open(first.path());
+  ASSERT_TRUE(set.ok()) << set.error_message();
+  core::ConfigDatabase loaded;
+  ASSERT_TRUE(load_database(set.value(), loaded).ok());
+  save_database(loaded, second.path(), wopts);
+
+  std::vector<std::string> files = {kMmds2ManifestName};
+  for (const auto& shard : set.value().manifest().shards)
+    files.push_back(shard.filename);
+  for (const auto& file : files) {
+    std::vector<std::uint8_t> a, b;
+    ASSERT_TRUE(read_file_bytes((fs::path(first.path()) / file).string(), a));
+    ASSERT_TRUE(read_file_bytes((fs::path(second.path()) / file).string(), b));
+    EXPECT_EQ(a, b) << file;
   }
 }
 
@@ -325,7 +393,7 @@ void populate_store(const StoreDir& dir, std::string* manifest_path,
   const auto db = random_db(31, 2, 20);
   save_database(db, dir.path());
   *manifest_path =
-      (fs::path(dir.path()) / core::kMmds2ManifestName).string();
+      (fs::path(dir.path()) / kMmds2ManifestName).string();
   *shard_path = (fs::path(dir.path()) / "shard-0000.mmds2").string();
 }
 
@@ -405,14 +473,149 @@ TEST(StoreManifest, RejectsEscapingShardFilename) {
   EXPECT_FALSE(r.ok());
 }
 
+/// Rewrites a file whole.
+void write_bytes(const std::string& path,
+                 const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good()) << path;
+}
+
+/// Re-stamps the manifest's trailing CRC so damage *before* it reaches the
+/// parser instead of tripping the checksum.
+void restamp_crc(std::vector<std::uint8_t>& bytes) {
+  const std::uint16_t crc = crc16_ccitt(bytes.data(), bytes.size() - 2);
+  bytes[bytes.size() - 2] = static_cast<std::uint8_t>(crc & 0xFF);
+  bytes[bytes.size() - 1] = static_cast<std::uint8_t>(crc >> 8);
+}
+
+/// read_manifest's error for the store at `dir` ("" if it loads).
+std::string manifest_error(const StoreDir& dir) {
+  const auto r = read_manifest(dir.path());
+  return r.ok() ? "" : r.error_message();
+}
+
+TEST(StoreManifest, TruncatedHeader) {
+  StoreDir dir("trunc_header");
+  std::string manifest, shard;
+  populate_store(dir, &manifest, &shard);
+  write_bytes(manifest, {'M', 'M', 'D'});  // not even the magic survives
+  EXPECT_NE(manifest_error(dir).find("too small"), std::string::npos)
+      << manifest_error(dir);
+}
+
+TEST(StoreManifest, WrongVersion) {
+  StoreDir dir("wrong_version");
+  std::string manifest, shard;
+  populate_store(dir, &manifest, &shard);
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(read_file_bytes(manifest, bytes));
+  bytes[4] = kMmds2Version + 1;
+  restamp_crc(bytes);
+  write_bytes(manifest, bytes);
+  EXPECT_NE(manifest_error(dir).find("version"), std::string::npos)
+      << manifest_error(dir);
+}
+
+TEST(StoreManifest, MidVarintTruncationWithValidCrc) {
+  // Magic + version + flags + a carrier count varint that promises more
+  // bytes than exist, under a correct CRC.
+  StoreDir dir("mid_varint");
+  std::string manifest, shard;
+  populate_store(dir, &manifest, &shard);
+  std::vector<std::uint8_t> bytes(kMmdsMagic, kMmdsMagic + 4);
+  bytes.insert(bytes.end(), {kMmds2Version, 0x01, 0x80, 0, 0});
+  restamp_crc(bytes);
+  write_bytes(manifest, bytes);
+  EXPECT_NE(manifest_error(dir).find("varint"), std::string::npos)
+      << manifest_error(dir);
+}
+
+TEST(StoreManifest, MissingStore) {
+  StoreDir dir("missing");
+  EXPECT_FALSE(ShardSet::open(dir.path()).ok());
+}
+
+TEST(StoreManifest, UnknownParamNameWithValidCrc) {
+  StoreDir dir("unknown_param");
+  save_database(edge_case_db(), dir.path());
+  const std::string manifest =
+      (fs::path(dir.path()) / kMmds2ManifestName).string();
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(read_file_bytes(manifest, bytes));
+  // Patch the param-table entry (length prefix + name) to an unknown name of
+  // equal length, then re-stamp the trailing CRC so the damage reaches the
+  // parameter resolver instead of tripping the checksum.
+  const std::string name = config::param_name(
+      config::lte_param(config::ParamId::kServingPriority));
+  std::vector<std::uint8_t> entry{static_cast<std::uint8_t>(name.size())};
+  entry.insert(entry.end(), name.begin(), name.end());
+  const auto it =
+      std::search(bytes.begin(), bytes.end(), entry.begin(), entry.end());
+  ASSERT_NE(it, bytes.end());
+  *(it + 1) = '?';
+  restamp_crc(bytes);
+  write_bytes(manifest, bytes);
+
+  ASSERT_TRUE(read_manifest(dir.path()).ok());
+  const auto set = ShardSet::open(dir.path());
+  ASSERT_FALSE(set.ok());
+  EXPECT_NE(set.error_message().find("unknown parameter in manifest"),
+            std::string::npos)
+      << set.error_message();
+}
+
+TEST(StoreManifest, EveryCorruptedByteIsDetected) {
+  // Flip one byte at a time across every file of a small store.  The
+  // manifest CRC (or, for trailer bytes, the comparison itself) must fail
+  // open; a shard flip must fail open (the magic) or verify() (the payload
+  // CRC).
+  StoreDir dir("flip_sweep");
+  save_database(edge_case_db(), dir.path());
+  std::vector<std::string> files = {kMmds2ManifestName};
+  {
+    const auto set = ShardSet::open(dir.path());
+    ASSERT_TRUE(set.ok()) << set.error_message();
+    for (const auto& shard : set.value().manifest().shards)
+      files.push_back(shard.filename);
+  }
+  for (const auto& file : files) {
+    const std::string path = (fs::path(dir.path()) / file).string();
+    std::vector<std::uint8_t> pristine;
+    ASSERT_TRUE(read_file_bytes(path, pristine));
+    for (std::size_t i = 0; i < pristine.size(); ++i) {
+      auto bytes = pristine;
+      bytes[i] ^= 0x5A;
+      write_bytes(path, bytes);
+      const auto set = ShardSet::open(dir.path());
+      if (file == kMmds2ManifestName)
+        EXPECT_FALSE(set.ok()) << "undetected corruption at " << file
+                               << " byte " << i;
+      else
+        EXPECT_TRUE(!set.ok() || !set.value().verify().ok())
+            << "undetected corruption at " << file << " byte " << i;
+    }
+    write_bytes(path, pristine);
+  }
+}
+
 TEST(StoreFormat, DirectoryDetectsAsMmds2) {
   StoreDir dir("corrupt_detect");
   std::string manifest, shard;
   populate_store(dir, &manifest, &shard);
-  EXPECT_EQ(core::detect_dataset_format(dir.path()),
-            core::DatasetFormat::kMmds2);
-  EXPECT_EQ(core::detect_dataset_format(manifest),
-            core::DatasetFormat::kMmds2);
+  EXPECT_TRUE(is_store(dir.path()));
+  // Only the directory is a store; its manifest file is not.
+  EXPECT_FALSE(is_store(manifest));
+
+  StoreDir other("detect_other");
+  fs::create_directories(other.path());
+  const std::string csv = (fs::path(other.path()) / "data.csv").string();
+  core::save_dataset(random_db(5, 1, 3), csv);
+  EXPECT_FALSE(is_store(csv));
+  const std::string empty = (fs::path(other.path()) / "empty").string();
+  fs::create_directories(empty);
+  EXPECT_FALSE(is_store(empty));
 }
 
 // --- streaming generator ------------------------------------------------------

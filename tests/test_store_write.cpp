@@ -1,12 +1,12 @@
-// Write-path tests for the MMDS formats.
+// Write-path tests for the MMDS v2 store.
 //
 // - The encode kernel against its ByteWriter oracle (encode_cell_reference)
 //   on adversarial records, and its worst-case bound reached exactly.
 // - Golden pins: the exact bytes of a fixed, seeded database written as a
-//   multi-shard v2 store and as a v1 file.  Sizes and CRC-16s were recorded
-//   before the pointer encode kernel, the first-sight param table and the
-//   combined shard CRC replaced the ByteWriter path, so any byte those
-//   rewrites change fails here.
+//   multi-shard v2 store.  Sizes and CRC-16s were recorded before the
+//   pointer encode kernel, the first-sight param table and the combined
+//   shard CRC replaced the ByteWriter path, so any byte those rewrites
+//   change fails here.
 // - Write errors: every writer entry point throws on a full device.
 #include <gtest/gtest.h>
 
@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "mmlab/core/database.hpp"
-#include "mmlab/core/dataset_io.hpp"
+#include "mmlab/store/cell_codec.hpp"
 #include "mmlab/store/mmds2.hpp"
 #include "mmlab/store/shard_set.hpp"
 #include "mmlab/store/shard_writer.hpp"
@@ -50,8 +50,6 @@ class TempPath {
 };
 
 // --- encode kernel vs oracle --------------------------------------------------
-
-using core::mmds::ParamIndexMap;
 
 double nan_with_payload(std::uint64_t payload) {
   const std::uint64_t bits =
@@ -134,13 +132,11 @@ TEST(MmdsCodec, EncodeMatchesReference) {
       kernel.u8(b);
       oracle.u8(b);
     }
-    core::mmds::encode_cell(kernel, id, rec, params);
-    core::mmds::encode_cell_reference(oracle, id, rec, params);
+    encode_cell(kernel, id, rec, params);
+    encode_cell_reference(oracle, id, rec, params);
     ASSERT_EQ(kernel.buffer(), oracle.buffer()) << "trial " << trial;
     const std::size_t encoded = kernel.size() - prefix;
-    EXPECT_EQ(core::mmds::encoded_cell_size(id, rec, params), encoded);
-    EXPECT_LE(encoded,
-              core::mmds::max_encoded_cell_size(rec.observations.size()));
+    EXPECT_LE(encoded, max_encoded_cell_size(rec.observations.size()));
   }
   // Indices were handed out in first-sight order.
   EXPECT_EQ(params.keys(), first_seen);
@@ -173,11 +169,11 @@ TEST(MmdsCodec, LongestRecordReachesTheBoundExactly) {
   const std::uint32_t id = std::numeric_limits<std::uint32_t>::max();
 
   ByteWriter kernel, oracle;
-  core::mmds::encode_cell(kernel, id, rec, params);
+  encode_cell(kernel, id, rec, params);
   EXPECT_GE(params.get(rec.observations.front().key), 1u << 14);
-  core::mmds::encode_cell_reference(oracle, id, rec, params);
+  encode_cell_reference(oracle, id, rec, params);
   EXPECT_EQ(kernel.buffer(), oracle.buffer());
-  EXPECT_EQ(kernel.size(), core::mmds::max_encoded_cell_size(3));
+  EXPECT_EQ(kernel.size(), max_encoded_cell_size(3));
 }
 
 // --- golden pins ---------------------------------------------------------------
@@ -225,10 +221,10 @@ struct FilePin {
   std::uint16_t crc16;
 };
 
-/// Size and CRC-16 of a file.  The manifest and the v1 file end in a
-/// CRC-16 trailer over everything before it, and the CRC of a message plus
-/// its own trailer is the fixed X.25 residue; so for those the pin is the
-/// CRC of the bytes before the trailer (the trailer's value itself).
+/// Size and CRC-16 of a file.  The manifest ends in a CRC-16 trailer over
+/// everything before it, and the CRC of a message plus its own trailer is
+/// the fixed X.25 residue; so for it the pin is the CRC of the bytes before
+/// the trailer (the trailer's value itself).
 FilePin pin_of(const fs::path& path, bool has_trailer) {
   std::vector<std::uint8_t> bytes;
   EXPECT_TRUE(read_file_bytes(path.string(), bytes)) << path;
@@ -265,11 +261,7 @@ TEST(StoreFormat, GoldenBytes) {
   for (const auto& shard : set.value().manifest().shards)
     actual.push_back(pin_of(fs::path(dir.path()) / shard.filename, false));
   actual.push_back(
-      pin_of(fs::path(dir.path()) / core::kMmds2ManifestName, true));
-
-  TempPath v1("golden_v1.mmds");
-  core::save_dataset_binary(db, v1.path());
-  actual.push_back(pin_of(v1.path(), true));
+      pin_of(fs::path(dir.path()) / kMmds2ManifestName, true));
 
   const std::vector<FilePin> expected = {
       {"shard-0000.mmds2", 17762, 27109},
@@ -277,7 +269,6 @@ TEST(StoreFormat, GoldenBytes) {
       {"shard-0002.mmds2", 18148, 1426},
       {"shard-0003.mmds2", 16213, 15863},
       {"manifest.mmds2", 1265, 62305},
-      {"mmlab_write_golden_v1.mmds", 70587, 60810},
   };
   ASSERT_EQ(actual.size(), expected.size()) << describe(actual);
   for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -303,17 +294,9 @@ class WriteErrors : public ::testing::Test {
   }
 };
 
-TEST_F(WriteErrors, SaveDatasetBinaryThrows) {
-  const core::ConfigDatabase empty;
-  EXPECT_THROW(core::save_dataset_binary(empty, "/dev/full"),
-               std::runtime_error);
-  EXPECT_THROW(core::save_dataset_binary(golden_db(), "/dev/full"),
-               std::runtime_error);
-}
-
 TEST_F(WriteErrors, WriteManifestThrows) {
   TempPath dir("full_manifest_direct");
-  full_device_at(dir, core::kMmds2ManifestName);
+  full_device_at(dir, kMmds2ManifestName);
   Manifest m;
   m.carriers = {"C"};
   EXPECT_THROW(write_manifest(dir.path(), m), std::runtime_error);
@@ -329,7 +312,7 @@ TEST_F(WriteErrors, ShardWriterThrowsOnManifestFailure) {
   // The shards land; the manifest does not.  finish() must not report a
   // store that has no manifest.
   TempPath dir("full_manifest");
-  full_device_at(dir, core::kMmds2ManifestName);
+  full_device_at(dir, kMmds2ManifestName);
   EXPECT_THROW(save_database(golden_db(), dir.path()), std::runtime_error);
 }
 

@@ -1,9 +1,8 @@
-// Implausible table counts in the two MMDS decoders.  A CRC-valid input
-// may still declare a carrier, param, shard or block table far larger than
-// the bytes that follow; both decoders must reject the count itself, with
-// an error naming the table, before allocating anything in proportion to
-// it (the MMDS v1 loader has carrier and param tables, the v2 manifest
-// has all four).
+// Implausible table counts in the MMDS v2 manifest decoder.  A CRC-valid
+// manifest may still declare a carrier, param, shard or block table far
+// larger than the bytes that follow; the decoder must reject the count
+// itself, with an error naming the table, before allocating anything in
+// proportion to it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "mmlab/core/dataset_io.hpp"
 #include "mmlab/store/mmds2.hpp"
 #include "mmlab/util/byteio.hpp"
 #include "mmlab/util/crc.hpp"
@@ -24,16 +22,16 @@ namespace fs = std::filesystem;
 constexpr std::uint64_t kCounts[] = {std::uint64_t{1} << 26,
                                      std::uint64_t{1} << 40};
 
-/// Header bytes (magic, version, flags) of either format.
+/// Manifest header bytes (magic, version, flags).
 ByteWriter header(std::uint8_t version, std::uint8_t flags) {
   ByteWriter w;
-  w.raw(core::kMmdsMagic, sizeof(core::kMmdsMagic));
+  w.raw(store::kMmdsMagic, sizeof(store::kMmdsMagic));
   w.u8(version);
   w.u8(flags);
   return w;
 }
 
-/// Appends the CRC-16 trailer both formats end with.
+/// Appends the manifest's CRC-16 trailer.
 std::vector<std::uint8_t> with_crc(const ByteWriter& w) {
   std::vector<std::uint8_t> bytes = w.buffer();
   const std::uint16_t crc = crc16_ccitt(bytes.data(), bytes.size());
@@ -46,23 +44,6 @@ std::string expected_error(const std::string& table, std::uint64_t count) {
   return table + " count " + std::to_string(count) + " exceeds";
 }
 
-TEST(DatasetBinaryCounts, ImplausibleTableCountsAreRejectedByName) {
-  for (const std::uint64_t count : kCounts) {
-    for (const std::string table : {"carrier table", "param table"}) {
-      ByteWriter w = header(core::kMmdsVersion, 0);
-      if (table == "param table") w.varint(0);  // empty carrier table
-      w.varint(count);
-      const auto bytes = with_crc(w);
-      core::ConfigDatabase db;
-      const auto r = core::load_dataset_binary(bytes.data(), bytes.size(), db);
-      ASSERT_FALSE(r.ok()) << table << " " << count;
-      EXPECT_NE(r.error_message().find(expected_error(table, count)),
-                std::string::npos)
-          << r.error_message();
-    }
-  }
-}
-
 TEST(StoreManifestCounts, ImplausibleTableCountsAreRejectedByName) {
   const fs::path dir = fs::path(::testing::TempDir()) / "mmlab_table_counts";
   fs::remove_all(dir);
@@ -70,7 +51,7 @@ TEST(StoreManifestCounts, ImplausibleTableCountsAreRejectedByName) {
   for (const std::uint64_t count : kCounts) {
     for (const std::string table :
          {"carrier table", "param table", "shard table", "block table"}) {
-      ByteWriter w = header(core::kMmds2Version, 0x01);
+      ByteWriter w = header(store::kMmds2Version, 0x01);
       if (table != "carrier table") w.varint(0);
       if (table == "shard table" || table == "block table") w.varint(0);
       if (table == "block table") {
@@ -82,7 +63,7 @@ TEST(StoreManifestCounts, ImplausibleTableCountsAreRejectedByName) {
       w.varint(count);
       const auto bytes = with_crc(w);
       {
-        BufferedFileWriter out((dir / core::kMmds2ManifestName).string());
+        BufferedFileWriter out((dir / store::kMmds2ManifestName).string());
         out.write(bytes.data(), bytes.size());
         out.close();
       }

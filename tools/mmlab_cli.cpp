@@ -1,16 +1,16 @@
 // mmlab_cli — command-line front end for the library.
 //
-//   mmlab_cli crawl   <out> [scale] [--threads N] [--format csv|bin]
+//   mmlab_cli crawl   <out> [scale] [--threads N] [--format csv|mmds2]
 //                                      generate a world, crawl it and extract
 //                                      in parallel (--threads drives both; the
 //                                      dataset is identical either way), save
 //                                      the dataset
 //   mmlab_cli ingest  <out> [scale] [--devices K] [--chunk-bytes N]
-//                     [--threads N] [--format csv|bin]
+//                     [--threads N] [--format csv|mmds2]
 //                                      same world, but replay the crawl as K
 //                                      concurrent chunked device uploads
 //                                      through the streaming ingest service
-//   mmlab_cli report  <in> [carrier] [--format csv|bin] [--direct]
+//   mmlab_cli report  <in> [carrier] [--direct]
 //                     [--carrier A] [--param NAME]
 //                                      dataset summary + diversity report;
 //                                      --direct (MMDS v2 stores only) answers
@@ -25,7 +25,7 @@
 //                                      parameter's value bytes on the wire
 //                                      (the stats line shows what was
 //                                      skipped / not read)
-//   mmlab_cli verify  <in> [--format csv|bin]
+//   mmlab_cli verify  <in>
 //                                      run the misconfiguration detectors
 //   mmlab_cli drive   [carrier-acr]    one instrumented drive; print the
 //                                      handoff instances from the diag log
@@ -42,15 +42,15 @@
 //                                      stream-generate a world straight into
 //                                      a sharded MMDS v2 store (bounded
 //                                      memory at any scale)
-//   mmlab_cli convert <in> <out> [--format csv|bin|mmds2]
+//   mmlab_cli convert <in> <out> [--format csv|mmds2]
 //                                      re-encode a dataset; output format
-//                                      from --format (default: v1 bin <->
-//                                      v2 sharded)
+//                                      from --format (default: CSV -> MMDS
+//                                      v2 store, store -> CSV)
 //
-// Datasets are core/dataset_io.hpp's release CSV, the MMDS v1 binary file,
-// or a sharded MMDS v2 store directory (store/); on load the format is
-// sniffed from the path and magic, so --format is only needed to force a
-// choice (e.g. a CSV that happens to start "MMDS").
+// Datasets are core/dataset_io.hpp's release CSV or a sharded MMDS v2 store
+// directory (store/).  Input is always sniffed (store::is_store: a directory
+// holding manifest.mmds2 is a store, anything else is read as CSV), so
+// --format names only the output of the commands that write one.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -83,14 +83,16 @@ namespace {
 
 using namespace mmlab;
 
+enum class OutputFormat { kCsv, kMmds2 };
+
 /// Flags shared by the dataset commands, accepted anywhere after the
-/// command: --threads N and --format csv|bin. Everything else stays
+/// command: --threads N and --format csv|mmds2. Everything else stays
 /// positional.  ok == false means a malformed flag was already reported.
 struct CliOptions {
   unsigned threads = 0;  ///< 0 = hardware concurrency
   unsigned devices = 8;  ///< ingest: device sessions per carrier
   std::size_t chunk_bytes = 4096;  ///< ingest: upload chunk size
-  std::optional<core::DatasetFormat> format;  ///< unset = sniff / default
+  std::optional<OutputFormat> format;  ///< output only; unset = default
   bool direct = false;  ///< report: fold shards directly, no materialization
   std::vector<std::string> carriers;        ///< report --direct: query filter
   std::vector<config::ParamKey> params;     ///< report --direct: push-down
@@ -125,14 +127,11 @@ CliOptions parse_options(int argc, char** argv) {
       opts.chunk_bytes = static_cast<std::size_t>(std::atol(argv[++i]));
     } else if (!std::strcmp(argv[i], "--format")) {
       if (i + 1 < argc && !std::strcmp(argv[i + 1], "csv"))
-        opts.format = core::DatasetFormat::kCsv;
-      else if (i + 1 < argc && !std::strcmp(argv[i + 1], "bin"))
-        opts.format = core::DatasetFormat::kBinary;
+        opts.format = OutputFormat::kCsv;
       else if (i + 1 < argc && !std::strcmp(argv[i + 1], "mmds2"))
-        opts.format = core::DatasetFormat::kMmds2;
+        opts.format = OutputFormat::kMmds2;
       else {
-        std::fprintf(stderr,
-                     "error: --format needs 'csv', 'bin' or 'mmds2'\n");
+        std::fprintf(stderr, "error: --format needs 'csv' or 'mmds2'\n");
         opts.ok = false;
         return opts;
       }
@@ -166,11 +165,12 @@ CliOptions parse_options(int argc, char** argv) {
   return opts;
 }
 
-/// Load an MMDS v2 store directory, printing the loader stats the report
-/// path surfaces (shards, blocks, mapped payload).
-Result<core::LoadStats> load_mmds2_for_cli(const char* path,
-                                           const CliOptions& opts,
-                                           core::ConfigDatabase& db) {
+/// Load a dataset: a store directory through the store (printing the loader
+/// stats the report path surfaces: shards, blocks, mapped payload), anything
+/// else as CSV.
+Result<core::LoadStats> load_for_cli(const char* path, const CliOptions& opts,
+                                     core::ConfigDatabase& db) {
+  if (!store::is_store(path)) return core::load_dataset(path, db);
   auto set = store::ShardSet::open(path);
   if (!set.ok()) return Result<core::LoadStats>::error(set.error_message());
   const auto& m = set.value().manifest();
@@ -183,31 +183,9 @@ Result<core::LoadStats> load_mmds2_for_cli(const char* path,
   return store::load_database(set.value(), db, opts.threads);
 }
 
-/// Load any dataset format: forced by --format, sniffed otherwise (an MMDS
-/// v2 store is a directory, so the sniff works on paths too).
-Result<core::LoadStats> load_for_cli(const char* path,
-                                           const CliOptions& opts,
-                                           core::ConfigDatabase& db) {
-  const auto format =
-      opts.format ? *opts.format : core::detect_dataset_format(path);
-  switch (format) {
-    case core::DatasetFormat::kMmds2:
-      return load_mmds2_for_cli(path, opts, db);
-    case core::DatasetFormat::kBinary:
-      if (!opts.format) return core::load_dataset_any(path, db, opts.threads);
-      return core::load_dataset_binary(path, db, opts.threads);
-    case core::DatasetFormat::kCsv:
-    default:
-      if (!opts.format) return core::load_dataset_any(path, db, opts.threads);
-      return core::load_dataset(path, db);
-  }
-}
-
-/// Save in any format (save_dataset handles csv/bin; v2 goes through the
-/// sharded store writer).
 void save_for_cli(const core::ConfigDatabase& db, const char* path,
-                  core::DatasetFormat format) {
-  if (format == core::DatasetFormat::kMmds2) {
+                  OutputFormat format) {
+  if (format == OutputFormat::kMmds2) {
     const auto stats = store::save_database(db, path);
     std::printf("wrote %zu observations from %zu cells to %s "
                 "(MMDS v2: %llu shards, %llu blocks)\n",
@@ -216,10 +194,9 @@ void save_for_cli(const core::ConfigDatabase& db, const char* path,
                 static_cast<unsigned long long>(stats.blocks));
     return;
   }
-  core::save_dataset(db, path, format);
-  std::printf("wrote %zu observations from %zu cells to %s (%s)\n",
-              db.total_samples(), db.total_cells(), path,
-              format == core::DatasetFormat::kBinary ? "MMDS v1" : "csv");
+  core::save_dataset(db, path);
+  std::printf("wrote %zu observations from %zu cells to %s (csv)\n",
+              db.total_samples(), db.total_cells(), path);
 }
 
 int cmd_crawl(int argc, char** argv) {
@@ -230,7 +207,7 @@ int cmd_crawl(int argc, char** argv) {
   if (positional.empty()) {
     std::fprintf(stderr,
                  "usage: mmlab_cli crawl <out> [scale] [--threads N] "
-                 "[--format csv|bin]\n");
+                 "[--format csv|mmds2]\n");
     return 2;
   }
   const char* path = positional[0];
@@ -252,7 +229,7 @@ int cmd_crawl(int argc, char** argv) {
               static_cast<double>(pstats.totals.bytes) / 1e6, pstats.threads,
               pstats.extract_seconds, pstats.merge_seconds,
               pstats.records_per_second(), pstats.bytes_per_second() / 1e6);
-  save_for_cli(db, path, opts.format.value_or(core::DatasetFormat::kCsv));
+  save_for_cli(db, path, opts.format.value_or(OutputFormat::kCsv));
   return 0;
 }
 
@@ -262,7 +239,7 @@ int cmd_ingest(int argc, char** argv) {
   if (opts.positional.empty()) {
     std::fprintf(stderr,
                  "usage: mmlab_cli ingest <out> [scale] [--devices K] "
-                 "[--chunk-bytes N] [--threads N] [--format csv|bin]\n");
+                 "[--chunk-bytes N] [--threads N] [--format csv|mmds2]\n");
     return 2;
   }
   const char* path = opts.positional[0];
@@ -298,7 +275,7 @@ int cmd_ingest(int argc, char** argv) {
               "%.0f records/s\n",
               mb, replay.seconds, metrics.workers, mb / replay.seconds,
               static_cast<double>(metrics.records) / replay.seconds);
-  save_for_cli(db, path, opts.format.value_or(core::DatasetFormat::kCsv));
+  save_for_cli(db, path, opts.format.value_or(OutputFormat::kCsv));
   return 0;
 }
 
@@ -400,17 +377,14 @@ int report_direct(const CliOptions& opts) {
 int cmd_report(int argc, char** argv) {
   const CliOptions opts = parse_options(argc, argv);
   if (!opts.ok) return 2;
-  if (opts.positional.empty()) {
+  if (opts.positional.empty() || opts.format) {
     std::fprintf(stderr,
-                 "usage: mmlab_cli report <in> [carrier] [--format csv|bin] "
-                 "[--direct] [--carrier A] [--param NAME]\n");
+                 "usage: mmlab_cli report <in> [carrier] [--direct] "
+                 "[--carrier A] [--param NAME]\n");
     return 2;
   }
   if (opts.direct) {
-    const auto format = opts.format ? *opts.format
-                                    : core::detect_dataset_format(
-                                          opts.positional[0]);
-    if (format != core::DatasetFormat::kMmds2) {
+    if (!store::is_store(opts.positional[0])) {
       std::fprintf(stderr,
                    "error: --direct needs an MMDS v2 store directory\n");
       return 2;
@@ -469,8 +443,8 @@ int cmd_report(int argc, char** argv) {
 int cmd_verify(int argc, char** argv) {
   const CliOptions opts = parse_options(argc, argv);
   if (!opts.ok) return 2;
-  if (opts.positional.empty()) {
-    std::fprintf(stderr, "usage: mmlab_cli verify <in> [--format csv|bin]\n");
+  if (opts.positional.empty() || opts.format) {
+    std::fprintf(stderr, "usage: mmlab_cli verify <in>\n");
     return 2;
   }
   core::ConfigDatabase db;
@@ -740,28 +714,24 @@ int cmd_convert(int argc, char** argv) {
   if (opts.positional.size() < 2) {
     std::fprintf(stderr,
                  "usage: mmlab_cli convert <in> <out> "
-                 "[--format csv|bin|mmds2] [--threads N]\n");
+                 "[--format csv|mmds2] [--threads N]\n");
     return 2;
   }
   const char* in = opts.positional[0];
   const char* out = opts.positional[1];
-  const auto in_format = core::detect_dataset_format(in);
+  const bool from_store = store::is_store(in);
 
   core::ConfigDatabase db;
-  // The sniffed input format decides the loader; --format names the OUTPUT.
-  CliOptions load_opts = opts;
-  load_opts.format.reset();
-  const auto stats = load_for_cli(in, load_opts, db);
+  const auto stats = load_for_cli(in, opts, db);
   if (!stats.ok()) {
     std::fprintf(stderr, "error: %s\n", stats.error_message().c_str());
     return 1;
   }
   std::printf("loaded %zu rows from %s\n", stats.value().rows, in);
 
-  // Default conversion: v2 -> v1 binary, anything else -> v2.
+  // Default conversion: store -> CSV, CSV -> store.
   const auto out_format = opts.format.value_or(
-      in_format == core::DatasetFormat::kMmds2 ? core::DatasetFormat::kBinary
-                                               : core::DatasetFormat::kMmds2);
+      from_store ? OutputFormat::kCsv : OutputFormat::kMmds2);
   save_for_cli(db, out, out_format);
   return 0;
 }
