@@ -5,7 +5,9 @@
 // engine (crawl + campaign thread scaling).
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <sstream>
+#include <utility>
 
 #include "mmlab/core/analysis.hpp"
 #include "mmlab/core/dataset_io.hpp"
@@ -29,6 +31,7 @@
 #include "mmlab/store/shard_set.hpp"
 #include "mmlab/store/shard_writer.hpp"
 #include "mmlab/util/crc.hpp"
+#include "mmlab/util/rng.hpp"
 
 #include <filesystem>
 
@@ -420,6 +423,71 @@ void BM_AnalysisMix(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalysisMix)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// --- the per-cell kernel: CellFolder's bucket grouping vs its sort oracle ----
+// 1,024 merged cell records of `keys` parameters x `visits` visits, each
+// visit listing the keys in one fixed extraction order, as a merged store
+// cell does.  {46, 8} is the mmbench store_query cell; {5, 2} is a small
+// cell, where the kernel's fixed per-cell cost shows.
+
+const std::vector<core::CellRecord>& folder_records(std::size_t keys,
+                                                    std::size_t visits) {
+  static std::map<std::pair<std::size_t, std::size_t>,
+                  std::vector<core::CellRecord>>
+      cache;
+  auto& records = cache[{keys, visits}];
+  if (!records.empty()) return records;
+  Rng rng(keys * 1000 + visits);
+  std::vector<config::ParamKey> order;
+  for (std::size_t k = 0; k < keys; ++k)
+    order.push_back({spectrum::kAllRats[k % 3 == 2 ? 1 : 0],
+                     static_cast<std::uint16_t>(k * 7 % 64)});
+  for (std::size_t k = order.size(); k > 1; --k)
+    std::swap(order[k - 1], order[rng.below(k)]);
+  records.resize(1024);
+  for (auto& rec : records)
+    for (std::size_t v = 0; v < visits; ++v)
+      for (const auto& key : order)
+        rec.observations.push_back(
+            {key, static_cast<double>(rng.below(4)),
+             SimTime{static_cast<std::int64_t>(v) * 86'400'000},
+             rng.chance(0.2) ? static_cast<std::int64_t>(rng.below(3)) : -1});
+  return records;
+}
+
+template <bool kReference>
+void cell_folder_bench(benchmark::State& state) {
+  const auto& records =
+      folder_records(static_cast<std::size_t>(state.range(0)),
+                     static_cast<std::size_t>(state.range(1)));
+  core::CellFolder folder;
+  std::size_t sink = 0;
+  for (auto _ : state) {
+    for (const auto& rec : records) {
+      if constexpr (kReference)
+        folder.fold_reference(rec);
+      else
+        folder.fold(rec);
+      sink += folder.unique_values().size();
+    }
+  }
+  benchmark::DoNotOptimize(sink);
+  const std::size_t rows = records.size() * records[0].observations.size();
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rows));
+}
+
+void BM_CellFolderFold(benchmark::State& state) {
+  cell_folder_bench<false>(state);
+}
+BENCHMARK(BM_CellFolderFold)->Args({46, 8})->Args({5, 2})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_CellFolderFoldReference(benchmark::State& state) {
+  cell_folder_bench<true>(state);
+}
+BENCHMARK(BM_CellFolderFoldReference)->Args({46, 8})->Args({5, 2})
+    ->Unit(benchmark::kMicrosecond);
 
 // --- CRC-16: slice-by-4 vs the byte-at-a-time oracle -------------------------
 

@@ -1,6 +1,7 @@
 #include "mmlab/core/cell_fold.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace mmlab::core {
 
@@ -22,17 +23,116 @@ std::vector<char> ParamKeySet::index_mask(
   return mask;
 }
 
+namespace {
+
+std::uint32_t pack(config::ParamKey key) {
+  return (static_cast<std::uint32_t>(key.rat) << 16) | key.id;
+}
+
+}  // namespace
+
 void CellFolder::fold(const CellRecord& rec) {
+  if (rec.observations.size() < kMinBucketObservations)
+    sort_by_key(rec.observations);
+  else
+    group_by_key(rec.observations);
+  build_slices(rec);
+}
+
+void CellFolder::fold_reference(const CellRecord& rec) {
+  sort_by_key(rec.observations);
+  build_slices(rec);
+}
+
+void CellFolder::sort_by_key(const std::vector<Observation>& obs) {
+  order_.clear();
+  order_.reserve(obs.size());
+  for (std::uint32_t i = 0; i < obs.size(); ++i)
+    order_.emplace_back(obs[i].key, i);
+  std::sort(order_.begin(), order_.end());
+}
+
+// The same order_ as fold_reference's sort: the packed key orders like
+// ParamKey's (rat, id) operator<=>, and the scatter visits observations in
+// ascending index, so each bucket is index-ascending.
+void CellFolder::group_by_key(const std::vector<Observation>& obs) {
+  if (key_table_.empty()) {
+    key_table_.assign(kInitialKeySlots, {kEmptySlot, 0});
+    key_shift_ = 32 - static_cast<unsigned>(std::countr_zero(kInitialKeySlots));
+  }
+  const std::size_t n = obs.size();
+  local_keys_.clear();
+  local_of_.resize(n);
+  // Raw pointers: the loop's stores would otherwise make the compiler
+  // reload every vector's data pointer per observation.
+  KeySlot* table = key_table_.data();
+  auto mask = static_cast<std::uint32_t>(key_table_.size() - 1);
+  LocalKey* locals = local_keys_.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t key = pack(obs[i].key);
+    std::uint32_t local = 0;
+    for (std::uint32_t s = hash_slot(key);; s = (s + 1) & mask) {
+      if (table[s].key == key) {
+        local = table[s].local;
+        ++locals[local].count;
+        break;
+      }
+      if (table[s].key == kEmptySlot) {
+        local = static_cast<std::uint32_t>(local_keys_.size());
+        table[s] = {key, local};
+        local_keys_.push_back({key, s, 1});
+        locals = local_keys_.data();
+        if (2 * local_keys_.size() > key_table_.size()) {
+          grow_key_table();
+          table = key_table_.data();
+          mask = static_cast<std::uint32_t>(key_table_.size() - 1);
+        }
+        break;
+      }
+    }
+    local_of_[i] = local;
+  }
+
+  // Sort only the distinct keys, as (key << 32 | local) integers, then turn
+  // their counts into bucket starts.
+  sorted_keys_.clear();
+  for (std::uint32_t l = 0; l < local_keys_.size(); ++l)
+    sorted_keys_.push_back((std::uint64_t{locals[l].key} << 32) | l);
+  std::sort(sorted_keys_.begin(), sorted_keys_.end());
+  std::uint32_t start = 0;
+  for (const std::uint64_t key_local : sorted_keys_) {
+    const auto l = static_cast<std::uint32_t>(key_local);
+    const std::uint32_t count = locals[l].count;
+    locals[l].count = start;
+    start += count;
+  }
+
+  order_.resize(n);
+  const std::uint32_t* local_of = local_of_.data();
+  for (std::uint32_t i = 0; i < n; ++i)
+    order_[locals[local_of[i]].count++] = {obs[i].key, i};
+
+  for (const LocalKey& lk : local_keys_) table[lk.slot].key = kEmptySlot;
+}
+
+void CellFolder::grow_key_table() {
+  key_table_.assign(2 * key_table_.size(), {kEmptySlot, 0});
+  --key_shift_;
+  const auto mask = static_cast<std::uint32_t>(key_table_.size() - 1);
+  for (std::uint32_t l = 0; l < local_keys_.size(); ++l) {
+    LocalKey& lk = local_keys_[l];
+    std::uint32_t s = hash_slot(lk.key);
+    while (key_table_[s].key != kEmptySlot) s = (s + 1) & mask;
+    key_table_[s] = {lk.key, l};
+    lk.slot = s;
+  }
+}
+
+void CellFolder::build_slices(const CellRecord& rec) {
   keys_.clear();
   uniq_.clear();
   ctx_context_.clear();
   ctx_value_.clear();
-
-  order_.clear();
-  order_.reserve(rec.observations.size());
-  for (std::uint32_t i = 0; i < rec.observations.size(); ++i)
-    order_.emplace_back(rec.observations[i].key, i);
-  std::sort(order_.begin(), order_.end());
 
   for (std::size_t lo = 0; lo < order_.size();) {
     std::size_t hi = lo;

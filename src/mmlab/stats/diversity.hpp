@@ -21,6 +21,10 @@ namespace mmlab::stats {
 /// tolerance bucketing is needed.
 class ValueCounts {
  public:
+  /// `value` must not be NaN: the ordered map cannot place it (a NaN
+  /// compares equivalent to every key, so it would be counted under
+  /// whichever key the lookup meets).  The CSV loader and the MMDS v2
+  /// readers reject non-finite values, so no loaded dataset carries one.
   void add(double value, std::size_t count = 1);
 
   /// Absorb another multiset (parallel scan partials merging in partition

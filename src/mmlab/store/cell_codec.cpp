@@ -1,6 +1,7 @@
 #include "mmlab/store/cell_codec.hpp"
 
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
@@ -48,6 +49,14 @@ CellHeader parse_cell_header(ByteReader& r) {
   return h;
 }
 
+/// One observation value.  NaN and +-inf are damage: the writer never
+/// emits them, and stats::ValueCounts cannot order a NaN.
+double finite_value(ByteReader& r) {
+  const double value = r.f64le();
+  if (!std::isfinite(value)) throw MmdsError("non-finite observation value");
+  return value;
+}
+
 void parse_observations(ByteReader& r, std::uint64_t n_obs,
                         const std::vector<config::ParamKey>& params,
                         std::vector<Observation>& out) {
@@ -58,7 +67,7 @@ void parse_observations(ByteReader& r, std::uint64_t n_obs,
     const std::uint64_t param_index = r.varint();
     if (param_index >= params.size())
       throw MmdsError("param index out of range");
-    const double value = r.f64le();
+    const double value = finite_value(r);
     const std::int64_t context = r.svarint();
     out.push_back({params[param_index], value, SimTime{t_ms}, context});
   }
@@ -87,7 +96,7 @@ inline std::uint8_t* put_f64(std::uint8_t* p, double v) {
 
 }  // namespace
 
-void encode_cell(ByteWriter& out, std::uint32_t id, const CellRecord& rec,
+bool encode_cell(ByteWriter& out, std::uint32_t id, const CellRecord& rec,
                  ParamIndexMap& params) {
   const std::size_t start = out.size();
   std::uint8_t* const begin =
@@ -100,14 +109,17 @@ void encode_cell(ByteWriter& out, std::uint32_t id, const CellRecord& rec,
   p = put_f64(p, rec.position.y);
   p = put_varint(p, rec.observations.size());
   std::int64_t prev_t = 0;
+  bool finite = true;
   for (const auto& obs : rec.observations) {
     p = put_varint(p, zigzag_encode(obs.t.ms - prev_t));
     prev_t = obs.t.ms;
     p = put_varint(p, params.assign(obs.key));
     p = put_f64(p, obs.value);
+    finite &= std::isfinite(obs.value);
     p = put_varint(p, zigzag_encode(obs.context));
   }
   out.truncate(start + static_cast<std::size_t>(p - begin));
+  return finite;
 }
 
 void encode_cell_reference(ByteWriter& out, std::uint32_t id,
@@ -185,12 +197,13 @@ std::uint32_t parse_cell_filtered(ByteReader& r,
     const std::uint64_t param_index = r.varint();
     if (param_index >= params.size())
       throw MmdsError("param index out of range");
+    // A skipped value is still checked, so a query plan never changes
+    // whether a store is accepted.
+    const double value = finite_value(r);
     if (in_range && (keep.empty() || keep[param_index])) {
-      const double value = r.f64le();
       rec.observations.push_back(
           {params[param_index], value, SimTime{t_ms}, r.svarint()});
     } else {
-      r.skip(8);
       ++scan.values_skipped;
       (void)r.svarint();  // context: varint-decoded only to advance
     }

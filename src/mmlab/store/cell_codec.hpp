@@ -38,6 +38,12 @@ class ParamIndexMap {
   }
   /// Assigned keys, in index order.
   const std::vector<config::ParamKey>& keys() const { return keys_; }
+  /// Unassign every key past the first `n` (a refused cell's new keys).
+  void truncate(std::size_t n) {
+    for (std::size_t i = n; i < keys_.size(); ++i)
+      index_[slot(keys_[i])] = kUnassigned;
+    keys_.resize(n);
+  }
 
  private:
   static std::size_t slot(config::ParamKey key) {
@@ -59,8 +65,11 @@ constexpr std::size_t max_encoded_cell_size(std::size_t n_obs) {
 
 /// Append one cell's encoding to `out`, assigning table indices to unseen
 /// keys (ParamIndexMap::assign).  The pointer kernel: one resize by
-/// max_encoded_cell_size, raw stores, one trim.
-void encode_cell(ByteWriter& out, std::uint32_t id,
+/// max_encoded_cell_size, raw stores, one trim.  Returns whether every
+/// observation value is finite; a store must not hold one that is not
+/// (the readers reject it), so ShardWriter::add_cell rolls such a cell
+/// back (ByteWriter::truncate, ParamIndexMap::truncate) and refuses it.
+bool encode_cell(ByteWriter& out, std::uint32_t id,
                  const core::CellRecord& rec, ParamIndexMap& params);
 
 /// The ByteWriter-call-per-field encoder encode_cell replaced, kept as the
@@ -73,7 +82,8 @@ void encode_cell_reference(ByteWriter& out, std::uint32_t id,
 /// Parse one cell into `out` (upsert semantics: observations append, cell
 /// identity metadata is taken only when the record was fresh).  Returns the
 /// observation count.  Throws std::runtime_error subclasses on structural
-/// damage (bad rat, out-of-range param index, implausible counts).
+/// damage (bad rat, out-of-range param index, implausible counts) and on a
+/// non-finite (NaN or infinite) observation value.
 std::size_t parse_cell(ByteReader& r, const std::string& carrier,
                        const std::vector<config::ParamKey>& params,
                        core::ConfigDatabase& out);
@@ -91,7 +101,7 @@ std::uint32_t parse_cell(ByteReader& r,
 /// metadata tie-break, which is defined over unfiltered runs.
 struct CellScan {
   std::uint64_t rows = 0;            ///< observations on the wire
-  std::uint64_t values_skipped = 0;  ///< 8-byte value payloads not decoded
+  std::uint64_t values_skipped = 0;  ///< observations not materialized
   std::int64_t front_t_ms = 0;  ///< first wire observation's t (has_front)
   bool has_front = false;       ///< the run had at least one observation
 };
@@ -99,8 +109,9 @@ struct CellScan {
 /// Predicate push-down variant of the record-reuse parse_cell: decodes the
 /// cell's full wire structure (every varint must be walked to find the next
 /// cell) but materializes only observations whose param-table index is set
-/// in `keep` — the 8-byte value payload of a filtered observation is
-/// *skipped*, never loaded, and counted in CellScan::values_skipped.  An
+/// in `keep` — a filtered observation is never materialized, and is counted
+/// in CellScan::values_skipped.  Its 8-byte value is still read and must be
+/// finite, so the filter never decides whether a store is accepted.  An
 /// empty `keep` keeps every observation.  When the returned id falls
 /// outside [min_cell, max_cell] nothing is materialized at all (the caller
 /// drops the cell); `rec` still carries the header metadata either way.

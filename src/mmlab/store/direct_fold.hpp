@@ -24,7 +24,8 @@
 // never mapped, checksummed, or parsed; FoldStats counts what the planner
 // skipped (a plan of Query{} selects everything: the unfiltered fold).  A
 // ParamKey predicate additionally pushes down to the wire: filtered
-// observations' 8-byte value payloads are skipped, not decoded.  Filtered
+// observations are never materialized (their values are only checked
+// finite).  Filtered
 // folds preserve the merge contract exactly — the metadata tie-break
 // (which run's rat/channel/position wins) is computed over each run's
 // *unfiltered* front observation, so a planned answer is bit-identical to
@@ -117,8 +118,8 @@ struct FoldStats {
   /// fold of the store).
   std::uint64_t blocks_skipped = 0;
   std::uint64_t bytes_skipped = 0;
-  /// Observations whose 8-byte value payload the ParamKey push-down
-  /// skipped instead of decoding (they still count in `rows`).
+  /// Observations the ParamKey push-down dropped instead of materializing
+  /// (they still count in `rows`; their values are only checked finite).
   std::uint64_t values_skipped = 0;
   /// Largest number of concurrently parsed-and-resident blocks — the
   /// realized window, i.e. what bounds transient memory.  For fold_query
@@ -127,9 +128,9 @@ struct FoldStats {
   bool crc_checked = false;  ///< per-block CRCs were verified mid-fold
   double fold_seconds = 0.0;
 
-  /// Body bytes actually decoded: parsed bytes minus the skipped value
-  /// payloads.  Strictly less than `bytes` whenever the param push-down
-  /// filtered anything.
+  /// Body bytes materialized: parsed bytes minus the value payloads of
+  /// dropped observations.  Strictly less than `bytes` whenever the param
+  /// push-down filtered anything.
   std::uint64_t bytes_read() const { return bytes - 8 * values_skipped; }
 };
 

@@ -32,24 +32,39 @@ ShardWriter::ShardWriter(std::string dir, WriterOptions options)
 void ShardWriter::add_cell(const std::string& carrier, std::uint32_t id,
                            const core::CellRecord& rec) {
   if (finished_) throw std::logic_error("ShardWriter: add_cell after finish");
-  const auto [cit, new_carrier] =
-      carrier_index_.try_emplace(carrier, manifest_.carriers.size());
-  if (new_carrier) manifest_.carriers.push_back(carrier);
+  const auto cit = carrier_index_.find(carrier);
+  const std::uint32_t carrier_index =
+      cit != carrier_index_.end()
+          ? cit->second
+          : static_cast<std::uint32_t>(manifest_.carriers.size());
 
   // A carrier switch or a non-ascending id means a new run; readers rely on
   // ids ascending *within* a block to drive the k-way cell merge.
   if (in_block_ &&
-      (block_carrier_ != cit->second || id <= last_id_ ||
+      (block_carrier_ != carrier_index || id <= last_id_ ||
        block_.size() >= options_.target_block_bytes))
     flush_block();
+  // The kernel reports a non-finite value as it encodes; a refused cell
+  // leaves no bytes, parameter, carrier or open block behind.
+  const std::size_t block_bytes = block_.size();
+  const std::size_t params_before = param_index_.keys().size();
+  if (!encode_cell(block_, id, rec, param_index_)) {
+    block_.truncate(block_bytes);
+    param_index_.truncate(params_before);
+    throw std::invalid_argument("ShardWriter: non-finite observation value "
+                                "in cell " + std::to_string(id));
+  }
+  if (cit == carrier_index_.end()) {
+    carrier_index_.emplace(carrier, carrier_index);
+    manifest_.carriers.push_back(carrier);
+  }
   if (!in_block_) {
     in_block_ = true;
-    block_carrier_ = cit->second;
+    block_carrier_ = carrier_index;
     block_first_id_ = id;
     block_cells_ = 0;
     block_rows_ = 0;
   }
-  encode_cell(block_, id, rec, param_index_);
   const auto& keys = param_index_.keys();
   for (std::size_t i = manifest_.params.size(); i < keys.size(); ++i)
     manifest_.params.push_back(config::param_name(keys[i]));

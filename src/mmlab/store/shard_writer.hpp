@@ -59,6 +59,10 @@ class ShardWriter {
   /// and ascending ids extend the current run; a carrier switch or a
   /// non-ascending id starts a new block (a new run of that cell).
   /// Carrier and parameter table indices are assigned on first sight.
+  /// Throws std::invalid_argument when an observation value is NaN or
+  /// infinite (readers reject such a store).  The refused cell adds no
+  /// bytes, carrier or parameter to the store; it may end the current
+  /// block early.
   void add_cell(const std::string& carrier, std::uint32_t id,
                 const core::CellRecord& rec);
 

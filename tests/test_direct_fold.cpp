@@ -2,15 +2,20 @@
 // bit-identically to the reference ConfigDatabase scans over
 // load_database(store), for any thread count and any parse-window size;
 // mid-fold corruption (a flipped byte in any block) must surface as an
-// error with no partial answer escaping; manifest block extras round-trip,
-// and a manifest without them (flags other than 0x01) is rejected.
+// error with no partial answer escaping; a CRC-valid store carrying a NaN
+// or infinite value is rejected by every reader, planned or not; manifest
+// block extras round-trip, and a manifest without them (flags other than
+// 0x01) is rejected.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -495,6 +500,138 @@ TEST(DirectFold, CorruptByteInAnyBlockRejectsTheFoldWithNoPartialAnswer) {
       ASSERT_TRUE(ok.ok()) << ok.error_message();
     }
   }
+}
+
+// --- non-finite values ---------------------------------------------------------
+
+/// Writes a one-carrier store whose one observation of `victim` holds a
+/// sentinel, then patches that value to `bad` and re-stamps the block CRC,
+/// the shard CRC and the manifest: a store every checksum accepts, carrying
+/// a value no writer emits.
+void write_store_with_value(const std::string& dir, config::ParamKey victim,
+                            double bad) {
+  constexpr double kSentinel = 12345.678125;
+  const auto serving = config::lte_param(config::ParamId::kServingPriority);
+  core::ConfigDatabase db;
+  for (std::uint32_t id = 1; id <= 20; ++id)
+    db.add_snapshot("C0", id, spectrum::Rat::kLte, 3, {1.0 * id, 2.0},
+                    SimTime{id},
+                    {{serving, 4.0, -1},
+                     {victim, id == 11 ? kSentinel : 1.0, 7}});
+  save_database(db, dir);
+
+  auto m = read_manifest(dir);
+  ASSERT_TRUE(m.ok()) << m.error_message();
+  std::uint64_t bits = std::bit_cast<std::uint64_t>(kSentinel);
+  std::uint8_t pattern[8];
+  for (int i = 0; i < 8; ++i)
+    pattern[i] = static_cast<std::uint8_t>(bits >> (8 * i));
+  bits = std::bit_cast<std::uint64_t>(bad);
+  int patched = 0;
+  for (ShardInfo& shard : m.value().shards) {
+    const auto path = (fs::path(dir) / shard.filename).string();
+    std::vector<std::uint8_t> bytes;
+    {
+      std::ifstream in(path, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    }
+    const auto it = std::search(bytes.begin(), bytes.end(), pattern,
+                                pattern + 8);
+    if (it == bytes.end()) continue;
+    for (int i = 0; i < 8; ++i)
+      *(it + i) = static_cast<std::uint8_t>(bits >> (8 * i));
+    ++patched;
+    const auto at = static_cast<std::uint64_t>(it - bytes.begin());
+    for (BlockInfo& block : shard.blocks)
+      if (at >= block.offset && at < block.offset + block.length)
+        block.crc16 = crc16_ccitt(bytes.data() + block.offset, block.length);
+    shard.crc16 = crc16_ccitt(bytes.data(), bytes.size());
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  ASSERT_EQ(patched, 1);
+  write_manifest(dir, m.value());
+}
+
+TEST(StoreNonFinite, EveryReaderRejectsANonFiniteValue) {
+  // NaN would be miscounted by ValueCounts; +-inf is no configuration
+  // value.  Each reader rejects the store, whether the bad observation is
+  // materialized or dropped by a param push-down.
+  const auto serving = config::lte_param(config::ParamId::kServingPriority);
+  const auto victim = config::lte_param(config::ParamId::kQHyst);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    const std::string tag = "value " + std::to_string(bad);
+    StoreDir dir("nonfinite");
+    write_store_with_value(dir.path(), victim, bad);
+    auto set = ShardSet::open(dir.path());
+    ASSERT_TRUE(set.ok()) << set.error_message();
+    ASSERT_TRUE(set.value().verify().ok()) << tag;  // every CRC holds
+    const DirectFold direct(set.value(), {});
+
+    // Unplanned: the whole mix over every carrier.
+    const auto mix = analyze_query(direct, Query{});
+    ASSERT_FALSE(mix.ok()) << tag;
+    EXPECT_NE(mix.error_message().find("non-finite"), std::string::npos)
+        << mix.error_message();
+
+    // Planned on each key: the victim's value is materialized, then
+    // skipped by the push-down; both reject.
+    for (const auto key : {victim, serving}) {
+      Query q;
+      q.params = {key};
+      const QueryPlan plan(set.value(), q);
+      ASSERT_TRUE(plan.filtered());
+      const auto r = direct.fold_planned(
+          plan, "C0", [](std::uint32_t, const core::CellRecord&) {});
+      ASSERT_FALSE(r.ok()) << tag;
+      EXPECT_NE(r.error_message().find("non-finite"), std::string::npos)
+          << r.error_message();
+    }
+
+    core::ConfigDatabase db;
+    const auto loaded = load_database(set.value(), db);
+    ASSERT_FALSE(loaded.ok()) << tag;
+    EXPECT_NE(loaded.error_message().find("non-finite"), std::string::npos)
+        << loaded.error_message();
+  }
+}
+
+TEST(StoreNonFinite, WriterRefusesANonFiniteValue) {
+  StoreDir dir("nonfinite_writer");
+  const auto key = config::lte_param(config::ParamId::kQHyst);
+  core::CellRecord good;
+  good.observations = {{key, 2.0, SimTime{1}, -1}};
+  // The bad cell also names a key no good cell has: refusing the cell
+  // must unassign it again.
+  core::CellRecord bad = good;
+  bad.observations.push_back(
+      {config::lte_param(config::ParamId::kA3Offset), 3.0, SimTime{2}, -1});
+  bad.observations.push_back(
+      {key, std::numeric_limits<double>::quiet_NaN(), SimTime{2}, -1});
+  {
+    ShardWriter writer(dir.path());
+    writer.add_cell("C0", 1, good);
+    EXPECT_THROW(writer.add_cell("C1", 2, bad), std::invalid_argument);
+    bad.observations.back().value = -std::numeric_limits<double>::infinity();
+    EXPECT_THROW(writer.add_cell("C0", 3, bad), std::invalid_argument);
+    writer.add_cell("C0", 4, good);
+    writer.finish();
+  }
+  // The refused cells left nothing behind: no carrier, parameter, cell or
+  // row.
+  auto set = ShardSet::open(dir.path());
+  ASSERT_TRUE(set.ok()) << set.error_message();
+  EXPECT_EQ(set.value().manifest().carriers, std::vector<std::string>{"C0"});
+  EXPECT_EQ(set.value().manifest().params,
+            std::vector<std::string>{config::param_name(key)});
+  core::ConfigDatabase db;
+  ASSERT_TRUE(load_database(set.value(), db).ok());
+  EXPECT_EQ(db.total_cells(), 2u);
+  EXPECT_EQ(db.total_samples(), 2u);
 }
 
 TEST(DirectFold, CrcCheckingCanBeDisabledForTrustedStores) {

@@ -21,10 +21,10 @@
 //                                      --carrier / --param flags build a
 //                                      query: the planner folds only the
 //                                      selected carriers' blocks and the
-//                                      param predicate skips every other
-//                                      parameter's value bytes on the wire
+//                                      param predicate drops every other
+//                                      parameter's observations at the wire
 //                                      (the stats line shows what was
-//                                      skipped / not read)
+//                                      skipped / not materialized)
 //   mmlab_cli verify  <in>
 //                                      run the misconfiguration detectors
 //   mmlab_cli drive   [carrier-acr]    one instrumented drive; print the
@@ -353,12 +353,12 @@ int report_direct(const CliOptions& opts) {
 
   // The scheduled pass's own accounting (the diversity table above re-folds
   // one carrier and is not included): parsed + skipped covers every block
-  // of the store, bytes-not-read is the wire push-down (8 bytes per
-  // skipped value payload).
+  // of the store, bytes-not-materialized is the wire push-down (8 bytes
+  // per dropped observation's value).
   const auto& plan_stats = qa.value().stats;
   std::printf("\nfold stats: %llu blocks parsed (%.1f MB), "
               "%llu blocks skipped by the plan (%.1f MB), "
-              "%.1f MB not read, peak window %llu blocks "
+              "%.1f MB not materialized, peak window %llu blocks "
               "(~%.1f MB resident), CRC %s, %.2fs total\n",
               static_cast<unsigned long long>(plan_stats.blocks),
               static_cast<double>(plan_stats.bytes) / 1e6,

@@ -366,8 +366,8 @@ int run_planned_checks(const store::DirectFold& direct,
   check(narrowed.value() == db.values(name, key),
         name + " planned values() != reference values()");
   check(after.values_skipped > before.values_skipped,
-        name + " planned values(): push-down decoded every value payload "
-               "(expected skipped bytes)");
+        name + " planned values(): push-down materialized every "
+               "observation (expected dropped ones)");
   return mismatches;
 }
 
@@ -586,8 +586,8 @@ int run_soak_phase(const SoakOptions& opts, unsigned hw) {
       const std::uint64_t skipped =
           8 * (after.values_skipped - before.values_skipped);
       std::printf("soak: planned values(%s, Ps) in %.1f s: "
-                  "parsed %.1f MB, decoded %.1f MB (%.1f MB of value "
-                  "payloads skipped on the wire)\n",
+                  "parsed %.1f MB, materialized %.1f MB (%.1f MB of "
+                  "dropped observations' values)\n",
                   name.c_str(), now_seconds() - t0,
                   static_cast<double>(parsed) / 1e6,
                   static_cast<double>(parsed - skipped) / 1e6,
