@@ -155,19 +155,6 @@ std::size_t parse_cell(ByteReader& r, const std::string& carrier,
   return static_cast<std::size_t>(h.n_obs);
 }
 
-std::uint32_t parse_cell(ByteReader& r,
-                         const std::vector<config::ParamKey>& params,
-                         CellRecord& rec) {
-  const CellHeader h = parse_cell_header(r);
-  rec.observations.clear();  // keep capacity — this path runs per row chunk
-  rec.cell_id = h.id;
-  rec.rat = static_cast<spectrum::Rat>(h.rat_raw);
-  rec.channel = h.channel;
-  rec.position = {h.x, h.y};
-  parse_observations(r, h.n_obs, params, rec.observations);
-  return h.id;
-}
-
 std::uint32_t parse_cell_filtered(ByteReader& r,
                                   const std::vector<config::ParamKey>& params,
                                   const std::vector<char>& keep,
@@ -175,7 +162,7 @@ std::uint32_t parse_cell_filtered(ByteReader& r,
                                   std::uint32_t max_cell, CellRecord& rec,
                                   CellScan& scan) {
   const CellHeader h = parse_cell_header(r);
-  rec.observations.clear();  // keep capacity, as in the unfiltered overload
+  rec.observations.clear();  // keep capacity: the fold reuses one record
   rec.cell_id = h.id;
   rec.rat = static_cast<spectrum::Rat>(h.rat_raw);
   rec.channel = h.channel;

@@ -88,13 +88,6 @@ std::size_t parse_cell(ByteReader& r, const std::string& carrier,
                        const std::vector<config::ParamKey>& params,
                        core::ConfigDatabase& out);
 
-/// Parse one cell into a standalone record (the out-of-core path, where no
-/// database exists).  `rec` is reset first; rec.cell_id is filled.  Returns
-/// the cell id.
-std::uint32_t parse_cell(ByteReader& r,
-                         const std::vector<config::ParamKey>& params,
-                         core::CellRecord& rec);
-
 /// Wire-level facts parse_cell_filtered reports about the *unfiltered* cell
 /// run it just scanned — everything a filtering reader needs to (a) validate
 /// raw counts against the manifest and (b) preserve the merge contract's
@@ -106,10 +99,12 @@ struct CellScan {
   bool has_front = false;       ///< the run had at least one observation
 };
 
-/// Predicate push-down variant of the record-reuse parse_cell: decodes the
-/// cell's full wire structure (every varint must be walked to find the next
-/// cell) but materializes only observations whose param-table index is set
-/// in `keep` — a filtered observation is never materialized, and is counted
+/// Parse one cell into a standalone record (the out-of-core path, where no
+/// database exists), with predicate push-down.  `rec` is reset first but
+/// keeps its capacity; rec.cell_id is filled.  Decodes the cell's full wire
+/// structure (every varint must be walked to find the next cell) but
+/// materializes only observations whose param-table index is set in
+/// `keep` — a filtered observation is never materialized, and is counted
 /// in CellScan::values_skipped.  Its 8-byte value is still read and must be
 /// finite, so the filter never decides whether a store is accepted.  An
 /// empty `keep` keeps every observation.  When the returned id falls

@@ -19,28 +19,22 @@ namespace mmlab::store {
 
 namespace {
 
-/// One parsed cell run plus the unfiltered-front facts the merge contract's
-/// metadata tie-break needs under wire filtering (front_t / has_front
-/// describe the run as stored, before any ParamKey predicate dropped
-/// observations; unused by unfiltered folds).
-struct ParsedCell {
-  std::uint32_t id = 0;
-  core::CellRecord rec;
-  std::int64_t front_t = 0;
-  bool has_front = false;
-};
-
-/// One parsed block: its cells in ascending id order plus the merge front.
-/// `cells` is freed (and the mapping released) the moment the front passes
-/// the end — a retired block lingers in the window only as an empty husk
-/// until it reaches the deque front.
-struct ParsedBlock {
-  std::size_t global = 0;  ///< index into ShardSet::blocks()
-  std::vector<ParsedCell> cells;
-  std::size_t next = 0;
-  std::uint64_t values_skipped = 0;  ///< push-down skipped value payloads
-
-  bool exhausted() const { return next >= cells.size(); }
+/// One open block: a reader over its mapped body and the block's current
+/// in-range cell run, the only parsed run it holds.  `rec` is refilled for
+/// every run of the block and swapped with the fold's merge buffer, so its
+/// observations keep their capacity.  The raw counts validate the body
+/// against the manifest once the reader reaches its end.
+struct BlockCursor {
+  std::size_t pos = 0;      ///< index into the carrier plan's blocks
+  std::size_t global = 0;   ///< index into ShardSet::blocks()
+  ByteReader r{nullptr, 0};
+  core::CellRecord rec;     ///< the current run (unless done)
+  CellScan scan;            ///< its unfiltered wire facts
+  std::uint32_t id = 0;     ///< last raw id parsed: the current run's id
+  std::uint32_t first = 0;  ///< first raw id parsed
+  std::uint64_t cells = 0;  ///< raw cells parsed
+  std::uint64_t rows = 0;   ///< raw rows parsed
+  bool done = false;        ///< body read to its end and validated
 };
 
 }  // namespace
@@ -77,121 +71,109 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
 
   FoldStats fs;
   fs.crc_checked = options_.check_block_crc;
-  std::deque<ParsedBlock> live;
-  std::size_t resident = 0;  // live blocks still holding parsed cells
+  std::deque<BlockCursor> live;
+  std::size_t resident = 0;  // open blocks not yet read to their end
   std::size_t next_block = 0;
 
-  const auto parse_one = [&](ParsedBlock& pb) {
-    const BlockInfo& info = *set_->blocks()[pb.global].info;
-    const auto body = set_->block_body(pb.global);
+  // Parse the cursor's next in-range run, skipping cells outside the
+  // query's id range.  At the end of the body, check the raw cell ids and
+  // counts against the manifest instead, and mark the cursor done.
+  const auto advance = [&](BlockCursor& c) {
+    while (c.r.remaining() > 0) {
+      const std::uint32_t id = parse_cell_filtered(
+          c.r, set_->params(), keep, min_cell, max_cell, c.rec, c.scan);
+      if (c.cells > 0 && id <= c.id)
+        throw std::runtime_error("cell ids not ascending within a block");
+      if (c.cells == 0) c.first = id;
+      c.id = id;
+      ++c.cells;
+      c.rows += c.scan.rows;
+      fs.values_skipped += c.scan.values_skipped;
+      if (id >= min_cell && id <= max_cell) return;
+    }
+    const BlockInfo& info = *set_->blocks()[c.global].info;
+    if (c.cells != info.cell_count)
+      throw std::runtime_error("block cell count disagrees with manifest");
+    if (c.rows != info.row_count)
+      throw std::runtime_error("block row count disagrees with manifest");
+    if (c.cells > 0 && (c.first != info.first_cell || c.id != info.last_cell))
+      throw std::runtime_error("block cell-id range disagrees with manifest");
+    c.done = true;
+  };
+
+  // Map the block's body and check it against its manifest CRC, then
+  // parse its first in-range run.
+  const auto open = [&](BlockCursor& c) {
+    const BlockInfo& info = *set_->blocks()[c.global].info;
+    const auto body = set_->block_body(c.global);
     if (options_.check_block_crc &&
         crc16_ccitt(body.data(), body.size()) != info.crc16)
       throw std::runtime_error("block CRC mismatch at shard offset " +
                                std::to_string(info.offset));
-    ByteReader r(body.data(), body.size());
-    std::uint64_t rows = 0;
-    if (!filtered) {
-      pb.cells.reserve(static_cast<std::size_t>(info.cell_count));
-      while (r.remaining() > 0) {
-        ParsedCell pc;
-        pc.id = parse_cell(r, set_->params(), pc.rec);
-        if (!pb.cells.empty() && pc.id <= pb.cells.back().id)
-          throw std::runtime_error("cell ids not ascending within a block");
-        rows += pc.rec.observations.size();
-        pb.cells.push_back(std::move(pc));
-      }
-      if (pb.cells.size() != info.cell_count)
-        throw std::runtime_error("block cell count disagrees with manifest");
-      if (rows != info.row_count)
-        throw std::runtime_error("block row count disagrees with manifest");
-      if (!pb.cells.empty() && (pb.cells.front().id != info.first_cell ||
-                                pb.cells.back().id != info.last_cell))
-        throw std::runtime_error("block cell-id range disagrees with manifest");
-      return;
-    }
-    // Filtered path: every cell's wire structure is still walked (and the
-    // manifest's raw counts/ranges validated against it), but only in-range
-    // cells materialize and only selected params' values decode.
-    std::uint64_t scanned = 0;
-    std::uint32_t first_raw = 0, last_raw = 0;
-    bool any = false;
-    core::CellRecord rec;
-    CellScan scan;
-    while (r.remaining() > 0) {
-      const std::uint32_t id = parse_cell_filtered(
-          r, set_->params(), keep, min_cell, max_cell, rec, scan);
-      if (any && id <= last_raw)
-        throw std::runtime_error("cell ids not ascending within a block");
-      if (!any) first_raw = id;
-      any = true;
-      last_raw = id;
-      ++scanned;
-      rows += scan.rows;
-      pb.values_skipped += scan.values_skipped;
-      if (id >= min_cell && id <= max_cell) {
-        ParsedCell pc;
-        pc.id = id;
-        pc.rec = std::move(rec);
-        pc.front_t = scan.front_t_ms;
-        pc.has_front = scan.has_front;
-        pb.cells.push_back(std::move(pc));
-      }
-    }
-    if (scanned != info.cell_count)
-      throw std::runtime_error("block cell count disagrees with manifest");
-    if (rows != info.row_count)
-      throw std::runtime_error("block row count disagrees with manifest");
-    if (any && (first_raw != info.first_cell || last_raw != info.last_cell))
-      throw std::runtime_error("block cell-id range disagrees with manifest");
+    c.r = ByteReader(body.data(), body.size());
+    advance(c);
   };
 
-  // Parse the next `window` blocks, one at a time in manifest order.  The
-  // first error names its block and stops the fold.
-  const auto parse_batch = [&]() -> std::string {
+  // Run one cursor step.  A block read to its end is closed: its mapping
+  // released and its run buffer freed (the husk is popped off the deque
+  // front later, never while iterating it).  The first error names its
+  // block and stops the fold.
+  std::string error;
+  const auto step = [&](BlockCursor& c, const auto& f) {
+    try {
+      f(c);
+    } catch (const std::exception& e) {
+      error = "fold: block " + std::to_string(c.pos) + " of carrier " +
+              cp.name + " (offset " +
+              std::to_string(set_->blocks()[c.global].info->offset) +
+              "): " + e.what();
+      return false;
+    }
+    if (c.done) {
+      if (options_.release_mapped) set_->release_block(c.global);
+      c.rec = {};  // free, not just clear
+      --resident;
+      if (job.gauge) job.gauge->sub(1);
+    }
+    return true;
+  };
+
+  // Open the next `window` blocks, one at a time in manifest order.  Each
+  // counts as resident from its open.
+  const auto open_batch = [&] {
     const std::size_t n = std::min(job.window, blocks.size() - next_block);
     for (std::size_t k = 0; k < n; ++k, ++next_block) {
       const BlockInfo& info = *set_->blocks()[blocks[next_block]].info;
-      live.emplace_back();
-      live.back().global = blocks[next_block];
-      try {
-        parse_one(live.back());
-      } catch (const std::exception& e) {
-        return "block " + std::to_string(next_block) + " of carrier " +
-               cp.name + " (offset " + std::to_string(info.offset) +
-               "): " + e.what();
-      }
+      BlockCursor& c = live.emplace_back();
+      c.pos = next_block;
+      c.global = blocks[next_block];
+      ++fs.blocks;
       fs.rows += info.row_count;
       fs.bytes += info.length;
-      fs.values_skipped += live.back().values_skipped;
+      ++resident;
+      if (job.gauge) job.gauge->add(1);
+      fs.peak_resident_blocks =
+          std::max<std::uint64_t>(fs.peak_resident_blocks, resident);
+      if (!step(c, open)) return false;
     }
-    fs.blocks += n;
-    resident += n;
-    if (job.gauge) job.gauge->add(n);
-    fs.peak_resident_blocks =
-        std::max<std::uint64_t>(fs.peak_resident_blocks, resident);
-    return {};
+    return true;
   };
-
-  // Frees a drained block's parsed cells and releases its mapping; the husk
-  // itself is popped off the deque front after the merge step (never while
-  // iterating it).
-  const auto retire = [&](ParsedBlock& pb) {
-    if (options_.release_mapped) set_->release_block(pb.global);
-    pb.cells = {};  // free, not just clear
-    --resident;
-    if (job.gauge) job.gauge->sub(1);
+  // A failed step leaves its block (and any others still open) counted:
+  // drain them from the shared gauge before reporting.
+  const auto fail = [&] {
+    if (job.gauge) job.gauge->sub(resident);
+    return R::error(error);
   };
 
   core::CellRecord merged;
   while (true) {
-    // Minimum front id over the window.
+    // Minimum current run id over the open blocks.
     std::int64_t min_id = -1;
     bool found = false;
-    for (const ParsedBlock& pb : live) {
-      if (pb.exhausted()) continue;
-      const std::int64_t id = pb.cells[pb.next].id;
-      if (!found || id < min_id) {
-        min_id = id;
+    for (const BlockCursor& c : live) {
+      if (c.done) continue;
+      if (!found || c.id < min_id) {
+        min_id = c.id;
         found = true;
       }
     }
@@ -201,15 +183,12 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
       safe = static_cast<std::int64_t>(cp.safe_floor[next_block]) - 1;
     if (!found || min_id > safe) {
       if (next_block >= blocks.size()) break;  // fully drained
-      const std::string err = parse_batch();
-      if (!err.empty()) {
-        if (job.gauge) job.gauge->sub(resident);
-        return R::error("fold: " + err);
-      }
+      if (!open_batch()) return fail();
       continue;
     }
-    // Merge every front run of min_id, in window (= manifest) order — the
-    // pairwise ConfigDatabase::merge the loader and view builder perform.
+    // Merge every current run of min_id, in window (= manifest) order — the
+    // pairwise ConfigDatabase::merge the loader performs.  The first run is
+    // swapped in and the rest merged, so every buffer keeps its capacity.
     // Under wire filtering, merge_from's metadata tie-break would see
     // *filtered* front timestamps, so the winner (minimal unfiltered front
     // t over non-empty runs, earliest run on ties, first run when all runs
@@ -223,30 +202,28 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
     geo::Point m_position{};
     std::int64_t best_front = 0;
     bool have_front = false;
-    for (ParsedBlock& pb : live) {
-      if (pb.exhausted() || pb.cells[pb.next].id != min_id) continue;
-      ParsedCell& pc = pb.cells[pb.next];
+    for (BlockCursor& c : live) {
+      if (c.done || c.id != min_id) continue;
       if (filtered) {
-        const bool wins =
-            pc.has_front && (!have_front || pc.front_t < best_front);
+        const bool wins = c.scan.has_front &&
+                          (!have_front || c.scan.front_t_ms < best_front);
         if (first || wins) {
-          m_rat = pc.rec.rat;
-          m_channel = pc.rec.channel;
-          m_position = pc.rec.position;
+          m_rat = c.rec.rat;
+          m_channel = c.rec.channel;
+          m_position = c.rec.position;
         }
         if (wins) {
           have_front = true;
-          best_front = pc.front_t;
+          best_front = c.scan.front_t_ms;
         }
       }
       if (first) {
-        merged = std::move(pc.rec);
+        std::swap(merged, c.rec);
         first = false;
       } else {
-        merged.merge_from(std::move(pc.rec));
+        merged.merge_from(std::move(c.rec));
       }
-      ++pb.next;
-      if (pb.exhausted()) retire(pb);
+      if (!step(c, advance)) return fail();
     }
     if (filtered) {
       merged.rat = m_rat;
@@ -255,7 +232,7 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
     }
     consumer(static_cast<std::uint32_t>(min_id), merged);
     ++fs.cells;
-    while (!live.empty() && live.front().exhausted()) live.pop_front();
+    while (!live.empty() && live.front().done) live.pop_front();
   }
 
   fs.fold_seconds =

@@ -2,19 +2,24 @@
 // MMDS v2 blocks, with no database (or any other whole-store structure)
 // materialized in between.
 //
-// DirectFold streams each carrier's blocks through a bounded parse window
-// and hands every *fully merged* cell record to a consumer exactly once, in
-// globally ascending cell-id order.  Queries and the figure entry points
-// (store/analytics.hpp) are folds over that stream, so resident memory is
-// O(window) blocks plus the answer — never the store.
+// DirectFold streams each carrier's blocks through a bounded window of open
+// blocks and hands every *fully merged* cell record to a consumer exactly
+// once, in globally ascending cell-id order.  Queries and the figure entry
+// points (store/analytics.hpp) are folds over that stream.
+//
+// Memory model: an open block is a cursor over its mapped body that holds
+// one parsed cell run at a time (one CellRecord, reused for every run of
+// the block); runs are parsed on demand as the merge consumes them.  So
+// resident memory is O(open blocks × (mapped body + one cell run)) plus
+// the answer — never the store.
 //
 // Merge contract (DESIGN.md §12): a cell's runs merge via
 // CellRecord::merge_from in global (shard, block) manifest order — exactly
 // what load_database does — so every downstream product is bit-identical to
-// the in-memory path for any thread count and window size.  Blocks parse
+// the in-memory path for any thread count and window size.  Blocks open
 // serially, in manifest order.  The windowing invariant that makes
 // streaming safe: with the manifest's per-block cell-id ranges, a merged
-// cell may be emitted once its id is below every unparsed block's
+// cell may be emitted once its id is below every unopened block's
 // first_cell — ids within a block lie inside [first_cell, last_cell], so no
 // later block can contribute another run of it.
 //
@@ -31,12 +36,15 @@
 // *unfiltered* front observation, so a planned answer is bit-identical to
 // filtering the corresponding full-fold answer.  fold_query schedules the
 // selected carriers as concurrent pool jobs (largest first) under one
-// shared parse-window budget.
+// shared window budget.
 //
-// Integrity: each block body is checksummed against its manifest CRC right
-// before parsing (FoldOptions::check_block_crc).  A mismatch — or any
-// structural damage the parser trips on — fails the whole fold; a query
-// never returns a partial answer built from a corrupt prefix.
+// Integrity: each block body is checksummed against its manifest CRC when
+// the block is opened (FoldOptions::check_block_crc), before any of its
+// cells is parsed.  The cell-id order, cell count, row count and
+// first/last ids are checked against the manifest when the cursor reaches
+// the end of the body.  A mismatch — or any structural damage the parser
+// trips on — fails the whole fold; a query never returns a partial answer
+// built from a corrupt prefix.
 #pragma once
 
 #include <atomic>
@@ -57,9 +65,11 @@
 namespace mmlab::store {
 
 /// Shared residency accounting for folds that run concurrently (the
-/// cross-carrier scheduler): every participating fold adds its parsed-and-
-/// resident block count here, so `peak` is the high-water mark of the
-/// *total* window across jobs — the number the shared budget bounds.
+/// cross-carrier scheduler): every participating fold adds its open block
+/// count here (a block counts from its open until its body has been read
+/// to the end), so `peak` is the high-water mark of the *total* window
+/// across jobs — the number the shared budget bounds.  Every fold drains
+/// what it added, on success and on error alike.
 struct ResidencyGauge {
   std::atomic<std::uint64_t> resident{0};
   std::atomic<std::uint64_t> peak{0};
@@ -88,17 +98,19 @@ struct FoldOptions {
   /// has been merged out.  Disable to keep the page cache warm when the
   /// same store will be re-read immediately (equality passes).
   bool release_mapped = true;
-  /// Parse window in blocks (0 = auto: max(2, 2 * threads)).  The window
-  /// bounds residency; it buys no parse parallelism (blocks parse one at a
-  /// time).  It is a floor on batching, not a ceiling on residency: blocks
-  /// stay resident until their cells are merged out, so a layout with
-  /// interleaved cell-id ranges can hold more than `window_blocks` parsed
-  /// blocks alive (correctness never depends on the window).  fold_query
-  /// treats this as the GLOBAL budget and gives each of its concurrent
-  /// carrier jobs max(1, budget / jobs).
+  /// Window in open blocks (0 = auto: max(2, 2 * threads)): when the
+  /// emission frontier needs more runs, this many blocks are opened at
+  /// once.  Each open block costs its mapped body plus one parsed cell
+  /// run, so the window bounds residency; it buys no parse parallelism
+  /// (a fold parses one run at a time).  It is a floor on batching, not a
+  /// ceiling on residency: a block stays open until its last cell is
+  /// merged out, so a layout with interleaved cell-id ranges can hold more
+  /// than `window_blocks` blocks open (correctness never depends on the
+  /// window).  fold_query treats this as the GLOBAL budget and gives each
+  /// of its concurrent carrier jobs max(1, budget / jobs).
   std::size_t window_blocks = 0;
-  /// Checksum each block body against the manifest's per-block CRC right
-  /// before parsing it (FoldStats::crc_checked reports this flag).
+  /// Checksum each block body against the manifest's per-block CRC when
+  /// the block is opened (FoldStats::crc_checked reports this flag).
   bool check_block_crc = true;
   /// Optional shared residency gauge; every fold run through this engine
   /// reports its resident-block count there (fold_query supplies its own
@@ -109,7 +121,7 @@ struct FoldOptions {
 struct FoldStats {
   std::uint64_t rows = 0;    ///< observations parsed (wire rows scanned)
   std::uint64_t cells = 0;   ///< merged cells emitted (distinct ids)
-  std::uint64_t blocks = 0;  ///< blocks parsed
+  std::uint64_t blocks = 0;  ///< blocks opened (and parsed to the end)
   std::uint64_t bytes = 0;   ///< block body bytes parsed
   /// Blocks / bytes the query planner pruned — never mapped or parsed.
   /// Zero for plain (unplanned) folds; for planned folds this is the
@@ -121,9 +133,10 @@ struct FoldStats {
   /// Observations the ParamKey push-down dropped instead of materializing
   /// (they still count in `rows`; their values are only checked finite).
   std::uint64_t values_skipped = 0;
-  /// Largest number of concurrently parsed-and-resident blocks — the
-  /// realized window, i.e. what bounds transient memory.  For fold_query
-  /// this is the gauge peak: the total across concurrent carrier jobs.
+  /// Largest number of concurrently open blocks — the realized window,
+  /// i.e. what bounds transient memory (each open block is its mapped body
+  /// plus one parsed cell run).  For fold_query this is the gauge peak:
+  /// the total across concurrent carrier jobs.
   std::uint64_t peak_resident_blocks = 0;
   bool crc_checked = false;  ///< per-block CRCs were verified mid-fold
   double fold_seconds = 0.0;
@@ -157,7 +170,7 @@ class DirectFold {
   using CellConsumer =
       std::function<void(std::uint32_t id, const core::CellRecord& rec)>;
 
-  /// Stream one planned carrier: only the plan's selected blocks parse,
+  /// Stream one planned carrier: only the plan's selected blocks open,
   /// and the plan's wire predicates (cell range, param mask) apply; a plan
   /// of Query{} streams the whole carrier unfiltered.  The plan must be
   /// bound to this engine's ShardSet.  A carrier the plan did not select
@@ -173,8 +186,8 @@ class DirectFold {
 
   /// Cross-carrier scheduler: fold every carrier the plan selected, as
   /// concurrent pool jobs when options().threads > 1 (largest carrier
-  /// first, so stragglers start early), under ONE shared parse-window
-  /// budget (options().window_blocks, split across jobs).  With one job
+  /// first, so stragglers start early), under ONE shared window budget
+  /// (options().window_blocks, split across jobs).  With one job
   /// this is the sequential per-carrier loop, run inline.
   ///
   /// `make_consumer(slot, cp)` is called serially, in sorted carrier order,
@@ -234,7 +247,7 @@ class DirectFold {
   struct FoldJob {
     const CarrierQueryPlan* carrier = nullptr;  ///< blocks + frontier
     const QueryPlan* plan = nullptr;            ///< wire predicates
-    std::size_t window = 0;  ///< blocks parsed per batch, >= 1
+    std::size_t window = 0;  ///< blocks opened per batch, >= 1
     ResidencyGauge* gauge = nullptr;
   };
 

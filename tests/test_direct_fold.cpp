@@ -3,9 +3,13 @@
 // load_database(store), for any thread count and any parse-window size;
 // mid-fold corruption (a flipped byte in any block) must surface as an
 // error with no partial answer escaping; a CRC-valid store carrying a NaN
-// or infinite value is rejected by every reader, planned or not; manifest
-// block extras round-trip, and a manifest without them (flags other than
-// 0x01) is rejected.
+// or infinite value is rejected by every reader, planned or not; a
+// manifest block count or id range the body disagrees with fails every
+// fold when the block's cursor reaches the end of the body, and the
+// residency gauge drains; the cursors' reused run buffers match the oracle
+// on empty cells after large ones, on cells whose runs span many blocks
+// and under range queries; manifest block extras round-trip, and a
+// manifest without them (flags other than 0x01) is rejected.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -715,6 +719,372 @@ TEST(DirectFold, UnknownManifestFlagBitsAreRejected) {
     ASSERT_FALSE(r.ok()) << "flags " << int{flag};
     EXPECT_NE(r.error_message().find("flag"), std::string::npos)
         << r.error_message();
+  }
+}
+
+// --- checks at the end of a block ----------------------------------------------
+
+TEST(DirectFoldBlockEnd, ManifestDisagreementFailsEveryFoldAndDrainsTheGauge) {
+  // The cell-count, row-count and last-id checks run when a block's cursor
+  // reaches the end of its body.  Each damaged field leaves every CRC intact
+  // (only the manifest changes, and write_manifest re-stamps its trailer),
+  // so only those checks can catch it, and every fold must fail naming the
+  // block.
+  const auto serving = config::lte_param(config::ParamId::kServingPriority);
+  struct Damage {
+    const char* field;
+    const char* message;
+    void (*apply)(BlockInfo&);
+  };
+  const Damage damages[] = {
+      {"row_count", "block row count disagrees with manifest",
+       [](BlockInfo& b) { ++b.row_count; }},
+      {"cell_count", "block cell count disagrees with manifest",
+       [](BlockInfo& b) { ++b.cell_count; }},
+      {"last_cell", "block cell-id range disagrees with manifest",
+       [](BlockInfo& b) { ++b.last_cell; }},
+  };
+  for (const Damage& damage : damages) {
+    StoreDir dir(std::string("blockend_") + damage.field);
+    save_small_blocks(random_db(89, 2, 60, 2), dir.path());
+    auto m = read_manifest(dir.path());
+    ASSERT_TRUE(m.ok()) << m.error_message();
+    // Damage a middle block of carrier C0; `pos` is its index among C0's
+    // blocks, which is how the fold names it.
+    const auto c0 = static_cast<std::uint32_t>(
+        std::find(m.value().carriers.begin(), m.value().carriers.end(), "C0") -
+        m.value().carriers.begin());
+    std::vector<BlockInfo*> c0_blocks;
+    for (ShardInfo& shard : m.value().shards)
+      for (BlockInfo& block : shard.blocks)
+        if (block.carrier_index == c0) c0_blocks.push_back(&block);
+    ASSERT_GT(c0_blocks.size(), 4u) << "rotation targets too lax";
+    const std::size_t pos = c0_blocks.size() / 2;
+    damage.apply(*c0_blocks[pos]);
+    const std::string expected = "block " + std::to_string(pos) +
+                                 " of carrier C0 (offset " +
+                                 std::to_string(c0_blocks[pos]->offset) +
+                                 "): " + damage.message;
+    write_manifest(dir.path(), m.value());
+
+    auto set = ShardSet::open(dir.path());
+    ASSERT_TRUE(set.ok()) << set.error_message();
+    ASSERT_TRUE(set.value().verify().ok()) << "every shard CRC still holds";
+    const auto expect_failed = [&](const auto& r, const ResidencyGauge& gauge,
+                                   const std::string& what) {
+      const std::string tag = std::string(damage.field) + " " + what;
+      ASSERT_FALSE(r.ok()) << tag;
+      EXPECT_NE(r.error_message().find(expected), std::string::npos)
+          << tag << ": " << r.error_message();
+      EXPECT_EQ(gauge.resident.load(std::memory_order_relaxed), 0u) << tag;
+    };
+    const auto noop = [](std::uint32_t, const core::CellRecord&) {};
+
+    for (const bool filtered : {false, true}) {
+      ResidencyGauge gauge;
+      FoldOptions fopts;
+      fopts.gauge = &gauge;
+      const DirectFold direct(set.value(), fopts);
+      Query q;
+      if (filtered) q.params = {serving};
+      const QueryPlan plan(set.value(), q);
+      ASSERT_EQ(plan.filtered(), filtered);
+      expect_failed(direct.fold_planned(plan, "C0", noop), gauge,
+                    filtered ? "fold_planned params" : "fold_planned");
+    }
+    for (const unsigned threads : {1u, 4u}) {
+      ResidencyGauge gauge;
+      FoldOptions fopts;
+      fopts.threads = threads;
+      fopts.gauge = &gauge;
+      const DirectFold direct(set.value(), fopts);
+      const auto r = direct.fold_query(
+          QueryPlan(set.value(), Query{}),
+          [&](std::size_t, const CarrierQueryPlan&) { return noop; });
+      expect_failed(r, gauge, "fold_query threads=" + std::to_string(threads));
+    }
+  }
+}
+
+// --- cursor buffer reuse -------------------------------------------------------
+
+/// The oracle record for a planned fold: load_database's record restricted
+/// to the query's parameters.  Identity metadata is the unfiltered merge's.
+core::CellRecord restrict_record(const core::CellRecord& rec, const Query& q) {
+  core::CellRecord out = rec;
+  if (q.params.empty()) return out;
+  out.observations.clear();
+  for (const auto& obs : rec.observations)
+    if (std::find(q.params.begin(), q.params.end(), obs.key) != q.params.end())
+      out.observations.push_back(obs);
+  return out;
+}
+
+void expect_same_record(const core::CellRecord& a, const core::CellRecord& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.cell_id, b.cell_id) << what;
+  EXPECT_EQ(a.rat, b.rat) << what;
+  EXPECT_EQ(a.channel, b.channel) << what;
+  expect_bits(a.position.x, b.position.x, what + " x");
+  expect_bits(a.position.y, b.position.y, what + " y");
+  ASSERT_EQ(a.observations.size(), b.observations.size()) << what;
+  for (std::size_t i = 0; i < a.observations.size(); ++i) {
+    const auto& oa = a.observations[i];
+    const auto& ob = b.observations[i];
+    const std::string at = what + " obs " + std::to_string(i);
+    EXPECT_EQ(oa.key, ob.key) << at;
+    expect_bits(oa.value, ob.value, at);
+    EXPECT_EQ(oa.t, ob.t) << at;
+    EXPECT_EQ(oa.context, ob.context) << at;
+  }
+}
+
+/// Folds `q` over every carrier of the store, through fold_planned and
+/// fold_query at 1 and 4 threads, for several windows, and checks every
+/// delivered record bit for bit against load_database's record restricted
+/// to the query; then checks the ConfigDatabase query equivalents against
+/// the same restricted oracle.  A caller-supplied gauge must drain to zero
+/// after every fold.
+void expect_folds_match_oracle(const ShardSet& set, const Query& q,
+                               const std::string& tag) {
+  const auto loaded = load(set);
+  core::ConfigDatabase oracle;
+  for (const auto& [carrier, cells] : loaded.carriers())
+    for (const auto& [id, rec] : cells)
+      if (id >= q.min_cell && id <= q.max_cell)
+        oracle.upsert_cell(carrier, id) = restrict_record(rec, q);
+
+  const QueryPlan plan(set, q);
+  const auto expect_cells =
+      [&](const std::string& carrier,
+          const std::vector<std::pair<std::uint32_t, core::CellRecord>>& got,
+          const std::string& what) {
+        const auto* want = oracle.cells_of(carrier);
+        ASSERT_EQ(got.size(), want ? want->size() : 0u) << what << " " << carrier;
+        if (!want) return;
+        auto it = want->begin();
+        for (const auto& [id, rec] : got) {
+          ASSERT_EQ(id, it->first) << what;
+          expect_same_record(rec, it->second,
+                             what + " " + carrier + " cell " + std::to_string(id));
+          ++it;
+        }
+      };
+
+  for (const std::size_t window : {std::size_t{1}, std::size_t{2},
+                                   std::size_t{0}}) {
+    const std::string wtag = tag + " window=" + std::to_string(window);
+    ResidencyGauge gauge;
+    FoldOptions fopts;
+    fopts.window_blocks = window;
+    fopts.gauge = &gauge;
+    const DirectFold direct(set, fopts);
+    for (const auto& carrier : direct.carriers()) {
+      std::vector<std::pair<std::uint32_t, core::CellRecord>> got;
+      const auto r = direct.fold_planned(
+          plan, carrier,
+          [&](std::uint32_t id, const core::CellRecord& rec) {
+            got.emplace_back(id, rec);
+          });
+      ASSERT_TRUE(r.ok()) << wtag << ": " << r.error_message();
+      EXPECT_EQ(gauge.resident.load(std::memory_order_relaxed), 0u) << wtag;
+      expect_cells(carrier, got, wtag + " fold_planned");
+    }
+    for (const unsigned threads : {1u, 4u}) {
+      ResidencyGauge qgauge;
+      FoldOptions qopts = fopts;
+      qopts.threads = threads;
+      qopts.gauge = &qgauge;
+      const DirectFold scheduled(set, qopts);
+      std::vector<std::vector<std::pair<std::uint32_t, core::CellRecord>>> got(
+          plan.carriers().size());
+      const auto r = scheduled.fold_query(
+          plan, [&](std::size_t slot, const CarrierQueryPlan&) {
+            return [&got, slot](std::uint32_t id, const core::CellRecord& rec) {
+              got[slot].emplace_back(id, rec);
+            };
+          });
+      ASSERT_TRUE(r.ok()) << wtag << ": " << r.error_message();
+      EXPECT_EQ(qgauge.resident.load(std::memory_order_relaxed), 0u) << wtag;
+      for (std::size_t i = 0; i < plan.carriers().size(); ++i)
+        expect_cells(plan.carriers()[i].name, got[i],
+                     wtag + " fold_query threads=" + std::to_string(threads));
+    }
+
+    // The ConfigDatabase query equivalents.
+    const auto by_channel = [](const core::CellRecord& rec) {
+      return static_cast<long>(rec.channel);
+    };
+    for (const auto& carrier : direct.carriers()) {
+      for (const auto& key : loaded.observed_params(carrier)) {
+        if (!q.params.empty() &&
+            std::find(q.params.begin(), q.params.end(), key) == q.params.end())
+          continue;
+        auto values = direct.values(carrier, key, q);
+        ASSERT_TRUE(values.ok()) << values.error_message();
+        EXPECT_EQ(values.value(), oracle.values(carrier, key)) << wtag;
+        auto grouped = direct.values_grouped(carrier, key, by_channel, q);
+        ASSERT_TRUE(grouped.ok()) << grouped.error_message();
+        expect_counts(grouped.value(),
+                      oracle.values_grouped(carrier, key, by_channel),
+                      wtag + " grouped");
+        auto ctx = direct.values_by_context(carrier, key, q);
+        ASSERT_TRUE(ctx.ok()) << ctx.error_message();
+        expect_counts(ctx.value(), oracle.values_by_context(carrier, key),
+                      wtag + " ctx");
+      }
+      auto observed = direct.observed_params(carrier, q);
+      ASSERT_TRUE(observed.ok()) << observed.error_message();
+      EXPECT_EQ(observed.value(), oracle.observed_params(carrier)) << wtag;
+    }
+    EXPECT_EQ(gauge.resident.load(std::memory_order_relaxed), 0u) << wtag;
+  }
+}
+
+/// A record of `n` observations over a few keys, starting at time `t0`.
+core::CellRecord make_run(spectrum::Rat rat, std::uint32_t channel,
+                          double x, std::int64_t t0, std::size_t n) {
+  core::CellRecord rec;
+  rec.rat = rat;
+  rec.channel = channel;
+  rec.position = {x, -x};
+  for (std::size_t i = 0; i < n; ++i)
+    rec.observations.push_back(
+        {config::ParamKey{rat, static_cast<std::uint16_t>(i % 5)},
+         static_cast<double>(i % 7) - 3.0,
+         SimTime{static_cast<Millis>(t0 + static_cast<std::int64_t>(i))},
+         i % 3 == 0 ? static_cast<std::int64_t>(i % 11) : -1});
+  return rec;
+}
+
+TEST(DirectFoldCursor, EmptyCellRightAfterALargeCellMatchesTheOracle) {
+  // A cursor reuses one record for every run of its block, and the merge
+  // swaps it with the buffer that held the previous cell.  A run with no
+  // observations that follows a large run in the same block must come out
+  // empty, not carrying the large run's leftovers.
+  StoreDir dir("cursor_empty");
+  const auto lte = spectrum::Rat::kLte;
+  {
+    ShardWriter writer(dir.path());  // default blocks: one run per block
+    // First run: large, empty, small, large, empty.
+    writer.add_cell("C0", 10, make_run(lte, 3, 1.0, 1000, 3000));
+    writer.add_cell("C0", 11, core::CellRecord{});
+    writer.add_cell("C0", 12, make_run(lte, 4, 2.0, 1000, 3));
+    writer.add_cell("C0", 13, make_run(spectrum::Rat::kUmts, 5, 3.0, 900, 2500));
+    writer.add_cell("C0", 14, core::CellRecord{});
+    // Second run (a descending id starts a new block): more of 10, the
+    // first observations of 11 (earlier than nothing: its metadata wins),
+    // and 14 stays empty across both runs.
+    writer.add_cell("C0", 10, make_run(lte, 6, 4.0, 500, 40));
+    writer.add_cell("C0", 11, make_run(lte, 7, 5.0, 2000, 5));
+    writer.add_cell("C0", 14, core::CellRecord{});
+    writer.add_cell("C0", 15, core::CellRecord{});
+    writer.finish();
+  }
+  auto set = ShardSet::open(dir.path());
+  ASSERT_TRUE(set.ok()) << set.error_message();
+  ASSERT_EQ(set.value().blocks().size(), 2u);
+  const auto loaded = load(set.value());
+  ASSERT_TRUE(loaded.cells_of("C0")->at(14).observations.empty());
+
+  expect_folds_match_oracle(set.value(), Query{}, "unplanned");
+  Query by_key;
+  by_key.params = {config::ParamKey{lte, 1}};
+  expect_folds_match_oracle(set.value(), by_key, "params");
+  Query by_range;
+  by_range.min_cell = 11;
+  by_range.max_cell = 14;
+  expect_folds_match_oracle(set.value(), by_range, "range");
+}
+
+TEST(DirectFoldCursor, CellWhoseRunsSpanManyConsecutiveBlocksMatchesTheOracle) {
+  // A tiny block target puts every spilled run in its own block, and a
+  // one-snapshot chunk spills every snapshot: cell 7's runs fill several
+  // consecutive blocks, so the merge holds more cursors open than any
+  // window and carries one merged record across all of them.
+  StoreDir dir("cursor_span");
+  const auto lte = spectrum::Rat::kLte;
+  const auto snapshot = [&](StreamingDatasetSink& sink, std::uint32_t id,
+                            std::int64_t t, std::size_t n) {
+    std::vector<config::ParamObservation> params;
+    for (std::size_t i = 0; i < n; ++i)
+      params.push_back({config::ParamKey{lte, static_cast<std::uint16_t>(i % 4)},
+                        static_cast<double>((id + t + i) % 6),
+                        i % 2 ? static_cast<std::int64_t>(i) : -1});
+    sink.snapshot("C0", id, lte, 2 + id % 3, {1.0 * id, 2.0 * t},
+                  SimTime{static_cast<Millis>(t)}, params);
+  };
+  {
+    WriterOptions wopts;
+    wopts.target_block_bytes = 16;
+    wopts.target_shard_bytes = 256;
+    ShardWriter writer(dir.path(), wopts);
+    StreamingDatasetSink sink(writer, 1);
+    snapshot(sink, 3, 10, 2);
+    for (std::int64_t t = 20; t < 26; ++t)
+      snapshot(sink, 7, t, t % 2 ? 40 : 1);  // a large and a small run in turn
+    snapshot(sink, 5, 30, 3);
+    snapshot(sink, 7, 31, 2);
+    snapshot(sink, 9, 32, 2);
+    snapshot(sink, 7, 5, 3);  // earliest run of 7, last on the wire
+    sink.finish();
+  }
+  auto set = ShardSet::open(dir.path());
+  ASSERT_TRUE(set.ok()) << set.error_message();
+  std::size_t longest = 0, streak = 0;
+  for (const auto& ref : set.value().blocks()) {
+    streak = ref.info->first_cell == 7 && ref.info->last_cell == 7 ? streak + 1
+                                                                   : 0;
+    longest = std::max(longest, streak);
+  }
+  ASSERT_GE(longest, 3u) << "cell 7's runs must span consecutive blocks";
+
+  expect_folds_match_oracle(set.value(), Query{}, "unplanned");
+  Query by_key;
+  by_key.params = {config::ParamKey{lte, 2}};
+  expect_folds_match_oracle(set.value(), by_key, "params");
+  Query by_range;
+  by_range.min_cell = 6;
+  by_range.max_cell = 8;
+  expect_folds_match_oracle(set.value(), by_range, "range");
+}
+
+TEST(DirectFoldCursor, OutOfRangeCellsBetweenInRangeOnesMatchTheOracle) {
+  // Two runs over the same odd cell ids, so every block's id range overlaps
+  // the other run's and a range query's boundaries fall inside blocks: each
+  // cursor skips out-of-range cells before and after its in-range ones
+  // while the other run's cursors hold in-range cells.  A query between two
+  // ids selects blocks with no in-range cell at all.
+  StoreDir dir("cursor_range");
+  const auto lte = spectrum::Rat::kLte;
+  {
+    WriterOptions wopts;
+    wopts.target_block_bytes = 200;
+    wopts.target_shard_bytes = 1024;
+    ShardWriter writer(dir.path(), wopts);
+    for (int run = 0; run < 2; ++run)
+      for (std::uint32_t id = 1; id < 80; id += 2)
+        writer.add_cell(
+            "C0", id,
+            make_run(lte, id % 4, 1.0 * id, 100 * run + id,
+                     id % 9 == 0 ? 0 : 1 + (id + run) % 6));
+    writer.finish();
+  }
+  auto set = ShardSet::open(dir.path());
+  ASSERT_TRUE(set.ok()) << set.error_message();
+  ASSERT_GT(set.value().blocks().size(), 6u) << "rotation targets too lax";
+
+  const std::pair<std::uint32_t, std::uint32_t> ranges[] = {
+      {20, 40}, {21, 21}, {30, 30}, {0, 5}, {55, 0xFFFFFFFFu}};
+  for (const auto& [lo, hi] : ranges) {
+    const std::string tag =
+        "range [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    Query q;
+    q.min_cell = lo;
+    q.max_cell = hi;
+    expect_folds_match_oracle(set.value(), q, tag);
+    q.params = {config::ParamKey{lte, 3}};
+    expect_folds_match_oracle(set.value(), q, tag + " params");
   }
 }
 

@@ -354,12 +354,13 @@ int report_direct(const CliOptions& opts) {
   // The scheduled pass's own accounting (the diversity table above re-folds
   // one carrier and is not included): parsed + skipped covers every block
   // of the store, bytes-not-materialized is the wire push-down (8 bytes
-  // per dropped observation's value).
+  // per dropped observation's value).  The window figure bounds the mapped
+  // block bytes only; each open block also holds one parsed cell run.
   const auto& plan_stats = qa.value().stats;
   std::printf("\nfold stats: %llu blocks parsed (%.1f MB), "
               "%llu blocks skipped by the plan (%.1f MB), "
               "%.1f MB not materialized, peak window %llu blocks "
-              "(~%.1f MB resident), CRC %s, %.2fs total\n",
+              "(~%.1f MB of mapped block bytes), CRC %s, %.2fs total\n",
               static_cast<unsigned long long>(plan_stats.blocks),
               static_cast<double>(plan_stats.bytes) / 1e6,
               static_cast<unsigned long long>(plan_stats.blocks_skipped),
