@@ -96,10 +96,6 @@ std::vector<ParamDependence> DependenceAcc::finish() const {
   return out;
 }
 
-std::vector<config::ParamKey> ServingPriorityAcc::reads() const {
-  return {serving_key()};
-}
-
 void ServingPriorityAcc::consume(const CellRecord& rec,
                                  const CellFolder& folder) {
   const bool lte = rec.rat == spectrum::Rat::kLte;
@@ -138,10 +134,6 @@ double ServingPriorityAcc::multi_priority_fraction() const {
                               static_cast<double>(lte_cells);
 }
 
-std::vector<config::ParamKey> CandidatePriorityAcc::reads() const {
-  return {candidate_key()};
-}
-
 void CandidatePriorityAcc::consume(const CellRecord&,
                                    const CellFolder& folder) {
   const auto* slice = folder.find(candidate_key());
@@ -150,10 +142,6 @@ void CandidatePriorityAcc::consume(const CellRecord&,
   const auto values = folder.ctx_values();
   for (std::uint32_t j = slice->ctx_begin; j < slice->ctx_end; ++j)
     groups[static_cast<long>(contexts[j])].add(values[j]);
-}
-
-std::vector<config::ParamKey> CityPriorityAcc::reads() const {
-  return {serving_key()};
 }
 
 void CityPriorityAcc::consume(const CellRecord& rec, const CellFolder& folder) {
@@ -196,12 +184,6 @@ std::vector<double> SpatialAcc::finish() const {
     if (cluster.total() >= 2) out.push_back(cluster.simpson_index());
   }
   return out;
-}
-
-std::vector<config::ParamKey> GapsAcc::reads() const {
-  return {config::lte_param(config::ParamId::kSIntraSearch),
-          config::lte_param(config::ParamId::kSNonIntraSearch),
-          config::lte_param(config::ParamId::kThreshServingLow)};
 }
 
 void GapsAcc::consume(const CellRecord& rec, const CellFolder& folder) {

@@ -87,16 +87,15 @@ std::vector<ParamDiversity> rank_diversity(
 MeasurementGaps pooled_gaps(const std::vector<CarrierFigures>& figures);
 
 // --- the accumulators -------------------------------------------------------
-// Each reads() the keys its product depends on (empty = every key), so a
-// source that can filter observations (a planned store fold) may decode only
-// those.  Every cell is still consumed — census counts such as the LTE cell
-// total behind multi_priority_fraction do not shift under filtering.
+// Each consumes every cell it is given.  A source that filters observations
+// (a planned store fold with a param predicate) still hands over every cell,
+// so census counts such as the LTE cell total behind multi_priority_fraction
+// do not shift under filtering.
 
 /// Fig 16/17/22: per-key value totals and observing-cell counts.
 struct DiversityAcc {
   std::map<config::ParamKey, KeyTotals> totals;
 
-  std::vector<config::ParamKey> reads() const { return {}; }
   void consume(const CellRecord& rec, const CellFolder& folder);
   std::vector<ParamDiversity> finish(std::optional<spectrum::Rat> rat) const {
     return rank_diversity(totals, rat);
@@ -108,7 +107,6 @@ struct DiversityAcc {
 struct DependenceAcc {
   std::map<config::ParamKey, std::map<long, stats::ValueCounts>> groups;
 
-  std::vector<config::ParamKey> reads() const { return {}; }
   void consume(const CellRecord& rec, const CellFolder& folder);
   std::vector<ParamDependence> finish() const;
 };
@@ -124,7 +122,6 @@ struct ServingPriorityAcc {
   std::vector<std::uint32_t> value_begin;
   std::vector<double> values;
 
-  std::vector<config::ParamKey> reads() const;
   void consume(const CellRecord& rec, const CellFolder& folder);
   double multi_priority_fraction() const;
 };
@@ -133,7 +130,6 @@ struct ServingPriorityAcc {
 struct CandidatePriorityAcc {
   std::map<long, stats::ValueCounts> groups;
 
-  std::vector<config::ParamKey> reads() const;
   void consume(const CellRecord& rec, const CellFolder& folder);
 };
 
@@ -145,7 +141,6 @@ struct CityPriorityAcc {
   const std::vector<geo::City>* cities;
   std::map<long, stats::ValueCounts> groups;
 
-  std::vector<config::ParamKey> reads() const;
   void consume(const CellRecord& rec, const CellFolder& folder);
 };
 
@@ -160,7 +155,6 @@ struct SpatialAcc {
   std::vector<std::uint32_t> value_begin;
   std::vector<double> values;
 
-  std::vector<config::ParamKey> reads() const { return {query.key}; }
   void consume(const CellRecord& rec, const CellFolder& folder);
   std::vector<double> finish() const;
 };
@@ -170,14 +164,12 @@ struct SpatialAcc {
 struct GapsAcc {
   MeasurementGaps gaps;
 
-  std::vector<config::ParamKey> reads() const;
   void consume(const CellRecord& rec, const CellFolder& folder);
 };
 
 /// The whole accumulator set behind one pass, with its own CellFolder (the
-/// folder is stateful — one bundle per concurrent carrier).  Same consume()
-/// calls in the same order as the standalone accumulators, so each member of
-/// the result equals the corresponding standalone product.
+/// folder is stateful — one bundle per concurrent carrier).  consume() runs
+/// the folder once per cell and hands the folded cell to every accumulator.
 class FiguresAcc {
  public:
   explicit FiguresAcc(const MixOptions& options);

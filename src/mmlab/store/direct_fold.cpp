@@ -5,7 +5,6 @@
 #include <deque>
 #include <limits>
 #include <numeric>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -374,68 +373,6 @@ Result<stats::ValueCounts> DirectFold::values(const std::string& carrier,
   });
   if (!r) return Result<stats::ValueCounts>::error(r.error_message());
   return out;
-}
-
-Result<std::map<long, stats::ValueCounts>> DirectFold::values_grouped(
-    const std::string& carrier, config::ParamKey key,
-    const std::function<long(const core::CellRecord&)>& factor,
-    const Query& query) const {
-  Query q = query;
-  q.carriers = {carrier};
-  const QueryPlan plan(*set_, std::move(q));
-  std::map<long, stats::ValueCounts> out;
-  core::CellFolder folder;
-  const auto r = fold_planned(plan, carrier, [&](std::uint32_t,
-                                                 const core::CellRecord& rec) {
-    folder.fold(rec);
-    const auto uniq = folder.unique_values(key);
-    if (uniq.empty()) return;
-    const long f = factor(rec);
-    if (f < 0) return;
-    stats::ValueCounts& vc = out[f];
-    for (const double v : uniq) vc.add(v);
-  });
-  if (!r) return Result<std::map<long, stats::ValueCounts>>::error(r.error_message());
-  return out;
-}
-
-Result<std::map<long, stats::ValueCounts>> DirectFold::values_by_context(
-    const std::string& carrier, config::ParamKey key,
-    const Query& query) const {
-  Query q = query;
-  q.carriers = {carrier};
-  if (q.params.empty()) q.params = {key};
-  const QueryPlan plan(*set_, std::move(q));
-  std::map<long, stats::ValueCounts> out;
-  core::CellFolder folder;
-  const auto r = fold_planned(plan, carrier, [&](std::uint32_t,
-                                                 const core::CellRecord& rec) {
-    folder.fold(rec);
-    const auto* slice = folder.find(key);
-    if (!slice) return;
-    const auto contexts = folder.ctx_contexts();
-    const auto values = folder.ctx_values();
-    for (std::uint32_t j = slice->ctx_begin; j < slice->ctx_end; ++j)
-      out[static_cast<long>(contexts[j])].add(values[j]);
-  });
-  if (!r) return Result<std::map<long, stats::ValueCounts>>::error(r.error_message());
-  return out;
-}
-
-Result<std::vector<config::ParamKey>> DirectFold::observed_params(
-    const std::string& carrier, const Query& query) const {
-  Query q = query;
-  q.carriers = {carrier};
-  const QueryPlan plan(*set_, std::move(q));
-  std::set<config::ParamKey> seen;
-  core::CellFolder folder;
-  const auto r = fold_planned(plan, carrier, [&](std::uint32_t,
-                                                 const core::CellRecord& rec) {
-    folder.fold(rec);
-    for (const auto& slice : folder.keys()) seen.insert(slice.key);
-  });
-  if (!r) return Result<std::vector<config::ParamKey>>::error(r.error_message());
-  return std::vector<config::ParamKey>(seen.begin(), seen.end());
 }
 
 }  // namespace mmlab::store

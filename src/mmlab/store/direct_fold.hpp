@@ -4,8 +4,8 @@
 //
 // DirectFold streams each carrier's blocks through a bounded window of open
 // blocks and hands every *fully merged* cell record to a consumer exactly
-// once, in globally ascending cell-id order.  Queries and the figure entry
-// points (store/analytics.hpp) are folds over that stream.
+// once, in globally ascending cell-id order.  values() and the analysis
+// mix (store/analytics.hpp) are folds over that stream.
 //
 // Memory model: an open block is a cursor over its mapped body that holds
 // one parsed cell run at a time (one CellRecord, reused for every run of
@@ -50,7 +50,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -206,34 +205,14 @@ class DirectFold {
           make_consumer,
       std::vector<FoldStats>* per_carrier = nullptr) const;
 
-  // --- ConfigDatabase query equivalents --------------------------------------
-  // Each is one planned fold over `carrier`, bit-identical to the same-named
-  // ConfigDatabase query over load_database(store) restricted to the query's
-  // selection (property-tested in test_direct_fold.cpp and
-  // test_query_plan.cpp).  `query` defaults to selecting everything; its
-  // carrier list is ignored — the explicit carrier argument wins.  For the
-  // single-key queries (values / values_by_context) an empty query.params is
-  // narrowed to {key}: the answer provably depends on that key alone, so the
-  // fold skips every other parameter's value bytes.  values_grouped does NOT
-  // narrow — its factor may inspect the record's observations — and
-  // observed_params cannot (it asks about all parameters); both still
-  // benefit from carrier/range pruning and any explicit param predicate.
-
+  /// The carrier's distinct values of `key` per cell, summed over cells:
+  /// ConfigDatabase::values over load_database(store) restricted to the
+  /// query's selection.  One planned fold over `carrier` (the explicit
+  /// carrier wins over query.carriers); an empty query.params is narrowed
+  /// to {key}, so the fold skips every other parameter's value bytes.
   Result<stats::ValueCounts> values(const std::string& carrier,
                                     config::ParamKey key,
                                     const Query& query = {}) const;
-
-  Result<std::map<long, stats::ValueCounts>> values_grouped(
-      const std::string& carrier, config::ParamKey key,
-      const std::function<long(const core::CellRecord&)>& factor,
-      const Query& query = {}) const;
-
-  Result<std::map<long, stats::ValueCounts>> values_by_context(
-      const std::string& carrier, config::ParamKey key,
-      const Query& query = {}) const;
-
-  Result<std::vector<config::ParamKey>> observed_params(
-      const std::string& carrier, const Query& query = {}) const;
 
   /// Cumulative stats over every fold this engine has run (crc_checked and
   /// peak_resident_blocks reflect the whole history: AND and max; planner

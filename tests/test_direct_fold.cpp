@@ -1,6 +1,7 @@
-// Shard-direct query folds: DirectFold must answer every analysis question
-// bit-identically to the reference ConfigDatabase scans over
-// load_database(store), for any thread count and any parse-window size;
+// Shard-direct query folds: DirectFold::values and the analysis mix
+// (store::analyze_query / analyze_carrier) must answer bit-identically to
+// the reference ConfigDatabase scans over load_database(store), for any
+// thread count and any parse-window size;
 // mid-fold corruption (a flipped byte in any block) must surface as an
 // error with no partial answer escaping; a CRC-valid store carrying a NaN
 // or infinite value is rejected by every reader, planned or not; a
@@ -33,11 +34,17 @@
 #include "mmlab/store/shard_writer.hpp"
 #include "mmlab/util/crc.hpp"
 #include "mmlab/util/rng.hpp"
+#include "figures_oracle.hpp"
 
 namespace mmlab::store {
 namespace {
 
 namespace fs = std::filesystem;
+using test::expect_bits;
+using test::expect_diversity;
+using test::expect_gaps;
+using test::expect_mix_matches_scans;
+using test::test_cities;
 
 class StoreDir {
  public:
@@ -121,82 +128,6 @@ void save_small_blocks(const core::ConfigDatabase& db, const std::string& dir) {
   save_database(db, dir, wopts);
 }
 
-/// Bit-exact double comparison: NaN == NaN, -0.0 != 0.0 — stricter than
-/// EXPECT_EQ, which is the point of the determinism contract.
-void expect_bits(double a, double b, const std::string& what) {
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
-      << what << ": " << a << " vs " << b;
-}
-
-void expect_bits(const std::vector<double>& a, const std::vector<double>& b,
-                 const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    expect_bits(a[i], b[i], what + "[" + std::to_string(i) + "]");
-}
-
-void expect_counts(const std::map<long, stats::ValueCounts>& a,
-                   const std::map<long, stats::ValueCounts>& b,
-                   const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  auto ib = b.begin();
-  for (auto ia = a.begin(); ia != a.end(); ++ia, ++ib) {
-    EXPECT_EQ(ia->first, ib->first) << what;
-    ASSERT_EQ(ia->second.counts().size(), ib->second.counts().size()) << what;
-    auto vb = ib->second.counts().begin();
-    for (auto va = ia->second.counts().begin();
-         va != ia->second.counts().end(); ++va, ++vb) {
-      expect_bits(va->first, vb->first, what + " value");
-      EXPECT_EQ(va->second, vb->second) << what;
-    }
-  }
-}
-
-void expect_diversity(const std::vector<core::ParamDiversity>& a,
-                      const std::vector<core::ParamDiversity>& b,
-                      const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].key, b[i].key) << what;
-    EXPECT_EQ(a[i].cells, b[i].cells) << what;
-    EXPECT_EQ(a[i].measures.richness, b[i].measures.richness) << what;
-    expect_bits(a[i].measures.simpson, b[i].measures.simpson, what);
-    expect_bits(a[i].measures.cv, b[i].measures.cv, what);
-  }
-}
-
-void expect_dependence(const std::vector<core::ParamDependence>& a,
-                       const std::vector<core::ParamDependence>& b,
-                       const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].key, b[i].key) << what;
-    expect_bits(a[i].zeta_simpson, b[i].zeta_simpson, what);
-    expect_bits(a[i].zeta_cv, b[i].zeta_cv, what);
-  }
-}
-
-void expect_gaps(const core::MeasurementGaps& a, const core::MeasurementGaps& b,
-                 const std::string& what) {
-  expect_bits(a.intra_minus_nonintra, b.intra_minus_nonintra, what + " i-n");
-  expect_bits(a.intra_minus_slow, b.intra_minus_slow, what + " i-s");
-  expect_bits(a.nonintra_minus_slow, b.nonintra_minus_slow, what + " n-s");
-}
-
-std::vector<geo::City> test_cities() {
-  std::vector<geo::City> cities;
-  for (int i = 0; i < 3; ++i) {
-    geo::City city;
-    city.id = static_cast<geo::CityId>(i + 1);
-    city.name = "city" + std::to_string(i);
-    city.code = "C" + std::to_string(i + 1);
-    city.origin = {-5e4 + i * 3.4e4, -5e4};
-    city.extent_m = 3.4e4;
-    cities.push_back(city);
-  }
-  return cities;
-}
-
 // --- equivalence ---------------------------------------------------------------
 
 TEST(DirectFold, GenericQueriesMatchViewAcrossThreadsAndWindows) {
@@ -209,10 +140,6 @@ TEST(DirectFold, GenericQueriesMatchViewAcrossThreadsAndWindows) {
   ASSERT_EQ(oracle, db);
 
   const auto serving = config::lte_param(config::ParamId::kServingPriority);
-  const auto neighbor = config::lte_param(config::ParamId::kNeighborPriority);
-  const auto by_channel = [](const core::CellRecord& rec) {
-    return static_cast<long>(rec.channel);
-  };
 
   for (const unsigned threads : {1u, 2u, 4u, 0u}) {
     for (const std::size_t window : {std::size_t{0}, std::size_t{1},
@@ -228,160 +155,62 @@ TEST(DirectFold, GenericQueriesMatchViewAcrossThreadsAndWindows) {
         auto values = direct.values(carrier, serving);
         ASSERT_TRUE(values.ok()) << values.error_message();
         EXPECT_EQ(values.value(), oracle.values(carrier, serving)) << tag;
-
-        auto grouped = direct.values_grouped(carrier, serving, by_channel);
-        ASSERT_TRUE(grouped.ok()) << grouped.error_message();
-        expect_counts(grouped.value(),
-                      oracle.values_grouped(carrier, serving, by_channel),
-                      tag + " grouped");
-
-        auto ctx = direct.values_by_context(carrier, neighbor);
-        ASSERT_TRUE(ctx.ok()) << ctx.error_message();
-        expect_counts(ctx.value(), oracle.values_by_context(carrier, neighbor),
-                      tag + " ctx");
-
-        auto observed = direct.observed_params(carrier);
-        ASSERT_TRUE(observed.ok()) << observed.error_message();
-        EXPECT_EQ(observed.value(), oracle.observed_params(carrier)) << tag;
       }
     }
   }
 }
 
 TEST(DirectFold, EntryPointsMatchViewAndInMemoryBitExact) {
+  // The store's two entry points, analyze_query and analyze_carrier, against
+  // the reference scans over the loaded store (the view) and over the
+  // database the store was written from: every fig11–22 product.
   StoreDir dir("figures");
   const auto db = random_db(43, 3, 60, 4);
   save_small_blocks(db, dir.path());
   auto set = ShardSet::open(dir.path());
   ASSERT_TRUE(set.ok()) << set.error_message();
   const auto oracle = load(set.value());
-  const auto cities = test_cities();
-  const auto spatial_key = config::lte_param(config::ParamId::kServingPriority);
-
-  for (const unsigned threads : {1u, 4u}) {
-    FoldOptions fopts;
-    fopts.threads = threads;
-    const DirectFold direct(set.value(), fopts);
-    const std::string tag = "threads=" + std::to_string(threads);
-
-    for (const auto& carrier : direct.carriers()) {
-      // Fig 16/17/22 diversity (both RAT-filtered and not).
-      auto div = diversity_by_param(direct, carrier);
-      ASSERT_TRUE(div.ok()) << div.error_message();
-      expect_diversity(div.value(), core::diversity_by_param(oracle, carrier),
-                       tag + " div " + carrier);
-      expect_diversity(div.value(), core::diversity_by_param(db, carrier),
-                       tag + " div-mem " + carrier);
-      auto div_lte = diversity_by_param(direct, carrier, spectrum::Rat::kLte);
-      ASSERT_TRUE(div_lte.ok());
-      expect_diversity(
-          div_lte.value(),
-          core::diversity_by_param(db, carrier, spectrum::Rat::kLte),
-          tag + " div-lte " + carrier);
-
-      // Fig 19 dependence.
-      auto dep = frequency_dependence(direct, carrier);
-      ASSERT_TRUE(dep.ok()) << dep.error_message();
-      expect_dependence(dep.value(), core::frequency_dependence(oracle, carrier),
-                        tag + " dep " + carrier);
-      expect_dependence(dep.value(), core::frequency_dependence(db, carrier),
-                        tag + " dep-mem " + carrier);
-
-      // Fig 18 priorities.
-      for (const bool candidate : {false, true}) {
-        auto pri = priority_by_channel(direct, carrier, candidate);
-        ASSERT_TRUE(pri.ok()) << pri.error_message();
-        expect_counts(pri.value(),
-                      core::priority_by_channel(oracle, carrier, candidate),
-                      tag + " pri " + carrier);
-        expect_counts(pri.value(),
-                      core::priority_by_channel(db, carrier, candidate),
-                      tag + " pri-mem " + carrier);
-      }
-      auto multi = multi_priority_cell_fraction(direct, carrier);
-      ASSERT_TRUE(multi.ok());
-      expect_bits(multi.value(),
-                  core::multi_priority_cell_fraction(db, carrier),
-                  tag + " multi " + carrier);
-      expect_bits(multi.value(),
-                  core::multi_priority_cell_fraction(oracle, carrier),
-                  tag + " multi-loaded " + carrier);
-
-      // Fig 20 city join.
-      auto by_city = priority_by_city(direct, carrier, cities);
-      ASSERT_TRUE(by_city.ok());
-      expect_counts(by_city.value(),
-                    core::priority_by_city(db, carrier, cities),
-                    tag + " city " + carrier);
-
-      // Fig 21 spatial diversity.
-      auto spatial =
-          spatial_diversity(direct, carrier, spatial_key, cities[0], 8000.0);
-      ASSERT_TRUE(spatial.ok());
-      expect_bits(spatial.value(),
-                  core::spatial_diversity(db, carrier, spatial_key, cities[0],
-                                          8000.0),
-                  tag + " spatial " + carrier);
-
-      // Fig 11 gaps, per carrier.
-      auto gaps = measurement_decision_gaps(direct, carrier);
-      ASSERT_TRUE(gaps.ok());
-      expect_gaps(gaps.value(), core::measurement_decision_gaps(db, carrier),
-                  tag + " gaps " + carrier);
-    }
-
-    // Fig 11 pooled over every carrier.
-    auto pooled = measurement_decision_gaps(direct);
-    ASSERT_TRUE(pooled.ok());
-    expect_gaps(pooled.value(), core::measurement_decision_gaps(db),
-                tag + " gaps pooled");
-  }
-}
-
-TEST(DirectFold, AnalyzeCarrierMatchesStandaloneEntryPoints) {
-  StoreDir dir("mix");
-  const auto db = random_db(47, 2, 70, 4);
-  save_small_blocks(db, dir.path());
-  auto set = ShardSet::open(dir.path());
-  ASSERT_TRUE(set.ok()) << set.error_message();
-  const DirectFold direct(set.value(), {});
-  const auto cities = test_cities();
 
   MixOptions mopts;
-  mopts.cities = cities;
+  mopts.cities = test_cities();
   mopts.spatial = SpatialQuery{
-      config::lte_param(config::ParamId::kServingPriority), cities[0], 8000.0};
+      config::lte_param(config::ParamId::kServingPriority), mopts.cities[0],
+      8000.0};
 
-  for (const auto& carrier : direct.carriers()) {
-    auto mix = analyze_carrier(direct, carrier, mopts);
-    ASSERT_TRUE(mix.ok()) << mix.error_message();
-    const auto& a = mix.value();
+  for (const unsigned threads : {1u, 4u}) {
+    // Fig 16's RAT filter, off and on.
+    mopts.diversity_rat = threads == 1
+                              ? std::nullopt
+                              : std::optional{spectrum::Rat::kLte};
+    for (const std::size_t window : {std::size_t{0}, std::size_t{1},
+                                     std::size_t{3}}) {
+      FoldOptions fopts;
+      fopts.threads = threads;
+      fopts.window_blocks = window;
+      const DirectFold direct(set.value(), fopts);
+      const std::string tag = "threads=" + std::to_string(threads) +
+                              " window=" + std::to_string(window);
 
-    expect_diversity(a.diversity, diversity_by_param(direct, carrier).value(),
-                     "mix div");
-    expect_dependence(a.dependence,
-                      frequency_dependence(direct, carrier).value(), "mix dep");
-    expect_counts(a.serving_priority,
-                  priority_by_channel(direct, carrier, false).value(),
-                  "mix serving");
-    expect_counts(a.candidate_priority,
-                  priority_by_channel(direct, carrier, true).value(),
-                  "mix candidate");
-    expect_bits(a.multi_priority_fraction,
-                multi_priority_cell_fraction(direct, carrier).value(),
-                "mix multi");
-    expect_counts(a.priority_by_city,
-                  priority_by_city(direct, carrier, cities).value(),
-                  "mix city");
-    expect_bits(a.spatial_diversity,
-                spatial_diversity(direct, carrier, mopts.spatial->key,
-                                  mopts.spatial->city, mopts.spatial->radius_m)
-                    .value(),
-                "mix spatial");
-    expect_gaps(a.gaps, measurement_decision_gaps(direct, carrier).value(),
-                "mix gaps");
-    EXPECT_EQ(a.stats.cells, mix.value().stats.cells);
-    EXPECT_GT(a.stats.rows, 0u);
+      auto qa = analyze_query(direct, Query{}, mopts);
+      ASSERT_TRUE(qa.ok()) << qa.error_message();
+      ASSERT_EQ(qa.value().carriers, direct.carriers()) << tag;
+      for (const auto& a : qa.value().results) {
+        expect_mix_matches_scans(oracle, a, mopts, tag + " query view");
+        expect_mix_matches_scans(db, a, mopts, tag + " query in-memory");
+
+        auto solo = analyze_carrier(direct, a.carrier, mopts);
+        ASSERT_TRUE(solo.ok()) << solo.error_message();
+        expect_mix_matches_scans(db, solo.value(), mopts, tag + " carrier");
+        EXPECT_EQ(solo.value().stats.cells, a.stats.cells) << tag;
+        EXPECT_EQ(solo.value().stats.rows, a.stats.rows) << tag;
+      }
+
+      // Fig 11 pooled over every carrier, in name order.
+      const std::vector<core::CarrierFigures> figures(
+          qa.value().results.begin(), qa.value().results.end());
+      expect_gaps(core::pooled_gaps(figures),
+                  core::measurement_decision_gaps(db), tag + " gaps pooled");
+    }
   }
 }
 
@@ -842,9 +671,9 @@ void expect_same_record(const core::CellRecord& a, const core::CellRecord& b,
 /// Folds `q` over every carrier of the store, through fold_planned and
 /// fold_query at 1 and 4 threads, for several windows, and checks every
 /// delivered record bit for bit against load_database's record restricted
-/// to the query; then checks the ConfigDatabase query equivalents against
-/// the same restricted oracle.  A caller-supplied gauge must drain to zero
-/// after every fold.
+/// to the query; then checks DirectFold::values against the same
+/// restricted oracle.  A caller-supplied gauge must drain to zero after
+/// every fold.
 void expect_folds_match_oracle(const ShardSet& set, const Query& q,
                                const std::string& tag) {
   const auto loaded = load(set);
@@ -911,10 +740,6 @@ void expect_folds_match_oracle(const ShardSet& set, const Query& q,
                      wtag + " fold_query threads=" + std::to_string(threads));
     }
 
-    // The ConfigDatabase query equivalents.
-    const auto by_channel = [](const core::CellRecord& rec) {
-      return static_cast<long>(rec.channel);
-    };
     for (const auto& carrier : direct.carriers()) {
       for (const auto& key : loaded.observed_params(carrier)) {
         if (!q.params.empty() &&
@@ -923,19 +748,7 @@ void expect_folds_match_oracle(const ShardSet& set, const Query& q,
         auto values = direct.values(carrier, key, q);
         ASSERT_TRUE(values.ok()) << values.error_message();
         EXPECT_EQ(values.value(), oracle.values(carrier, key)) << wtag;
-        auto grouped = direct.values_grouped(carrier, key, by_channel, q);
-        ASSERT_TRUE(grouped.ok()) << grouped.error_message();
-        expect_counts(grouped.value(),
-                      oracle.values_grouped(carrier, key, by_channel),
-                      wtag + " grouped");
-        auto ctx = direct.values_by_context(carrier, key, q);
-        ASSERT_TRUE(ctx.ok()) << ctx.error_message();
-        expect_counts(ctx.value(), oracle.values_by_context(carrier, key),
-                      wtag + " ctx");
       }
-      auto observed = direct.observed_params(carrier, q);
-      ASSERT_TRUE(observed.ok()) << observed.error_message();
-      EXPECT_EQ(observed.value(), oracle.observed_params(carrier)) << wtag;
     }
     EXPECT_EQ(gauge.resident.load(std::memory_order_relaxed), 0u) << wtag;
   }

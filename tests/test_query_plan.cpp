@@ -11,10 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <filesystem>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -28,11 +26,17 @@
 #include "mmlab/store/shard_set.hpp"
 #include "mmlab/store/shard_writer.hpp"
 #include "mmlab/util/rng.hpp"
+#include "figures_oracle.hpp"
 
 namespace mmlab::store {
 namespace {
 
 namespace fs = std::filesystem;
+using test::expect_bits;
+using test::expect_counts;
+using test::expect_diversity;
+using test::expect_gaps;
+using test::expect_mix_matches_scans;
 
 class StoreDir {
  public:
@@ -132,48 +136,6 @@ core::ConfigDatabase filter_db(const core::ConfigDatabase& db,
     }
   }
   return out;
-}
-
-void expect_bits(double a, double b, const std::string& what) {
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
-      << what << ": " << a << " vs " << b;
-}
-
-void expect_counts(const std::map<long, stats::ValueCounts>& a,
-                   const std::map<long, stats::ValueCounts>& b,
-                   const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  auto ib = b.begin();
-  for (auto ia = a.begin(); ia != a.end(); ++ia, ++ib) {
-    EXPECT_EQ(ia->first, ib->first) << what;
-    EXPECT_EQ(ia->second, ib->second) << what << " group " << ia->first;
-  }
-}
-
-void expect_diversity(const std::vector<core::ParamDiversity>& a,
-                      const std::vector<core::ParamDiversity>& b,
-                      const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].key, b[i].key) << what;
-    EXPECT_EQ(a[i].cells, b[i].cells) << what;
-    EXPECT_EQ(a[i].measures.richness, b[i].measures.richness) << what;
-    expect_bits(a[i].measures.simpson, b[i].measures.simpson, what);
-    expect_bits(a[i].measures.cv, b[i].measures.cv, what);
-  }
-}
-
-void expect_gaps(const core::MeasurementGaps& a, const core::MeasurementGaps& b,
-                 const std::string& what) {
-  auto bits = [&](const std::vector<double>& x, const std::vector<double>& y,
-                  const char* part) {
-    ASSERT_EQ(x.size(), y.size()) << what << part;
-    for (std::size_t i = 0; i < x.size(); ++i)
-      expect_bits(x[i], y[i], what + part);
-  };
-  bits(a.intra_minus_nonintra, b.intra_minus_nonintra, " i-n");
-  bits(a.intra_minus_slow, b.intra_minus_slow, " i-s");
-  bits(a.nonintra_minus_slow, b.nonintra_minus_slow, " n-s");
 }
 
 /// Median cell id of the whole database — a cell range split point that
@@ -318,9 +280,9 @@ TEST(QueryPlan, PlannedFoldsMatchFilteredOracleAcrossPredicatesThreadsWindows) {
   const std::uint32_t mid = median_cell_id(db);
   const auto serving = config::lte_param(config::ParamId::kServingPriority);
   const auto neighbor = config::lte_param(config::ParamId::kNeighborPriority);
-  const auto by_channel = [](const core::CellRecord& rec) {
-    return static_cast<long>(rec.channel);
-  };
+  MixOptions mopts;
+  mopts.cities = test::test_cities();
+  mopts.spatial = SpatialQuery{serving, mopts.cities[1], 8000.0};
 
   std::vector<Query> queries;
   queries.emplace_back();  // no predicate: planned path == plain path
@@ -351,13 +313,13 @@ TEST(QueryPlan, PlannedFoldsMatchFilteredOracleAcrossPredicatesThreadsWindows) {
   }
 
   for (const Query& query : queries) {
-    // Per-carrier entry points ignore query.carriers — the explicit carrier
-    // argument wins (analytics.hpp) — so the oracle applies only the range
-    // and param axes; the carrier axis is exercised by the CrossCarrier
-    // suite through analyze_query / fold_query.
+    // values and analyze_carrier take an explicit carrier, which wins over
+    // query.carriers (analytics.hpp), so their oracle applies only the
+    // range and param axes; analyze_query applies all three.
     Query cellwise = query;
     cellwise.carriers.clear();
-    const auto oracle_db = filter_db(db, cellwise);
+    const auto cell_oracle = filter_db(db, cellwise);
+    const auto query_oracle = filter_db(db, query);
     for (const unsigned threads : {1u, 2u, 4u, 0u}) {
       for (const std::size_t window : {std::size_t{0}, std::size_t{1},
                                        std::size_t{3}}) {
@@ -373,46 +335,34 @@ TEST(QueryPlan, PlannedFoldsMatchFilteredOracleAcrossPredicatesThreadsWindows) {
             std::to_string(query.params.size()) + " threads=" +
             std::to_string(threads) + " window=" + std::to_string(window);
 
+        std::vector<std::string> selected;
         for (const auto& carrier : direct.carriers()) {
+          if (query.carriers.empty() ||
+              std::find(query.carriers.begin(), query.carriers.end(),
+                        carrier) != query.carriers.end())
+            selected.push_back(carrier);
+
           auto vals = direct.values(carrier, serving, query);
           ASSERT_TRUE(vals.ok()) << tag << ": " << vals.error_message();
-          EXPECT_EQ(vals.value(), oracle_db.values(carrier, serving)) << tag;
+          EXPECT_EQ(vals.value(), cell_oracle.values(carrier, serving)) << tag;
 
-          auto grouped =
-              direct.values_grouped(carrier, serving, by_channel, query);
-          ASSERT_TRUE(grouped.ok()) << grouped.error_message();
-          expect_counts(grouped.value(),
-                        oracle_db.values_grouped(carrier, serving, by_channel),
-                        tag + " grouped " + carrier);
-
-          auto ctx = direct.values_by_context(carrier, neighbor, query);
-          ASSERT_TRUE(ctx.ok()) << ctx.error_message();
-          expect_counts(ctx.value(),
-                        oracle_db.values_by_context(carrier, neighbor),
-                        tag + " ctx " + carrier);
-
-          auto observed = direct.observed_params(carrier, query);
-          ASSERT_TRUE(observed.ok()) << observed.error_message();
-          EXPECT_EQ(observed.value(), oracle_db.observed_params(carrier)) << tag;
-
-          auto div = diversity_by_param(direct, carrier, std::nullopt, query);
-          ASSERT_TRUE(div.ok()) << div.error_message();
-          expect_diversity(div.value(),
-                           core::diversity_by_param(oracle_db, carrier),
-                           tag + " div " + carrier);
-
-          auto pri = priority_by_channel(direct, carrier, false, query);
-          ASSERT_TRUE(pri.ok()) << pri.error_message();
-          expect_counts(pri.value(),
-                        core::priority_by_channel(oracle_db, carrier, false),
-                        tag + " pri " + carrier);
-
-          auto gaps = measurement_decision_gaps(direct, carrier, query);
-          ASSERT_TRUE(gaps.ok()) << gaps.error_message();
-          expect_gaps(gaps.value(),
-                      core::measurement_decision_gaps(oracle_db, carrier),
-                      tag + " gaps " + carrier);
+          auto mix = analyze_carrier(direct, carrier, mopts, query);
+          ASSERT_TRUE(mix.ok()) << tag << ": " << mix.error_message();
+          expect_mix_matches_scans(cell_oracle, mix.value(), mopts,
+                                   tag + " analyze_carrier");
         }
+
+        auto qa = analyze_query(direct, query, mopts);
+        ASSERT_TRUE(qa.ok()) << tag << ": " << qa.error_message();
+        ASSERT_EQ(qa.value().carriers, selected) << tag;
+        for (const auto& a : qa.value().results)
+          expect_mix_matches_scans(query_oracle, a, mopts,
+                                   tag + " analyze_query");
+        const std::vector<core::CarrierFigures> figures(
+            qa.value().results.begin(), qa.value().results.end());
+        expect_gaps(core::pooled_gaps(figures),
+                    core::measurement_decision_gaps(query_oracle),
+                    tag + " gaps pooled");
       }
     }
   }

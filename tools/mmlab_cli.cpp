@@ -10,15 +10,15 @@
 //                                      same world, but replay the crawl as K
 //                                      concurrent chunked device uploads
 //                                      through the streaming ingest service
-//   mmlab_cli report  <in> [carrier] [--direct]
+//   mmlab_cli report  <in> [carrier] [--threads N]
 //                     [--carrier A] [--param NAME]
-//                                      dataset summary + diversity report;
-//                                      --direct (MMDS v2 stores only) answers
-//                                      straight off the mapped shards via
-//                                      DirectFold — no database —
-//                                      and prints the fold's resident-memory
-//                                      stats.  With --direct, repeatable
-//                                      --carrier / --param flags build a
+//                                      dataset summary + LTE diversity report
+//                                      of `carrier` (default: the first).  A
+//                                      store is answered straight off the
+//                                      mapped shards by one fold — no
+//                                      database — and the fold's stats are
+//                                      printed.  Repeatable --carrier /
+//                                      --param flags (stores only) build a
 //                                      query: the planner folds only the
 //                                      selected carriers' blocks and the
 //                                      param predicate drops every other
@@ -52,9 +52,12 @@
 // holding manifest.mmds2 is a store, anything else is read as CSV), so
 // --format names only the output of the commands that write one.
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -87,44 +90,50 @@ enum class OutputFormat { kCsv, kMmds2 };
 
 /// Flags shared by the dataset commands, accepted anywhere after the
 /// command: --threads N and --format csv|mmds2. Everything else stays
-/// positional.  ok == false means a malformed flag was already reported.
+/// positional, except an unknown "--" flag, which is an error.  ok == false
+/// means a malformed or unknown flag was already reported.
 struct CliOptions {
   unsigned threads = 0;  ///< 0 = hardware concurrency
   unsigned devices = 8;  ///< ingest: device sessions per carrier
   std::size_t chunk_bytes = 4096;  ///< ingest: upload chunk size
   std::optional<OutputFormat> format;  ///< output only; unset = default
-  bool direct = false;  ///< report: fold shards directly, no materialization
-  std::vector<std::string> carriers;        ///< report --direct: query filter
-  std::vector<config::ParamKey> params;     ///< report --direct: push-down
+  std::vector<std::string> carriers;     ///< report on a store: query filter
+  std::vector<config::ParamKey> params;  ///< report on a store: push-down
   std::vector<const char*> positional;
   bool ok = true;
 };
 
+/// Reads the value of the numeric flag argv[i] into `out` and steps past it.
+/// The value must be a positive decimal integer that fits `T`: a sign, a
+/// fraction, trailing characters, zero and overflow are all rejected (and
+/// reported), and `out` is left as it was.
+template <typename T>
+bool parse_count(int argc, char** argv, int& i, T& out) {
+  const char* flag = argv[i];
+  const char* text = i + 1 < argc ? argv[i + 1] : "";
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long v = std::strtoul(text, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(*text)) || *end != '\0' ||
+      errno == ERANGE || v == 0 ||
+      v > static_cast<unsigned long>(std::numeric_limits<T>::max())) {
+    std::fprintf(stderr, "error: %s needs a positive integer\n", flag);
+    return false;
+  }
+  out = static_cast<T>(v);
+  ++i;
+  return true;
+}
+
 CliOptions parse_options(int argc, char** argv) {
   CliOptions opts;
-  for (int i = 0; i < argc; ++i) {
+  for (int i = 0; i < argc && opts.ok; ++i) {
     if (!std::strcmp(argv[i], "--threads")) {
-      if (i + 1 >= argc || std::atoi(argv[i + 1]) <= 0) {
-        std::fprintf(stderr, "error: --threads needs a positive integer\n");
-        opts.ok = false;
-        return opts;
-      }
-      opts.threads = static_cast<unsigned>(std::atoi(argv[++i]));
+      opts.ok = parse_count(argc, argv, i, opts.threads);
     } else if (!std::strcmp(argv[i], "--devices")) {
-      if (i + 1 >= argc || std::atoi(argv[i + 1]) <= 0) {
-        std::fprintf(stderr, "error: --devices needs a positive integer\n");
-        opts.ok = false;
-        return opts;
-      }
-      opts.devices = static_cast<unsigned>(std::atoi(argv[++i]));
+      opts.ok = parse_count(argc, argv, i, opts.devices);
     } else if (!std::strcmp(argv[i], "--chunk-bytes")) {
-      if (i + 1 >= argc || std::atol(argv[i + 1]) <= 0) {
-        std::fprintf(stderr,
-                     "error: --chunk-bytes needs a positive integer\n");
-        opts.ok = false;
-        return opts;
-      }
-      opts.chunk_bytes = static_cast<std::size_t>(std::atol(argv[++i]));
+      opts.ok = parse_count(argc, argv, i, opts.chunk_bytes);
     } else if (!std::strcmp(argv[i], "--format")) {
       if (i + 1 < argc && !std::strcmp(argv[i + 1], "csv"))
         opts.format = OutputFormat::kCsv;
@@ -136,8 +145,6 @@ CliOptions parse_options(int argc, char** argv) {
         return opts;
       }
       ++i;
-    } else if (!std::strcmp(argv[i], "--direct")) {
-      opts.direct = true;
     } else if (!std::strcmp(argv[i], "--carrier")) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "error: --carrier needs a carrier name\n");
@@ -158,6 +165,9 @@ CliOptions parse_options(int argc, char** argv) {
         return opts;
       }
       opts.params.push_back(*key);
+    } else if (!std::strncmp(argv[i], "--", 2)) {
+      std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
+      opts.ok = false;
     } else {
       opts.positional.push_back(argv[i]);
     }
@@ -165,21 +175,26 @@ CliOptions parse_options(int argc, char** argv) {
   return opts;
 }
 
-/// Load a dataset: a store directory through the store (printing the loader
-/// stats the report path surfaces: shards, blocks, mapped payload), anything
-/// else as CSV.
+/// The store's one-line summary (shards, blocks, rows, payload); `tail`
+/// ends the line.
+void print_store_summary(const store::ShardSet& set, const char* tail) {
+  const auto& m = set.manifest();
+  std::uint64_t bytes = 0;
+  for (const auto& s : m.shards) bytes += s.file_size;
+  std::printf("MMDS v2 store: %zu shards, %zu blocks, %llu rows, %.1f MB%s",
+              m.shards.size(), static_cast<std::size_t>(m.total_blocks()),
+              static_cast<unsigned long long>(m.total_rows()),
+              static_cast<double>(bytes) / 1e6, tail);
+}
+
+/// Load a dataset: a store directory through the store (printing its
+/// summary line first), anything else as CSV.
 Result<core::LoadStats> load_for_cli(const char* path, const CliOptions& opts,
                                      core::ConfigDatabase& db) {
   if (!store::is_store(path)) return core::load_dataset(path, db);
   auto set = store::ShardSet::open(path);
   if (!set.ok()) return Result<core::LoadStats>::error(set.error_message());
-  const auto& m = set.value().manifest();
-  std::uint64_t bytes = 0;
-  for (const auto& s : m.shards) bytes += s.file_size;
-  std::printf("MMDS v2 store: %zu shards, %zu blocks, %llu rows, %.1f MB\n",
-              m.shards.size(), static_cast<std::size_t>(m.total_blocks()),
-              static_cast<unsigned long long>(m.total_rows()),
-              static_cast<double>(bytes) / 1e6);
+  print_store_summary(set.value(), "\n");
   return store::load_database(set.value(), db, opts.threads);
 }
 
@@ -279,39 +294,72 @@ int cmd_ingest(int argc, char** argv) {
   return 0;
 }
 
-/// `report --direct`: every table straight off the mapped shards.  Nothing
-/// is materialized — not even the database — so resident memory is
-/// the fold's parse window plus the per-carrier answers, and the stats line
-/// shows exactly that.
-int report_direct(const CliOptions& opts) {
+/// One carrier of a report: its figures (the per-key totals the diversity
+/// table ranks) and its census counts.
+struct ReportRow {
+  const core::CarrierFigures* figures;
+  std::uint64_t cells;
+  std::uint64_t samples;
+};
+
+/// The census table over every row, then the LTE diversity table of
+/// `carrier` (the first row's when null).  Exit code: 1 when `carrier` is
+/// not in the report (nothing is printed then), else 0.
+int print_report(const std::vector<ReportRow>& rows, const char* carrier) {
+  const auto chosen =
+      carrier ? std::find_if(rows.begin(), rows.end(),
+                             [&](const ReportRow& row) {
+                               return row.figures->carrier == carrier;
+                             })
+              : rows.begin();
+  if (chosen == rows.end()) {
+    std::fprintf(stderr, "error: carrier '%s' is not in the report\n",
+                 carrier);
+    return 1;
+  }
+  TablePrinter table({"Carrier", "Cells", "Samples", "LTE params observed"});
+  for (const ReportRow& row : rows) {
+    std::size_t lte_params = 0;
+    for (const auto& [key, totals] : row.figures->totals)
+      lte_params += key.rat == spectrum::Rat::kLte;
+    table.add_row({row.figures->carrier, std::to_string(row.cells),
+                   std::to_string(row.samples), std::to_string(lte_params)});
+  }
+  table.print();
+
+  std::printf("\ndiversity report for %s (sorted by Simpson index):\n",
+              chosen->figures->carrier.c_str());
+  TablePrinter diversity({"Param", "richness", "D", "Cv"});
+  for (const auto& d :
+       core::rank_diversity(chosen->figures->totals, spectrum::Rat::kLte))
+    diversity.add_row({config::param_name(d.key),
+                       std::to_string(d.measures.richness),
+                       fmt_double(d.measures.simpson, 3),
+                       fmt_double(d.measures.cv, 3)});
+  diversity.print();
+  return 0;
+}
+
+/// `report` on a store: one planned fold over the query's carriers
+/// (concurrent jobs under the shared window budget when --threads > 1)
+/// fills every table.  Nothing is materialized — not even the database —
+/// so resident memory is the fold's window plus the per-carrier answers,
+/// and the stats line shows exactly that.
+int report_store(const CliOptions& opts, const char* carrier) {
   auto set = store::ShardSet::open(opts.positional[0]);
   if (!set.ok()) {
     std::fprintf(stderr, "error: %s\n", set.error_message().c_str());
     return 1;
   }
-  const auto& m = set.value().manifest();
-  std::uint64_t bytes = 0;
-  for (const auto& s : m.shards) bytes += s.file_size;
-  std::printf("MMDS v2 store: %zu shards, %zu blocks, %llu rows, %.1f MB "
-              "(direct fold, no database)\n\n",
-              m.shards.size(), static_cast<std::size_t>(m.total_blocks()),
-              static_cast<unsigned long long>(m.total_rows()),
-              static_cast<double>(bytes) / 1e6);
+  print_store_summary(set.value(), " (direct fold, no database)\n\n");
 
   store::FoldOptions fopts;
   fopts.threads = opts.threads;
   const store::DirectFold direct(set.value(), fopts);
-  std::uint64_t max_block = 0;
-  for (const auto& ref : set.value().blocks())
-    max_block = std::max<std::uint64_t>(max_block, ref.info->length);
-
   store::Query query;
   query.carriers = opts.carriers;
   query.params = opts.params;
-
-  // One scheduled pass over the query's carriers (concurrent jobs under the
-  // shared window budget when --threads > 1) fills the whole summary table.
-  auto qa = store::analyze_query(direct, query);
+  const auto qa = store::analyze_query(direct, query);
   if (!qa.ok()) {
     std::fprintf(stderr, "error: %s\n", qa.error_message().c_str());
     return 1;
@@ -320,42 +368,18 @@ int report_direct(const CliOptions& opts) {
     std::fprintf(stderr, "error: no carrier matches the query\n");
     return 1;
   }
-  TablePrinter table({"Carrier", "Cells", "Samples", "LTE params observed"});
-  for (std::size_t i = 0; i < qa.value().carriers.size(); ++i) {
-    const auto& mix = qa.value().results[i];
-    std::size_t lte_params = 0;
-    for (const auto& d : mix.diversity)
-      lte_params += d.key.rat == spectrum::Rat::kLte;
-    table.add_row({qa.value().carriers[i], std::to_string(mix.stats.cells),
-                   std::to_string(mix.stats.rows),
-                   std::to_string(lte_params)});
-  }
-  table.print();
+  std::vector<ReportRow> rows;
+  for (const auto& a : qa.value().results)
+    rows.push_back({&a, a.stats.cells, a.stats.rows});
+  if (const int rc = print_report(rows, carrier)) return rc;
 
-  const std::string carrier = opts.positional.size() > 1
-                                  ? opts.positional[1]
-                                  : qa.value().carriers.front();
-  std::printf("\ndiversity report for %s (sorted by Simpson index):\n",
-              carrier.c_str());
-  auto div = store::diversity_by_param(direct, carrier, spectrum::Rat::kLte,
-                                       query);
-  if (!div.ok()) {
-    std::fprintf(stderr, "error: %s\n", div.error_message().c_str());
-    return 1;
-  }
-  TablePrinter diversity({"Param", "richness", "D", "Cv"});
-  for (const auto& d : div.value())
-    diversity.add_row({config::param_name(d.key),
-                       std::to_string(d.measures.richness),
-                       fmt_double(d.measures.simpson, 3),
-                       fmt_double(d.measures.cv, 3)});
-  diversity.print();
-
-  // The scheduled pass's own accounting (the diversity table above re-folds
-  // one carrier and is not included): parsed + skipped covers every block
-  // of the store, bytes-not-materialized is the wire push-down (8 bytes
-  // per dropped observation's value).  The window figure bounds the mapped
-  // block bytes only; each open block also holds one parsed cell run.
+  // Blocks parsed + skipped cover the whole store; bytes-not-materialized
+  // is the wire push-down (8 bytes per dropped observation's value).  The
+  // window figure bounds the mapped block bytes only; each open block also
+  // holds one parsed cell run.
+  std::uint64_t max_block = 0;
+  for (const auto& ref : set.value().blocks())
+    max_block = std::max<std::uint64_t>(max_block, ref.info->length);
   const auto& plan_stats = qa.value().stats;
   std::printf("\nfold stats: %llu blocks parsed (%.1f MB), "
               "%llu blocks skipped by the plan (%.1f MB), "
@@ -380,20 +404,20 @@ int cmd_report(int argc, char** argv) {
   if (!opts.ok) return 2;
   if (opts.positional.empty() || opts.format) {
     std::fprintf(stderr,
-                 "usage: mmlab_cli report <in> [carrier] [--direct] "
+                 "usage: mmlab_cli report <in> [carrier] [--threads N] "
                  "[--carrier A] [--param NAME]\n");
     return 2;
   }
-  if (opts.direct) {
-    if (!store::is_store(opts.positional[0])) {
-      std::fprintf(stderr,
-                   "error: --direct needs an MMDS v2 store directory\n");
-      return 2;
-    }
-    return report_direct(opts);
+  const char* carrier = opts.positional.size() > 1 ? opts.positional[1]
+                                                   : nullptr;
+  if (store::is_store(opts.positional[0])) return report_store(opts, carrier);
+  if (!opts.carriers.empty() || !opts.params.empty()) {
+    std::fprintf(stderr, "error: --carrier/--param need an MMDS v2 store\n");
+    return 2;
   }
+
   core::ConfigDatabase db;
-  const auto stats = load_for_cli(opts.positional[0], opts, db);
+  const auto stats = core::load_dataset(opts.positional[0], db);
   if (!stats.ok()) {
     std::fprintf(stderr, "error: %s\n", stats.error_message().c_str());
     return 1;
@@ -406,39 +430,13 @@ int cmd_report(int argc, char** argv) {
     return 1;
   }
   // One walk over the database (carriers concurrently on --threads workers)
-  // serves every table below instead of re-scanning it per table.
+  // serves every table.
   const auto figures = core::analyze_database(db, {}, opts.threads);
-  TablePrinter table({"Carrier", "Cells", "Samples", "LTE params observed"});
-  for (const auto& fig : figures) {
-    std::size_t lte_params = 0;
-    for (const auto& [key, totals] : fig.totals)
-      lte_params += key.rat == spectrum::Rat::kLte;
-    table.add_row({fig.carrier, std::to_string(db.cell_count(fig.carrier)),
-                   std::to_string(db.sample_count(fig.carrier)),
-                   std::to_string(lte_params)});
-  }
-  table.print();
-
-  const std::string carrier = opts.positional.size() > 1
-                                  ? opts.positional[1]
-                                  : figures.front().carrier;
-  std::printf("\ndiversity report for %s (sorted by Simpson index):\n",
-              carrier.c_str());
-  const auto fig = std::find_if(
-      figures.begin(), figures.end(),
-      [&](const core::CarrierFigures& f) { return f.carrier == carrier; });
-  const auto ranked =
-      fig == figures.end()
-          ? std::vector<core::ParamDiversity>{}
-          : core::rank_diversity(fig->totals, spectrum::Rat::kLte);
-  TablePrinter diversity({"Param", "richness", "D", "Cv"});
-  for (const auto& d : ranked)
-    diversity.add_row({config::param_name(d.key),
-                       std::to_string(d.measures.richness),
-                       fmt_double(d.measures.simpson, 3),
-                       fmt_double(d.measures.cv, 3)});
-  diversity.print();
-  return 0;
+  std::vector<ReportRow> rows;
+  for (const auto& fig : figures)
+    rows.push_back({&fig, db.cell_count(fig.carrier),
+                    db.sample_count(fig.carrier)});
+  return print_report(rows, carrier);
 }
 
 int cmd_verify(int argc, char** argv) {
@@ -531,11 +529,9 @@ int cmd_opt(int argc, char** argv) {
       return false;
     };
     if (!std::strcmp(argv[i], "--budget")) {
-      if (!need_value("--budget") || std::atol(argv[i + 1]) <= 0) return 2;
-      budget = static_cast<std::size_t>(std::atol(argv[++i]));
+      if (!parse_count(argc, argv, i, budget)) return 2;
     } else if (!std::strcmp(argv[i], "--threads")) {
-      if (!need_value("--threads") || std::atoi(argv[i + 1]) <= 0) return 2;
-      threads = static_cast<unsigned>(std::atoi(argv[++i]));
+      if (!parse_count(argc, argv, i, threads)) return 2;
     } else if (!std::strcmp(argv[i], "--strategy")) {
       if (!need_value("--strategy")) return 2;
       strategy_name = argv[++i];
@@ -661,17 +657,9 @@ int cmd_generate(int argc, char** argv) {
   const char* out = nullptr;
   for (int i = 0; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--visits")) {
-      if (i + 1 >= argc || std::atoi(argv[i + 1]) <= 0) {
-        std::fprintf(stderr, "error: --visits needs a positive integer\n");
-        return 2;
-      }
-      gopts.visits_per_cell = std::atoi(argv[++i]);
+      if (!parse_count(argc, argv, i, gopts.visits_per_cell)) return 2;
     } else if (!std::strcmp(argv[i], "--chunk-rows")) {
-      if (i + 1 >= argc || std::atol(argv[i + 1]) <= 0) {
-        std::fprintf(stderr, "error: --chunk-rows needs a positive integer\n");
-        return 2;
-      }
-      chunk_rows = static_cast<std::size_t>(std::atol(argv[++i]));
+      if (!parse_count(argc, argv, i, chunk_rows)) return 2;
     } else if (!out) {
       out = argv[i];
     } else if (!std::strcmp(argv[i], "countrywide")) {
