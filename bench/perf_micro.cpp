@@ -1,8 +1,10 @@
 // google-benchmark microbenches for the hot paths: RRC codec, diag framing,
 // event evaluation, reselection ranking, the end-to-end extract pipeline,
 // CSV dataset I/O at ~1M rows, the fig11–22 analysis mix (in memory and
-// straight off an MMDS v2 store), and the deterministic parallel simulation
-// engine (crawl + campaign thread scaling).
+// straight off an MMDS v2 store) and its per-cell kernels (CellFolder, the
+// value tally, the MMDS observation decoder, each beside its oracle), and
+// the deterministic parallel simulation engine (crawl + campaign thread
+// scaling).
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -27,7 +29,9 @@
 #include "mmlab/opt/search.hpp"
 #include "mmlab/sim/crawl.hpp"
 #include "mmlab/sim/drive_test.hpp"
+#include "mmlab/stats/diversity.hpp"
 #include "mmlab/store/analytics.hpp"
+#include "mmlab/store/cell_codec.hpp"
 #include "mmlab/store/shard_set.hpp"
 #include "mmlab/store/shard_writer.hpp"
 #include "mmlab/util/crc.hpp"
@@ -489,7 +493,123 @@ void BM_CellFolderFoldReference(benchmark::State& state) {
 BENCHMARK(BM_CellFolderFoldReference)->Args({46, 8})->Args({5, 2})
     ->Unit(benchmark::kMicrosecond);
 
-// --- CRC-16: slice-by-4 vs the byte-at-a-time oracle -------------------------
+// --- value counts: the O(1) tally vs the ordered map ------------------------
+// 65,536 adds cycling through `distinct` values in a seeded order, into a
+// fresh container per iteration.  At 4,096 distinct values a lookup that is
+// not O(1) (a linear scan) falls off a cliff; the map pays O(log n) there.
+
+const std::vector<double>& tally_stream(std::size_t distinct) {
+  static std::map<std::size_t, std::vector<double>> cache;
+  auto& stream = cache[distinct];
+  if (!stream.empty()) return stream;
+  Rng rng(distinct);
+  std::vector<double> values;
+  for (std::size_t i = 0; i < distinct; ++i)
+    values.push_back(rng.uniform(-140.0, 20.0));
+  for (std::size_t i = 0; i < 65536; ++i)
+    stream.push_back(values[rng.below(distinct)]);
+  return stream;
+}
+
+void BM_ValueTally(benchmark::State& state) {
+  const auto& stream = tally_stream(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    stats::ValueTally tally;
+    for (const double v : stream) tally.add(v);
+    benchmark::DoNotOptimize(tally.richness());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(stream.size()));
+}
+BENCHMARK(BM_ValueTally)->Arg(1)->Arg(8)->Arg(4096)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_ValueCountsAdd(benchmark::State& state) {
+  const auto& stream = tally_stream(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    stats::ValueCounts counts;
+    for (const double v : stream) counts.add(v);
+    benchmark::DoNotOptimize(counts.richness());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(stream.size()));
+}
+BENCHMARK(BM_ValueCountsAdd)->Arg(1)->Arg(8)->Arg(4096)
+    ->Unit(benchmark::kMicrosecond);
+
+// --- the MMDS observation decoder: pointer kernel vs the per-field oracle ---
+// The {46, 8} folder records above, encoded back to back as one block body
+// would hold them; each iteration decodes every cell's observations.
+
+struct EncodedCells {
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::pair<std::size_t, std::uint64_t>> bodies;  ///< pos, n_obs
+  std::vector<config::ParamKey> params;
+  std::size_t rows = 0;
+};
+
+const EncodedCells& encoded_cells() {
+  static const EncodedCells cells = [] {
+    EncodedCells out;
+    store::ParamIndexMap map;
+    ByteWriter w;
+    const auto& records = folder_records(46, 8);
+    for (std::size_t i = 0; i < records.size(); ++i)
+      store::encode_cell(w, static_cast<std::uint32_t>(i), records[i], map);
+    out.bytes = std::move(w).take();
+    ByteReader r(out.bytes);
+    while (r.remaining() > 0) {
+      (void)r.varint();
+      (void)r.u8();
+      (void)r.varint();
+      (void)r.f64le();
+      (void)r.f64le();
+      const std::uint64_t n = r.varint();
+      out.bodies.emplace_back(r.position(), n);
+      out.rows += n;
+      std::vector<core::Observation> sink;
+      store::CellScan scan;
+      store::decode_observations_reference(r, n, map.keys(), {}, sink, scan);
+    }
+    out.params = map.keys();
+    return out;
+  }();
+  return cells;
+}
+
+template <bool kKernel>
+void parse_cell_bench(benchmark::State& state) {
+  const auto& cells = encoded_cells();
+  std::vector<core::Observation> out;
+  store::CellScan scan;
+  for (auto _ : state) {
+    for (const auto& [pos, n] : cells.bodies) {
+      ByteReader r(cells.bytes);
+      r.skip(pos);
+      out.clear();
+      if constexpr (kKernel)
+        store::decode_observations(r, n, cells.params, {}, out, scan);
+      else
+        store::decode_observations_reference(r, n, cells.params, {}, out,
+                                             scan);
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(cells.rows));
+}
+
+void BM_ParseCellKernel(benchmark::State& state) {
+  parse_cell_bench<true>(state);
+}
+BENCHMARK(BM_ParseCellKernel)->Unit(benchmark::kMicrosecond);
+
+void BM_ParseCellReference(benchmark::State& state) {
+  parse_cell_bench<false>(state);
+}
+BENCHMARK(BM_ParseCellReference)->Unit(benchmark::kMicrosecond);
+
+// --- CRC-16: slice-by-8 vs the byte-at-a-time oracle -------------------------
 
 void BM_Crc16Bytewise(benchmark::State& state) {
   std::vector<std::uint8_t> buf(64 * 1024);

@@ -32,16 +32,49 @@ std::uint32_t pack(config::ParamKey key) {
 }  // namespace
 
 void CellFolder::fold(const CellRecord& rec) {
+  next_stamp();
   if (rec.observations.size() < kMinBucketObservations)
-    sort_by_key(rec.observations);
+    sort_packed(rec.observations);
   else
     group_by_key(rec.observations);
   build_slices(rec);
 }
 
 void CellFolder::fold_reference(const CellRecord& rec) {
+  next_stamp();
   sort_by_key(rec.observations);
   build_slices(rec);
+}
+
+void CellFolder::next_stamp() {
+  if (++stamp_ == 0) {  // wrapped: no stale stamp may equal a new one
+    for (KeySlot& e : key_table_) e.stamp = 0;
+    stamp_ = 1;
+  }
+}
+
+const CellFolder::KeySlot* CellFolder::probe(std::uint32_t key) const {
+  if (key_table_.empty()) return nullptr;
+  const auto mask = static_cast<std::uint32_t>(key_table_.size() - 1);
+  for (std::uint32_t s = hash_slot(key);; s = (s + 1) & mask) {
+    if (key_table_[s].key == key) return &key_table_[s];
+    if (key_table_[s].key == kEmptySlot) return nullptr;
+  }
+}
+
+CellFolder::KeySlot& CellFolder::insert_key(std::uint32_t key) {
+  if (key_table_.empty()) {
+    key_table_.assign(kInitialKeySlots, {kEmptySlot, 0, 0, 0});
+    key_shift_ = 32 - static_cast<unsigned>(std::countr_zero(kInitialKeySlots));
+  }
+  if (2 * (slot_keys_.size() + 1) > key_table_.size()) grow_key_table();
+  const auto mask = static_cast<std::uint32_t>(key_table_.size() - 1);
+  std::uint32_t s = hash_slot(key);
+  while (key_table_[s].key != kEmptySlot) s = (s + 1) & mask;
+  key_table_[s] = {key, static_cast<std::uint32_t>(slot_keys_.size()), 0, 0};
+  slot_keys_.push_back({static_cast<spectrum::Rat>(key >> 16),
+                        static_cast<std::uint16_t>(key)});
+  return key_table_[s];
 }
 
 void CellFolder::sort_by_key(const std::vector<Observation>& obs) {
@@ -52,51 +85,71 @@ void CellFolder::sort_by_key(const std::vector<Observation>& obs) {
   std::sort(order_.begin(), order_.end());
 }
 
+// sort_by_key's order, sorting (key << 32 | index) integers instead of
+// (ParamKey, index) pairs: the packed key orders like ParamKey's (rat, id)
+// operator<=>.
+void CellFolder::sort_packed(const std::vector<Observation>& obs) {
+  sorted_keys_.clear();
+  for (std::uint32_t i = 0; i < obs.size(); ++i)
+    sorted_keys_.push_back((std::uint64_t{pack(obs[i].key)} << 32) | i);
+  std::sort(sorted_keys_.begin(), sorted_keys_.end());
+  order_.resize(obs.size());
+  for (std::size_t j = 0; j < sorted_keys_.size(); ++j) {
+    const auto i = static_cast<std::uint32_t>(sorted_keys_[j]);
+    order_[j] = {obs[i].key, i};
+  }
+}
+
 // The same order_ as fold_reference's sort: the packed key orders like
 // ParamKey's (rat, id) operator<=>, and the scatter visits observations in
 // ascending index, so each bucket is index-ascending.
 void CellFolder::group_by_key(const std::vector<Observation>& obs) {
-  if (key_table_.empty()) {
-    key_table_.assign(kInitialKeySlots, {kEmptySlot, 0});
-    key_shift_ = 32 - static_cast<unsigned>(std::countr_zero(kInitialKeySlots));
-  }
   const std::size_t n = obs.size();
-  local_keys_.clear();
   local_of_.resize(n);
+  if (key_table_.empty()) insert_key(pack(obs.front().key));
+  // A cell's distinct keys all have slots, so local_keys_ never needs more
+  // entries than there are slots.
+  if (local_keys_.size() < slot_keys_.size())
+    local_keys_.resize(2 * slot_keys_.size());
   // Raw pointers: the loop's stores would otherwise make the compiler
   // reload every vector's data pointer per observation.
   KeySlot* table = key_table_.data();
   auto mask = static_cast<std::uint32_t>(key_table_.size() - 1);
   LocalKey* locals = local_keys_.data();
+  std::uint32_t* local_of = local_of_.data();
+  std::uint32_t n_local = 0;
+  const std::uint32_t stamp = stamp_;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t key = pack(obs[i].key);
-    std::uint32_t local = 0;
-    for (std::uint32_t s = hash_slot(key);; s = (s + 1) & mask) {
-      if (table[s].key == key) {
-        local = table[s].local;
-        ++locals[local].count;
-        break;
-      }
-      if (table[s].key == kEmptySlot) {
-        local = static_cast<std::uint32_t>(local_keys_.size());
-        table[s] = {key, local};
-        local_keys_.push_back({key, s, 1});
-        locals = local_keys_.data();
-        if (2 * local_keys_.size() > key_table_.size()) {
-          grow_key_table();
-          table = key_table_.data();
-          mask = static_cast<std::uint32_t>(key_table_.size() - 1);
+    std::uint32_t s = hash_slot(key);
+    while (table[s].key != key) {
+      if (table[s].key == kEmptySlot) [[unlikely]] {
+        insert_key(key);  // a key this folder has not seen: assign its slot
+        table = key_table_.data();
+        mask = static_cast<std::uint32_t>(key_table_.size() - 1);
+        s = hash_slot(key);
+        if (local_keys_.size() < slot_keys_.size()) {
+          local_keys_.resize(2 * slot_keys_.size());
+          locals = local_keys_.data();
         }
-        break;
+        continue;
       }
+      s = (s + 1) & mask;
     }
-    local_of_[i] = local;
+    KeySlot& e = table[s];
+    if (e.stamp != stamp) {
+      e.stamp = stamp;
+      e.local = n_local;
+      locals[n_local++] = {key, 0};
+    }
+    ++locals[e.local].count;
+    local_of[i] = e.local;
   }
 
   // Sort only the distinct keys, as (key << 32 | local) integers, then turn
   // their counts into bucket starts.
   sorted_keys_.clear();
-  for (std::uint32_t l = 0; l < local_keys_.size(); ++l)
+  for (std::uint32_t l = 0; l < n_local; ++l)
     sorted_keys_.push_back((std::uint64_t{locals[l].key} << 32) | l);
   std::sort(sorted_keys_.begin(), sorted_keys_.end());
   std::uint32_t start = 0;
@@ -108,23 +161,20 @@ void CellFolder::group_by_key(const std::vector<Observation>& obs) {
   }
 
   order_.resize(n);
-  const std::uint32_t* local_of = local_of_.data();
   for (std::uint32_t i = 0; i < n; ++i)
     order_[locals[local_of[i]].count++] = {obs[i].key, i};
-
-  for (const LocalKey& lk : local_keys_) table[lk.slot].key = kEmptySlot;
 }
 
 void CellFolder::grow_key_table() {
-  key_table_.assign(2 * key_table_.size(), {kEmptySlot, 0});
+  std::vector<KeySlot> old(2 * key_table_.size(), {kEmptySlot, 0, 0, 0});
+  old.swap(key_table_);
   --key_shift_;
   const auto mask = static_cast<std::uint32_t>(key_table_.size() - 1);
-  for (std::uint32_t l = 0; l < local_keys_.size(); ++l) {
-    LocalKey& lk = local_keys_[l];
-    std::uint32_t s = hash_slot(lk.key);
+  for (const KeySlot& e : old) {
+    if (e.key == kEmptySlot) continue;
+    std::uint32_t s = hash_slot(e.key);
     while (key_table_[s].key != kEmptySlot) s = (s + 1) & mask;
-    key_table_[s] = {lk.key, l};
-    lk.slot = s;
+    key_table_[s] = e;
   }
 }
 
@@ -140,6 +190,10 @@ void CellFolder::build_slices(const CellRecord& rec) {
 
     KeySlice slice;
     slice.key = order_[lo].first;
+    KeySlot& e = find_or_add(pack(slice.key));
+    e.stamp = stamp_;
+    e.local = static_cast<std::uint32_t>(keys_.size());
+    slice.slot = e.slot;
     slice.obs_begin = static_cast<std::uint32_t>(lo);
     slice.obs_end = static_cast<std::uint32_t>(hi);
     // Same tie-break as CellRecord::latest: the *last* max-t observation
@@ -228,11 +282,9 @@ void CellFolder::build_slices(const CellRecord& rec) {
 }
 
 const CellFolder::KeySlice* CellFolder::find(config::ParamKey key) const {
-  const auto it = std::lower_bound(
-      keys_.begin(), keys_.end(), key,
-      [](const KeySlice& s, config::ParamKey k) { return s.key < k; });
-  if (it == keys_.end() || !(it->key == key)) return nullptr;
-  return &*it;
+  const KeySlot* e = probe(pack(key));
+  if (!e || e->stamp != stamp_) return nullptr;
+  return &keys_[e->local];
 }
 
 std::span<const double> CellFolder::unique_values(config::ParamKey key) const {

@@ -8,10 +8,19 @@
 // ConfigDatabase carrier walk and store::DirectFold's merged shard records —
 // run it per cell, so the dedup/latest semantics have one implementation.
 //
+// Slots: the folder's key table persists across the cells it folds (one
+// carrier's, in every caller) and gives each distinct key a dense slot in
+// first-sight order.  Every KeySlice carries its slot, so accumulators index
+// flat per-slot arrays, and find() reaches a fixed key's slice in O(1) (one
+// hash probe; the entry's stamp says whether the current cell has the key).
+// slot_keys() maps a slot back to its key when an accumulator finishes.
+//
 // Grouping is one linear bucket pass, not a comparison sort: each
-// observation's key goes through an open-addressed first-sight table
-// (key -> cell-local index), only the k distinct keys are sorted, and the
-// n observations are scattered into their key's bucket in ascending index.
+// observation's key goes through the open-addressed slot table (packed key
+// -> entry, Fibonacci hash), whose entry's stamp and cell-local index say
+// whether the cell has seen the key yet, only the k distinct keys are
+// sorted, and the n observations are scattered into their key's bucket in
+// ascending index.
 // Cost O(n + k log k) per cell (a store cell has tens of keys and hundreds
 // of observations); cells below kMinBucketObservations keep the
 // O(n log n) sort, and fold_reference keeps it for every cell as the
@@ -27,12 +36,13 @@
 //     the -1 sentinel never counting.
 //
 // Memory: every buffer keeps its capacity across calls, so a folder holds
-// O(largest cell folded).  The grouping keeps 12 bytes per observation and
-// fewer than 4 key-table slots (8 bytes each) per distinct key: at most
-// 8 MiB, since a record can name at most 5 x 65536 keys; a store cell's
-// table is 1 KiB.  The flat buffers stop allocating once they have grown,
-// but the dedup spill containers past kLinearDedupLimit (uniq_seen_,
-// ctx_seen_) allocate a node per insert on every cell that reaches them.
+// O(largest cell folded + distinct keys seen).  The grouping keeps 12 bytes
+// per observation; the slot table keeps fewer than 4 entries (16 bytes
+// each) plus a 4-byte key per distinct key ever seen: at most ~21 MiB,
+// since a folder can meet at most 5 x 65536 keys; a store carrier's is a
+// few KiB.  The flat buffers stop allocating once they have grown, but the
+// dedup spill containers past kLinearDedupLimit (uniq_seen_, ctx_seen_)
+// allocate a node per insert on every cell that reaches them.
 #pragma once
 
 #include <cstdint>
@@ -86,6 +96,7 @@ class CellFolder {
   /// into ctx_contexts()/ctx_values().
   struct KeySlice {
     config::ParamKey key;
+    std::uint32_t slot = 0;  ///< the key's slot (see slot_keys())
     std::uint32_t obs_begin = 0, obs_end = 0;
     std::uint32_t uniq_begin = 0, uniq_end = 0;
     std::uint32_t ctx_begin = 0, ctx_end = 0;
@@ -123,18 +134,27 @@ class CellFolder {
   std::span<const double> ctx_values() const { return ctx_value_; }
 
   /// The unique-values slice of one key, or empty when the cell never
-  /// observed it (binary search — slices are key-sorted).
+  /// observed it.
   std::span<const double> unique_values(config::ParamKey key) const;
+  /// The current cell's slice of `key`, or nullptr: O(1).
   const KeySlice* find(config::ParamKey key) const;
 
+  /// Every key this folder has seen, indexed by slot (dense, first-sight
+  /// order, stable for the folder's lifetime).
+  std::span<const config::ParamKey> slot_keys() const { return slot_keys_; }
+
  private:
+  /// One slot-table entry.  `local` is meaningful only while `stamp` is
+  /// the current cell's: during grouping it is the key's cell-local index,
+  /// once the slices are built the index of its KeySlice in keys_.
   struct KeySlot {
-    std::uint32_t key;    ///< packed (rat << 16 | id), or kEmptySlot
-    std::uint32_t local;  ///< cell-local index of the key (first sight)
+    std::uint32_t key;  ///< packed (rat << 16 | id), or kEmptySlot
+    std::uint32_t slot;
+    std::uint32_t stamp;
+    std::uint32_t local;
   };
   struct LocalKey {
     std::uint32_t key;    ///< packed
-    std::uint32_t slot;   ///< its key_table_ slot, for the clear
     std::uint32_t count;  ///< observations; then the scatter cursor
   };
   static constexpr std::uint32_t kEmptySlot = 0xFFFFFFFF;
@@ -143,7 +163,24 @@ class CellFolder {
   std::uint32_t hash_slot(std::uint32_t key) const {
     return (key * 0x9E3779B1u) >> key_shift_;
   }
+  /// The entry of a packed key, or nullptr when it has none.
+  const KeySlot* probe(std::uint32_t key) const;
+  /// Give a packed key the table does not hold the next slot.
+  KeySlot& insert_key(std::uint32_t key);
+  /// The entry of a packed key, inserting it on first sight.
+  KeySlot& find_or_add(std::uint32_t key) {
+    if (!key_table_.empty()) {
+      const auto mask = static_cast<std::uint32_t>(key_table_.size() - 1);
+      KeySlot* table = key_table_.data();
+      for (std::uint32_t s = hash_slot(key); table[s].key != kEmptySlot;
+           s = (s + 1) & mask)
+        if (table[s].key == key) return table[s];
+    }
+    return insert_key(key);
+  }
+  void next_stamp();
   void sort_by_key(const std::vector<Observation>& obs);
+  void sort_packed(const std::vector<Observation>& obs);
   void group_by_key(const std::vector<Observation>& obs);
   void grow_key_table();
   void build_slices(const CellRecord& rec);
@@ -153,11 +190,13 @@ class CellFolder {
   std::vector<double> uniq_;
   std::vector<std::int64_t> ctx_context_;
   std::vector<double> ctx_value_;
-  // group_by_key working buffers.  key_table_ is all kEmptySlot between
-  // calls.
+  // The slot table, kept across cells.
   std::vector<KeySlot> key_table_;
   unsigned key_shift_ = 0;  ///< 32 - log2(key_table_.size())
-  std::vector<LocalKey> local_keys_;  ///< first-sight order
+  std::vector<config::ParamKey> slot_keys_;
+  std::uint32_t stamp_ = 0;  ///< the current cell's; 0 is never current
+  // group_by_key working buffers.
+  std::vector<LocalKey> local_keys_;  ///< first-sight order, by local
   std::vector<std::uint32_t> local_of_;  ///< per observation: local index
   std::vector<std::uint64_t> sorted_keys_;
   // Spill containers, reused across cells (see kLinearDedupLimit).

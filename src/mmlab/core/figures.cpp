@@ -57,34 +57,78 @@ MeasurementGaps pooled_gaps(const std::vector<CarrierFigures>& figures) {
 
 // --- accumulators -----------------------------------------------------------
 
+void FactorTallies::add(long factor, double value) {
+  const auto [it, fresh] = index_.try_emplace(
+      factor, static_cast<std::uint32_t>(tallies_.size()));
+  if (fresh) tallies_.emplace_back(factor, stats::ValueTally{});
+  tallies_[it->second].second.add(value);
+}
+
+std::map<long, stats::ValueCounts> FactorTallies::finish() const {
+  std::map<long, stats::ValueCounts> out;
+  for (const auto& [factor, tally] : tallies_)
+    out.emplace(factor, tally.counts());
+  return out;
+}
+
 void DiversityAcc::consume(const CellRecord&, const CellFolder& folder) {
+  if (slots.size() < folder.slot_keys().size())
+    slots.resize(folder.slot_keys().size());
   const auto uniq = folder.unique_values();
   for (const auto& slice : folder.keys()) {
-    KeyTotals& kt = totals[slice.key];
-    ++kt.cells;
+    SlotTotals& st = slots[slice.slot];
+    ++st.cells;
     for (std::uint32_t j = slice.uniq_begin; j < slice.uniq_end; ++j)
-      kt.values.add(uniq[j]);
+      st.values.add(uniq[j]);
   }
+}
+
+std::map<config::ParamKey, KeyTotals> DiversityAcc::finish(
+    std::span<const config::ParamKey> slot_keys) const {
+  std::map<config::ParamKey, KeyTotals> out;
+  for (std::size_t slot = 0; slot < slots.size(); ++slot)
+    if (slots[slot].cells != 0)
+      out.emplace(slot_keys[slot],
+                  KeyTotals{slots[slot].values.counts(), slots[slot].cells});
+  return out;
 }
 
 void DependenceAcc::consume(const CellRecord& rec, const CellFolder& folder) {
   if (rec.rat != spectrum::Rat::kLte) return;
   const long f = static_cast<long>(rec.channel);
+  const auto [it, fresh] = channel_index.try_emplace(
+      f, static_cast<std::uint32_t>(channels.size()));
+  if (fresh) channels.push_back(f);
+  const std::uint32_t c = it->second;
+  if (groups.size() < folder.slot_keys().size())
+    groups.resize(folder.slot_keys().size());
   const auto uniq = folder.unique_values();
   for (const auto& slice : folder.keys()) {
     if (slice.key.rat != spectrum::Rat::kLte) continue;
-    stats::ValueCounts& vc = groups[slice.key][f];
+    auto& by_channel = groups[slice.slot];
+    if (by_channel.size() <= c) by_channel.resize(c + 1);
+    stats::ValueTally& tally = by_channel[c];
     for (std::uint32_t j = slice.uniq_begin; j < slice.uniq_end; ++j)
-      vc.add(uniq[j]);
+      tally.add(uniq[j]);
   }
 }
 
-std::vector<ParamDependence> DependenceAcc::finish() const {
-  // Keys observed only at non-LTE cells never enter `groups`, exactly as the
-  // oracle skips keys whose grouping comes back empty.
+std::vector<ParamDependence> DependenceAcc::finish(
+    std::span<const config::ParamKey> slot_keys) const {
+  // Keys observed only at non-LTE cells have no tallies, exactly as the
+  // oracle skips keys whose grouping comes back empty.  Output is in
+  // ascending key order, as the oracle's.
+  std::vector<std::pair<config::ParamKey, std::size_t>> keyed;
+  for (std::size_t slot = 0; slot < groups.size(); ++slot)
+    if (!groups[slot].empty()) keyed.emplace_back(slot_keys[slot], slot);
+  std::sort(keyed.begin(), keyed.end());
   std::vector<ParamDependence> out;
-  out.reserve(groups.size());
-  for (const auto& [key, by_channel] : groups) {
+  out.reserve(keyed.size());
+  for (const auto& [key, slot] : keyed) {
+    std::map<long, stats::ValueCounts> by_channel;
+    for (std::size_t c = 0; c < groups[slot].size(); ++c)
+      if (!groups[slot][c].empty())
+        by_channel.emplace(channels[c], groups[slot][c].counts());
     ParamDependence dep;
     dep.key = key;
     dep.zeta_simpson =
@@ -105,20 +149,20 @@ void ServingPriorityAcc::consume(const CellRecord& rec,
   // cells, and the channel factor maps non-LTE cells to -1 (dropped).
   if (uniq.empty() || !lte) return;
   const long f = static_cast<long>(rec.channel);
-  stats::ValueCounts& vc = groups[f];
-  for (const double v : uniq) vc.add(v);
+  for (const double v : uniq) groups.add(f, v);
   cell_channel.push_back(f);
   value_begin.push_back(static_cast<std::uint32_t>(values.size()));
   values.insert(values.end(), uniq.begin(), uniq.end());
 }
 
-double ServingPriorityAcc::multi_priority_fraction() const {
+double ServingPriorityAcc::multi_priority_fraction(
+    const std::map<long, stats::ValueCounts>& finished) const {
   // Among channels carrying more than one serving priority, count the cells
   // holding a non-modal value.
   std::size_t minority = 0;
   for (std::size_t i = 0; i < cell_channel.size(); ++i) {
-    const auto it = groups.find(cell_channel[i]);
-    if (it == groups.end() || it->second.richness() <= 1) continue;
+    const auto it = finished.find(cell_channel[i]);
+    if (it == finished.end() || it->second.richness() <= 1) continue;
     const double mode = it->second.mode();
     const std::size_t begin = value_begin[i];
     const std::size_t end =
@@ -141,7 +185,7 @@ void CandidatePriorityAcc::consume(const CellRecord&,
   const auto contexts = folder.ctx_contexts();
   const auto values = folder.ctx_values();
   for (std::uint32_t j = slice->ctx_begin; j < slice->ctx_end; ++j)
-    groups[static_cast<long>(contexts[j])].add(values[j]);
+    groups.add(static_cast<long>(contexts[j]), values[j]);
 }
 
 void CityPriorityAcc::consume(const CellRecord& rec, const CellFolder& folder) {
@@ -156,8 +200,7 @@ void CityPriorityAcc::consume(const CellRecord& rec, const CellFolder& folder) {
       }
   }
   if (f < 0) return;
-  stats::ValueCounts& vc = groups[f];
-  for (const double v : uniq) vc.add(v);
+  for (const double v : uniq) groups.add(f, v);
 }
 
 void SpatialAcc::consume(const CellRecord& rec, const CellFolder& folder) {
@@ -172,8 +215,9 @@ void SpatialAcc::consume(const CellRecord& rec, const CellFolder& folder) {
 
 std::vector<double> SpatialAcc::finish() const {
   std::vector<double> out;
+  stats::ValueTally cluster;
   for (std::size_t i = 0; i < positions.size(); ++i) {
-    stats::ValueCounts cluster;
+    cluster.clear();
     index.for_each_in_radius(
         positions[i], query.radius_m, [&](std::uint32_t m) {
           const std::size_t begin = value_begin[m];
@@ -181,6 +225,8 @@ std::vector<double> SpatialAcc::finish() const {
               m + 1 < value_begin.size() ? value_begin[m + 1] : values.size();
           for (std::size_t j = begin; j < end; ++j) cluster.add(values[j]);
         });
+    // Counts stay far below 2^26 here, so the tally's Simpson is the
+    // ordered map's, bit for bit.
     if (cluster.total() >= 2) out.push_back(cluster.simpson_index());
   }
   return out;
@@ -219,17 +265,19 @@ void FiguresAcc::consume(const CellRecord& rec) {
 }
 
 CarrierFigures FiguresAcc::finish(std::string carrier) {
+  const auto slot_keys = folder_.slot_keys();
   CarrierFigures out;
   out.carrier = std::move(carrier);
-  out.diversity = diversity_.finish(options_->diversity_rat);
-  out.dependence = dependence_.finish();
-  out.multi_priority_fraction = serving_.multi_priority_fraction();
-  out.serving_priority = std::move(serving_.groups);
-  out.candidate_priority = std::move(candidate_.groups);
-  out.priority_by_city = std::move(city_.groups);
+  out.totals = diversity_.finish(slot_keys);
+  out.diversity = rank_diversity(out.totals, options_->diversity_rat);
+  out.dependence = dependence_.finish(slot_keys);
+  out.serving_priority = serving_.groups.finish();
+  out.multi_priority_fraction =
+      serving_.multi_priority_fraction(out.serving_priority);
+  out.candidate_priority = candidate_.groups.finish();
+  out.priority_by_city = city_.groups.finish();
   if (spatial_) out.spatial_diversity = spatial_->finish();
   out.gaps = std::move(gaps_.gaps);
-  out.totals = std::move(diversity_.totals);
   return out;
 }
 

@@ -16,13 +16,26 @@
 // their answers are bit-identical by construction.  The ConfigDatabase scans
 // in core/analysis.hpp are written independently and kept as the test
 // oracle (tests/test_figures.cpp, tests/test_direct_fold.cpp).
+//
+// Cost: consume() does O(1) work per unique value and per fixed-key lookup.
+// Per-key state lives in flat arrays indexed by the CellFolder's slot, and
+// every per-value count goes through a stats::ValueTally (O(1) at any
+// cardinality).  The ordered forms the products return (ValueCounts, maps
+// keyed by ParamKey, channel, context or city) are built once, in finish().
+// Memory: O(distinct keys + distinct values per key) for the diversity
+// totals, O(LTE keys x serving channels) tallies for the dependence groups,
+// and a few bytes per observing cell for the serving-priority and spatial
+// retention.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mmlab/core/analysis.hpp"
@@ -92,23 +105,45 @@ MeasurementGaps pooled_gaps(const std::vector<CarrierFigures>& figures);
 // so census counts such as the LTE cell total behind multi_priority_fraction
 // do not shift under filtering.
 
-/// Fig 16/17/22: per-key value totals and observing-cell counts.
+/// Values grouped by a factor (a channel, target channel or city id): one
+/// ValueTally per factor, found by hash; finish() builds the factor-ordered
+/// map of ValueCounts the products return.  Only add() creates a group.
+class FactorTallies {
+ public:
+  void add(long factor, double value);
+  std::map<long, stats::ValueCounts> finish() const;
+
+ private:
+  std::unordered_map<long, std::uint32_t> index_;
+  std::vector<std::pair<long, stats::ValueTally>> tallies_;
+};
+
+/// Fig 16/17/22: per-key value totals and observing-cell counts, by slot.
 struct DiversityAcc {
-  std::map<config::ParamKey, KeyTotals> totals;
+  struct SlotTotals {
+    stats::ValueTally values;
+    std::size_t cells = 0;
+  };
+  std::vector<SlotTotals> slots;
 
   void consume(const CellRecord& rec, const CellFolder& folder);
-  std::vector<ParamDiversity> finish(std::optional<spectrum::Rat> rat) const {
-    return rank_diversity(totals, rat);
-  }
+  /// Per observed key in ascending ParamKey order — the order
+  /// rank_diversity's unstable sort must see (slot order would reorder
+  /// Simpson ties).
+  std::map<config::ParamKey, KeyTotals> finish(
+      std::span<const config::ParamKey> slot_keys) const;
 };
 
 /// Fig 19: each LTE key's uniques grouped by the serving channel of the LTE
-/// cells that observed it.
+/// cells that observed it: a tally per (slot, channel index).
 struct DependenceAcc {
-  std::map<config::ParamKey, std::map<long, stats::ValueCounts>> groups;
+  std::unordered_map<long, std::uint32_t> channel_index;
+  std::vector<long> channels;  ///< by channel index
+  std::vector<std::vector<stats::ValueTally>> groups;  ///< [slot][channel]
 
   void consume(const CellRecord& rec, const CellFolder& folder);
-  std::vector<ParamDependence> finish() const;
+  std::vector<ParamDependence> finish(
+      std::span<const config::ParamKey> slot_keys) const;
 };
 
 /// Fig 18 (serving): serving-priority uniques grouped by channel, plus the
@@ -116,19 +151,21 @@ struct DependenceAcc {
 /// groups only finalize after the whole carrier, so each observing LTE cell
 /// keeps its channel and unique priority values (a few bytes per cell).
 struct ServingPriorityAcc {
-  std::map<long, stats::ValueCounts> groups;
+  FactorTallies groups;
   std::size_t lte_cells = 0;
   std::vector<long> cell_channel;
   std::vector<std::uint32_t> value_begin;
   std::vector<double> values;
 
   void consume(const CellRecord& rec, const CellFolder& folder);
-  double multi_priority_fraction() const;
+  /// `finished` is groups.finish().
+  double multi_priority_fraction(
+      const std::map<long, stats::ValueCounts>& finished) const;
 };
 
 /// Fig 18 (candidate): neighbor priorities grouped by target channel.
 struct CandidatePriorityAcc {
-  std::map<long, stats::ValueCounts> groups;
+  FactorTallies groups;
 
   void consume(const CellRecord& rec, const CellFolder& folder);
 };
@@ -139,13 +176,14 @@ struct CityPriorityAcc {
       : cities(&city_list) {}
 
   const std::vector<geo::City>* cities;
-  std::map<long, stats::ValueCounts> groups;
+  FactorTallies groups;
 
   void consume(const CellRecord& rec, const CellFolder& folder);
 };
 
 /// Fig 21: Simpson index of `key` among the LTE cells within radius of each
-/// LTE cell in the city.
+/// LTE cell in the city.  finish() tallies each cell's neighborhood in one
+/// reused ValueTally.
 struct SpatialAcc {
   explicit SpatialAcc(const SpatialQuery& q) : query(q), index(q.radius_m) {}
 

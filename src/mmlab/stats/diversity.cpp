@@ -1,12 +1,15 @@
 #include "mmlab/stats/diversity.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace mmlab::stats {
 
 void ValueCounts::add(double value, std::size_t count) {
+  if (count == 0) return;
   counts_[value] += count;
   total_ += count;
 }
@@ -66,6 +69,66 @@ std::vector<double> ValueCounts::samples() const {
   out.reserve(total_);
   for (const auto& [value, count] : counts_)
     out.insert(out.end(), count, value);
+  return out;
+}
+
+void ValueTally::insert(std::uint64_t bits, std::size_t count, double value) {
+  if (2 * (size_ + 1) > table_.size()) {
+    std::vector<Entry> old(table_.empty() ? 8 : 2 * table_.size(), {0, 0});
+    old.swap(table_);
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(table_.size()));
+    const std::size_t mask = table_.size() - 1;
+    for (const Entry& e : old) {
+      if (e.count == 0) continue;
+      std::size_t s = hash(e.bits);
+      while (table_[s].count != 0) s = (s + 1) & mask;
+      table_[s] = e;
+    }
+  }
+  const std::size_t mask = table_.size() - 1;
+  std::size_t s = hash(bits);
+  while (table_[s].count != 0) s = (s + 1) & mask;
+  table_[s] = {bits, count};
+  if (bits == 0) negative_zero_ = std::signbit(value);
+  ++size_;
+}
+
+void ValueTally::clear() {
+  if (size_ != 0) std::fill(table_.begin(), table_.end(), Entry{0, 0});
+  size_ = 0;
+  total_ = 0;
+  negative_zero_ = false;
+}
+
+double ValueTally::simpson_index() const {
+  if (total_ == 0) return 0.0;
+  constexpr std::uint64_t kExactCount = std::uint64_t{1} << 26;
+  constexpr std::uint64_t kExactSum = std::uint64_t{1} << 53;
+  std::uint64_t sum_sq = 0;
+  for (const Entry& e : table_) {
+    if (e.count == 0) continue;
+    if (e.count > kExactCount) return counts().simpson_index();
+    sum_sq += e.count * e.count;
+    if (sum_sq >= kExactSum) return counts().simpson_index();
+  }
+  const auto n = static_cast<double>(total_);
+  return 1.0 - static_cast<double>(sum_sq) / (n * n);
+}
+
+ValueCounts ValueTally::counts() const {
+  std::vector<std::pair<double, std::size_t>> entries;
+  entries.reserve(size_);
+  for (const Entry& e : table_) {
+    if (e.count == 0) continue;
+    double value = std::bit_cast<double>(e.bits);
+    if (e.bits == 0 && negative_zero_) value = -0.0;
+    entries.emplace_back(value, static_cast<std::size_t>(e.count));
+  }
+  std::sort(entries.begin(), entries.end());
+  ValueCounts out;
+  for (const auto& [value, count] : entries)
+    out.counts_.emplace_hint(out.counts_.end(), value, count);
+  out.total_ = total_;
   return out;
 }
 

@@ -1,6 +1,10 @@
 #include "mmlab/store/analytics.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <utility>
+
+#include "mmlab/util/worker_pool.hpp"
 
 namespace mmlab::store {
 
@@ -43,15 +47,26 @@ Result<QueryAnalysis> analyze_query(const DirectFold& direct,
       &per);
   if (!r) return Result<QueryAnalysis>::error(r.error_message());
 
-  out.carriers.reserve(plan.carriers().size());
-  out.results.reserve(plan.carriers().size());
-  for (std::size_t i = 0; i < plan.carriers().size(); ++i) {
-    const std::string& name = plan.carriers()[i].name;
-    out.carriers.push_back(name);
+  // Each carrier's finish() (ordered maps, ranking, the spatial clusters)
+  // is independent of the others', so they run on the fold's thread count,
+  // largest carrier first so its finish is not the tail.
+  const std::size_t n = plan.carriers().size();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return per[a].rows > per[b].rows;
+                   });
+  out.results.resize(n);
+  parallel_for_index(direct.options().threads, n, [&](std::size_t k) {
+    const std::size_t i = order[k];
     // Each entry carries its own fold's rows/cells/blocks/bytes; the
     // plan-wide skip counts live only in the aggregate (no double count).
-    out.results.push_back(CarrierAnalysis{accs[i].finish(name), per[i]});
-  }
+    out.results[i] =
+        CarrierAnalysis{accs[i].finish(plan.carriers()[i].name), per[i]};
+  });
+  out.carriers.reserve(n);
+  for (const auto& cp : plan.carriers()) out.carriers.push_back(cp.name);
   out.stats = r.value();
   return out;
 }

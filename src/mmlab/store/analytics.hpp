@@ -10,6 +10,12 @@
 // mid-stream corruption (block CRC or structural damage) — on error no
 // partial answer escapes.
 //
+// Cost: per observation, the fold's decode (store/cell_codec's kernel),
+// the CellFolder grouping and the accumulators' O(1) slot and tally work;
+// per carrier, one finish() that builds the ordered products (run on the
+// pool by analyze_query).  Memory: the fold's window plus one accumulator
+// bundle per selected carrier (core/figures.hpp).
+//
 // Both are planned: `query` (default: select everything) prunes blocks
 // (other carriers, non-overlapping cell ranges) and its ParamKey predicate
 // pushes down to the wire (store/query_plan.hpp).  A planned answer equals
@@ -47,7 +53,8 @@ Result<CarrierAnalysis> analyze_carrier(const DirectFold& direct,
 /// The scheduled multi-carrier mix: every carrier the query selects,
 /// analyzed via DirectFold::fold_query — concurrent cross-carrier jobs
 /// (largest first) under the engine's shared window budget when
-/// options().threads > 1, the sequential per-carrier loop when 1.
+/// options().threads > 1, the sequential per-carrier loop when 1.  The
+/// carriers' finish() steps then run on as many threads, largest first.
 struct QueryAnalysis {
   std::vector<std::string> carriers;  ///< selected, sorted name order
   /// Parallel to `carriers`; each entry's stats are that carrier's own

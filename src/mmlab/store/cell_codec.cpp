@@ -57,20 +57,47 @@ double finite_value(ByteReader& r) {
   return value;
 }
 
-void parse_observations(ByteReader& r, std::uint64_t n_obs,
-                        const std::vector<config::ParamKey>& params,
-                        std::vector<Observation>& out) {
-  out.reserve(out.size() + static_cast<std::size_t>(n_obs));
-  std::int64_t t_ms = 0;
-  for (std::uint64_t i = 0; i < n_obs; ++i) {
-    t_ms += r.svarint();
-    const std::uint64_t param_index = r.varint();
-    if (param_index >= params.size())
-      throw MmdsError("param index out of range");
-    const double value = finite_value(r);
-    const std::int64_t context = r.svarint();
-    out.push_back({params[param_index], value, SimTime{t_ms}, context});
+/// Time deltas wrap modulo 2^64 on both sides of the wire, so no record
+/// and no hostile delta is signed overflow, and every t round-trips.
+std::int64_t add_delta(std::int64_t t, std::uint64_t zigzag) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(t) +
+                                   static_cast<std::uint64_t>(
+                                       zigzag_decode(zigzag)));
+}
+std::int64_t delta(std::int64_t t, std::int64_t prev) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(t) -
+                                   static_cast<std::uint64_t>(prev));
+}
+
+/// The kernel's varint: one-byte varints (most param indices, contexts
+/// and in-visit time deltas) skip the word scan.  Same contract as
+/// varint8_swar.
+inline unsigned kernel_varint(const std::uint8_t* p, std::uint64_t& v) {
+  if (p[0] < 0x80) {
+    v = p[0];
+    return 1;
   }
+  return varint8_swar(p, v);
+}
+
+/// One observation by the reference field-by-field parse.
+void decode_one_reference(ByteReader& r, std::uint64_t i,
+                          const std::vector<config::ParamKey>& params,
+                          ObservationSelection select, std::int64_t& t_ms,
+                          std::vector<Observation>& out, CellScan& scan) {
+  t_ms = add_delta(t_ms, r.varint());
+  if (i == 0) scan.front_t_ms = t_ms;
+  const std::uint64_t param_index = r.varint();
+  if (param_index >= params.size())
+    throw MmdsError("param index out of range");
+  // A skipped value is still checked, so a query plan never changes
+  // whether a store is accepted.
+  const double value = finite_value(r);
+  const std::int64_t context = r.svarint();
+  if (select.keeps(param_index))
+    out.push_back({params[param_index], value, SimTime{t_ms}, context});
+  else
+    ++scan.values_skipped;
 }
 
 inline std::uint8_t* put_varint(std::uint8_t* p, std::uint64_t v) {
@@ -111,7 +138,7 @@ bool encode_cell(ByteWriter& out, std::uint32_t id, const CellRecord& rec,
   std::int64_t prev_t = 0;
   bool finite = true;
   for (const auto& obs : rec.observations) {
-    p = put_varint(p, zigzag_encode(obs.t.ms - prev_t));
+    p = put_varint(p, zigzag_encode(delta(obs.t.ms, prev_t)));
     prev_t = obs.t.ms;
     p = put_varint(p, params.assign(obs.key));
     p = put_f64(p, obs.value);
@@ -132,7 +159,7 @@ void encode_cell_reference(ByteWriter& out, std::uint32_t id,
   out.varint(rec.observations.size());
   std::int64_t prev_t = 0;
   for (const auto& obs : rec.observations) {
-    out.svarint(obs.t.ms - prev_t);
+    out.svarint(delta(obs.t.ms, prev_t));
     prev_t = obs.t.ms;
     out.varint(params.get(obs.key));
     out.f64le(obs.value);
@@ -151,7 +178,8 @@ std::size_t parse_cell(ByteReader& r, const std::string& carrier,
     rec.channel = h.channel;
     rec.position = {h.x, h.y};
   }
-  parse_observations(r, h.n_obs, params, rec.observations);
+  CellScan scan;
+  decode_observations(r, h.n_obs, params, {}, rec.observations, scan);
   return static_cast<std::size_t>(h.n_obs);
 }
 
@@ -168,34 +196,82 @@ std::uint32_t parse_cell_filtered(ByteReader& r,
   rec.channel = h.channel;
   rec.position = {h.x, h.y};
   scan.rows = h.n_obs;
+  scan.has_front = h.n_obs > 0;
+  ObservationSelection select;
+  select.mask = keep.empty() ? nullptr : keep.data();
+  select.none = h.id < min_cell || h.id > max_cell;
+  decode_observations(r, h.n_obs, params, select, rec.observations, scan);
+  return h.id;
+}
+
+void decode_observations_reference(ByteReader& r, std::uint64_t n_obs,
+                                   const std::vector<config::ParamKey>& params,
+                                   ObservationSelection select,
+                                   std::vector<Observation>& out,
+                                   CellScan& scan) {
   scan.values_skipped = 0;
   scan.front_t_ms = 0;
-  scan.has_front = h.n_obs > 0;
-  const bool in_range = h.id >= min_cell && h.id <= max_cell;
-  if (in_range && keep.empty()) {
-    parse_observations(r, h.n_obs, params, rec.observations);
-    if (!rec.observations.empty()) scan.front_t_ms = rec.observations.front().t.ms;
-    return h.id;
-  }
   std::int64_t t_ms = 0;
-  for (std::uint64_t i = 0; i < h.n_obs; ++i) {
-    t_ms += r.svarint();
-    if (i == 0) scan.front_t_ms = t_ms;
-    const std::uint64_t param_index = r.varint();
-    if (param_index >= params.size())
-      throw MmdsError("param index out of range");
-    // A skipped value is still checked, so a query plan never changes
-    // whether a store is accepted.
-    const double value = finite_value(r);
-    if (in_range && (keep.empty() || keep[param_index])) {
-      rec.observations.push_back(
-          {params[param_index], value, SimTime{t_ms}, r.svarint()});
-    } else {
-      ++scan.values_skipped;
-      (void)r.svarint();  // context: varint-decoded only to advance
+  for (std::uint64_t i = 0; i < n_obs; ++i)
+    decode_one_reference(r, i, params, select, t_ms, out, scan);
+}
+
+void decode_observations(ByteReader& r, std::uint64_t n_obs,
+                         const std::vector<config::ParamKey>& params,
+                         ObservationSelection select,
+                         std::vector<Observation>& out, CellScan& scan) {
+  if (!select.none) out.reserve(out.size() + static_cast<std::size_t>(n_obs));
+  scan.values_skipped = 0;
+  scan.front_t_ms = 0;
+  std::int64_t t_ms = 0;
+  std::uint64_t i = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    // p runs ahead of the reader; `synced` is where the reader stands.
+    const std::uint8_t* synced = r.raw(0);
+    const std::uint8_t* const end = synced + r.remaining();
+    const std::uint8_t* p = synced;
+    const std::uint64_t n_params = params.size();
+    for (; i < n_obs && static_cast<std::size_t>(end - p) >=
+                            kMaxWireObservationBytes;
+         ++i) {
+      // Every field is decoded into locals first; an observation the kernel
+      // does not take (a 9- or 10-byte varint, or damage) is re-read by the
+      // reference, which owns every error.
+      const std::uint8_t* q = p;
+      std::uint64_t delta, param_index, context;
+      unsigned len = kernel_varint(q, delta);
+      if (len != 0) {
+        q += len;
+        len = kernel_varint(q, param_index);
+      }
+      std::uint64_t bits = 0;
+      if (len != 0) {
+        q += len;
+        std::memcpy(&bits, q, 8);
+        q += 8;
+        len = kernel_varint(q, context);
+      }
+      constexpr std::uint64_t kExponent = 0x7FF0000000000000ull;
+      if (len == 0 || param_index >= n_params ||
+          (bits & kExponent) == kExponent) [[unlikely]] {
+        r.skip(static_cast<std::size_t>(p - synced));
+        decode_one_reference(r, i, params, select, t_ms, out, scan);
+        p = synced = r.raw(0);
+        continue;
+      }
+      p = q + len;
+      t_ms = add_delta(t_ms, delta);
+      if (i == 0) scan.front_t_ms = t_ms;
+      if (select.keeps(param_index))
+        out.push_back({params[param_index], std::bit_cast<double>(bits),
+                       SimTime{t_ms}, zigzag_decode(context)});
+      else
+        ++scan.values_skipped;
     }
+    r.skip(static_cast<std::size_t>(p - synced));
   }
-  return h.id;
+  for (; i < n_obs; ++i)
+    decode_one_reference(r, i, params, select, t_ms, out, scan);
 }
 
 }  // namespace mmlab::store

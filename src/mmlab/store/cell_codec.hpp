@@ -99,6 +99,46 @@ struct CellScan {
   bool has_front = false;       ///< the run had at least one observation
 };
 
+/// Which observations a decode pass materializes: all of them, those whose
+/// param-table index is set in `mask` (params.size() flags), or none.
+struct ObservationSelection {
+  const char* mask = nullptr;  ///< null: no mask
+  bool none = false;
+  bool keeps(std::uint64_t param_index) const {
+    return !none && (mask == nullptr || mask[param_index] != 0);
+  }
+};
+
+/// The longest legal observation on the wire: a 10-byte time delta, a
+/// param index and a context padded to 10 bytes each (LEB128 admits
+/// redundant continuation bytes), and the 8-byte value.
+inline constexpr std::size_t kMaxWireObservationBytes = 10 + 10 + 8 + 10;
+
+/// Decode `n_obs` observations from r's position (the cell header already
+/// read), appending the ones `select` keeps to `out`; fills
+/// scan.values_skipped and scan.front_t_ms (the first observation's t, 0
+/// when there is none).  Every observation is walked and checked whether
+/// kept or not: param index below params.size(), a finite value, no
+/// over-long varint, no truncation.  Damage throws std::runtime_error
+/// subclasses.  The pointer kernel: while kMaxWireObservationBytes remain
+/// it checks bounds once per observation and decodes one-byte varints
+/// directly and longer ones by SWAR (varint8_swar);
+/// the tail, varints of 9 or 10 bytes and any damaged observation take
+/// decode_observations_reference, so records, final reader position and
+/// error text are the reference's on every input.
+void decode_observations(ByteReader& r, std::uint64_t n_obs,
+                         const std::vector<config::ParamKey>& params,
+                         ObservationSelection select,
+                         std::vector<core::Observation>& out, CellScan& scan);
+
+/// The ByteReader-call-per-field decoder the kernel replaced, kept as the
+/// test oracle (the varint_reference idiom) and as the kernel's slow path.
+void decode_observations_reference(ByteReader& r, std::uint64_t n_obs,
+                                   const std::vector<config::ParamKey>& params,
+                                   ObservationSelection select,
+                                   std::vector<core::Observation>& out,
+                                   CellScan& scan);
+
 /// Parse one cell into a standalone record (the out-of-core path, where no
 /// database exists), with predicate push-down.  `rec` is reset first but
 /// keeps its capacity; rec.cell_id is filled.  Decodes the cell's full wire

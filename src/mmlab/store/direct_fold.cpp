@@ -364,15 +364,15 @@ Result<stats::ValueCounts> DirectFold::values(const std::string& carrier,
   q.carriers = {carrier};
   if (q.params.empty()) q.params = {key};
   const QueryPlan plan(*set_, std::move(q));
-  stats::ValueCounts out;
+  stats::ValueTally tally;
   core::CellFolder folder;
   const auto r = fold_planned(plan, carrier, [&](std::uint32_t,
                                                  const core::CellRecord& rec) {
     folder.fold(rec);
-    for (const double v : folder.unique_values(key)) out.add(v);
+    for (const double v : folder.unique_values(key)) tally.add(v);
   });
   if (!r) return Result<stats::ValueCounts>::error(r.error_message());
-  return out;
+  return tally.counts();
 }
 
 }  // namespace mmlab::store

@@ -75,23 +75,12 @@ std::uint64_t ByteReader::varint() {
   // SWAR fast path (see the header contract): with a full 10-byte window
   // available no truncation is possible within the first 8 encoded bytes,
   // so one unaligned word load replaces up to 8 bounds-checked byte loads.
-  // The continuation scan is branch-free: a clear high bit in byte i shows
-  // up as a set bit in z at position 8i+7, and countr_zero finds the first.
   if constexpr (std::endian::native == std::endian::little) {
     if (size_ - pos_ >= 10) {
-      std::uint64_t w;
-      std::memcpy(&w, data_ + pos_, 8);
-      const std::uint64_t z = ~w & 0x8080808080808080ull;
-      if (z != 0) {
-        const unsigned len = static_cast<unsigned>(std::countr_zero(z)) / 8 + 1;
-        if (len < 8) w &= (std::uint64_t{1} << (8 * len)) - 1;
-        w &= 0x7F7F7F7F7F7F7F7Full;
-        // Fold the 7-bit payload groups together (8 bytes -> 56 bits).
-        w = ((w & 0x7F007F007F007F00ull) >> 1) | (w & 0x007F007F007F007Full);
-        w = ((w & 0x3FFF00003FFF0000ull) >> 2) | (w & 0x00003FFF00003FFFull);
-        w = ((w & 0x0FFFFFFF00000000ull) >> 4) | (w & 0x000000000FFFFFFFull);
+      std::uint64_t v;
+      if (const unsigned len = varint8_swar(data_ + pos_, v)) {
         pos_ += len;
-        return w;
+        return v;
       }
       // 9- and 10-byte varints (values >= 2^56) are rare enough that the
       // reference loop — which also owns the over-long rejection — takes

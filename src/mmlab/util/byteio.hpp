@@ -9,9 +9,11 @@
 // failures by throwing.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -46,6 +48,30 @@ constexpr std::size_t varint_size(std::uint64_t v) {
     ++n;
   }
   return n;
+}
+
+/// The SWAR core of ByteReader::varint's fast path, for decode kernels that
+/// do their own bounds checks: decodes the LEB128 varint at `p` when it is
+/// at most 8 bytes long and returns its length, or returns 0 (leaving `v`
+/// alone) when the first 8 bytes all carry a continuation bit.  Reads
+/// exactly 8 bytes at `p`, which the caller must own; little-endian hosts
+/// only.
+inline unsigned varint8_swar(const std::uint8_t* p, std::uint64_t& v) {
+  std::uint64_t w;
+  std::memcpy(&w, p, 8);
+  // A clear high bit in byte i shows up as a set bit in z at 8i+7, and
+  // countr_zero finds the first.
+  const std::uint64_t z = ~w & 0x8080808080808080ull;
+  if (z == 0) return 0;
+  const unsigned len = static_cast<unsigned>(std::countr_zero(z)) / 8 + 1;
+  if (len < 8) w &= (std::uint64_t{1} << (8 * len)) - 1;
+  w &= 0x7F7F7F7F7F7F7F7Full;
+  // Fold the 7-bit payload groups together (8 bytes -> 56 bits).
+  w = ((w & 0x7F007F007F007F00ull) >> 1) | (w & 0x007F007F007F007Full);
+  w = ((w & 0x3FFF00003FFF0000ull) >> 2) | (w & 0x00003FFF00003FFFull);
+  w = ((w & 0x0FFFFFFF00000000ull) >> 4) | (w & 0x000000000FFFFFFFull);
+  v = w;
+  return len;
 }
 
 /// Append-only in-memory byte buffer with varint/scalar encoders.

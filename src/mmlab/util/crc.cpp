@@ -15,8 +15,8 @@ namespace {
 // (the 16-bit state only overlaps the first two bytes; b2..b7 enter with
 // zero state so their table lookups need no state mixing).  Shard
 // checksumming in the out-of-core store pushes hundreds of MB through this,
-// hence slice-by-8 rather than slice-by-4 (ROADMAP item 5); the bytewise
-// reference below stays as the property-test oracle.
+// hence slice-by-8 rather than slice-by-4; the bytewise reference below
+// stays as the property-test oracle.
 constexpr std::size_t kSlice = 8;
 
 constexpr std::array<std::array<std::uint16_t, 256>, kSlice> make_tables() {
