@@ -232,6 +232,12 @@ void BM_ExtractEndToEndSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_ExtractEndToEndSerial)->Unit(benchmark::kMillisecond);
 
+// The threaded D2 benches below run one iteration at a tiny
+// --benchmark_min_time, and one threaded iteration on a shared machine
+// swings several-fold.  They keep the full runs' 0.3 s whatever the flag
+// says, so a short run still averages several iterations.
+constexpr double kThreadedMinTime = 0.3;
+
 void BM_ExtractEndToEndParallel(benchmark::State& state) {
   const auto& logs = d2_scale_logs();
   const auto threads = static_cast<unsigned>(state.range(0));
@@ -247,7 +253,8 @@ BENCHMARK(BM_ExtractEndToEndParallel)
     ->Arg(4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+    ->UseRealTime()
+    ->MinTime(kThreadedMinTime);
 
 // End-to-end streaming ingest at D2 scale: the crawl re-cut into 8 devices
 // per carrier, replayed as interleaved 4 KiB chunk uploads through the
@@ -276,7 +283,8 @@ BENCHMARK(BM_IngestEndToEnd)
     ->Arg(4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+    ->UseRealTime()
+    ->MinTime(kThreadedMinTime);
 
 // Same pipeline, sweeping the fleet size (devices per carrier) at a fixed
 // worker count: more devices = more, smaller sessions = more queue/session
@@ -304,7 +312,8 @@ BENCHMARK(BM_IngestDeviceScaling)
     ->Arg(16)
     ->Arg(64)
     ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+    ->UseRealTime()
+    ->MinTime(kThreadedMinTime);
 
 // --- dataset I/O: CSV at ~1M rows -------------------------------------------
 
@@ -609,7 +618,7 @@ void BM_ParseCellReference(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseCellReference)->Unit(benchmark::kMicrosecond);
 
-// --- CRC-16: slice-by-8 vs the byte-at-a-time oracle -------------------------
+// --- CRC-16: the dispatched update, slice-by-8 and the bytewise oracle -------
 
 void BM_Crc16Bytewise(benchmark::State& state) {
   std::vector<std::uint8_t> buf(64 * 1024);
@@ -629,11 +638,32 @@ void BM_Crc16SliceBy8(benchmark::State& state) {
     buf[i] = static_cast<std::uint8_t>(i * 2654435761u >> 13);
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        crc16_ccitt_update(kCrc16CcittInit, buf.data(), buf.size()));
+        crc16_ccitt_update_slice8(kCrc16CcittInit, buf.data(), buf.size()));
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(buf.size()));
 }
 BENCHMARK(BM_Crc16SliceBy8);
+
+// What every caller gets: the carry-less-multiply kernel from 48 bytes on
+// PCLMULQDQ CPUs, slice-by-8 below it and elsewhere.  16 bytes is a short
+// diag frame, 64 KiB and 8 MiB are store blocks and shard files.
+void BM_Crc16Dispatch(benchmark::State& state) {
+  std::vector<std::uint8_t> buf(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < buf.size(); ++i)
+    buf[i] = static_cast<std::uint8_t>(i * 2654435761u >> 13);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        crc16_ccitt_update(kCrc16CcittInit, buf.data(), buf.size()));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc16Dispatch)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(4096)
+    ->Arg(64 << 10)
+    ->Arg(8 << 20);
 
 // --- MMDS v2 sharded store: write, mmap load, direct folds -------------------
 // Same 1M-row database.  The store fixture is written once; load and the

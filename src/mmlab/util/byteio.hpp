@@ -121,7 +121,8 @@ class ByteReader {
   std::uint8_t u8();
   std::uint16_t u16le();
   double f64le();
-  /// LEB128 decode.  Fast path: when at least 10 bytes remain (the longest
+  /// LEB128 decode.  A one-byte varint is read straight from its byte.
+  /// Fast path for longer ones: when at least 10 bytes remain (the longest
   /// legal varint), an 8-byte little-endian word is scanned branch-free for
   /// the first clear continuation bit and its 7-bit groups compacted in
   /// O(1) — covering every varint of up to 8 encoded bytes (values below

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "mmlab/util/crc.hpp"
 
@@ -339,6 +340,29 @@ TEST(ByteIo, VarintRandomStreamsMatchReference) {
       ASSERT_EQ(fast.position(), ref.position());
     }
     EXPECT_EQ(fast.remaining(), 0u);
+  }
+}
+
+TEST(ByteIo, OneByteVarintAtEveryPositionMatchesReference) {
+  // varint() reads a one-byte varint straight from its byte, before the
+  // word scan.  Put one at every position of short buffers (where the
+  // 10-byte window is never armed near the end), its last byte included,
+  // beside continuation bytes that must still go to the slow path: value,
+  // position and error must match the reference.
+  for (std::size_t size = 1; size <= 12; ++size) {
+    for (std::size_t pos = 0; pos < size; ++pos) {
+      for (const std::uint8_t byte : {0x00, 0x01, 0x5A, 0x7F, 0x80, 0xFF}) {
+        std::vector<std::uint8_t> buf(size, 0x81);
+        buf[pos] = byte;
+        if (pos + 1 < size) buf.back() = 0x05;  // ends any continuation
+        expect_decoders_agree(buf, pos);
+        if (byte < 0x80) {
+          ByteReader r(buf.data() + pos, size - pos);
+          EXPECT_EQ(r.varint(), byte) << "size " << size << " pos " << pos;
+          EXPECT_EQ(r.position(), 1u);
+        }
+      }
+    }
   }
 }
 

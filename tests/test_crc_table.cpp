@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "mmlab/util/rng.hpp"
@@ -119,6 +120,101 @@ TEST(Crc, CombineMatchesConcatenation) {
       pos += len;
     }
     EXPECT_EQ(folded, crc(0, pos)) << "chain " << chain;
+  }
+}
+
+// --- the dispatched update: carry-less-multiply kernel + slice-by-8 --------
+//
+// crc16_ccitt_update sends long inputs to the PCLMULQDQ kernel where the
+// CPU has it and everything else to slice-by-8, which is also called by
+// name here so the portable path stays tested on every CPU.
+
+/// Random bytes from `seed`.
+std::vector<std::uint8_t> random_bytes(std::size_t size, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> buf(size);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.below(256));
+  return buf;
+}
+
+TEST(Crc, DispatchAndSliceBy8MatchOracleAtEveryLengthAndAlignment) {
+  // Every length 0..1,100 covers the short path, the threshold, the
+  // single-lane and four-lane folds and every tail, at every start
+  // alignment mod 16, each from its own random state.
+  Rng rng(0xc3d1);
+  const auto buf = random_bytes(1100 + 16, 0xc3d2);
+  for (std::size_t len = 0; len <= 1100; ++len) {
+    for (std::size_t align = 0; align < 16; ++align) {
+      const auto state = static_cast<std::uint16_t>(rng.below(0x10000));
+      const std::uint8_t* p = buf.data() + align;
+      const auto want = crc16_ccitt_update_reference(state, p, len);
+      ASSERT_EQ(crc16_ccitt_update(state, p, len), want)
+          << "len " << len << " align " << align << " state " << state;
+      ASSERT_EQ(crc16_ccitt_update_slice8(state, p, len), want)
+          << "len " << len << " align " << align << " state " << state;
+    }
+  }
+}
+
+TEST(Crc, DispatchMatchesOracleOnMebibyteInputs) {
+  for (const std::size_t mib : {1u, 8u, 9u}) {
+    const auto buf = random_bytes(mib << 20, 0xc3d3 + mib);
+    for (const std::uint16_t state : {kCrc16CcittInit, std::uint16_t{0x1D0F}})
+      EXPECT_EQ(crc16_ccitt_update(state, buf.data(), buf.size()),
+                crc16_ccitt_update_reference(state, buf.data(), buf.size()))
+          << mib << " MiB, state " << state;
+  }
+}
+
+TEST(Crc, CheckValueThroughEveryPath) {
+  // "123456789" -> 0x906E (CRC-16/X.25).  To reach the kernel with it,
+  // prefix k zero bytes (state 0 stays 0) and the two bytes that take
+  // state 0 to the init value, then the check string: run from state 0,
+  // the whole buffer must still finalize to 0x906E.
+  const std::string check = "123456789";
+  const auto* check_bytes = reinterpret_cast<const std::uint8_t*>(check.data());
+  const auto paths = {&crc16_ccitt_update, &crc16_ccitt_update_slice8,
+                      &crc16_ccitt_update_reference};
+  for (const auto path : paths)
+    EXPECT_EQ(crc16_ccitt_finalize(
+                  path(kCrc16CcittInit, check_bytes, check.size())),
+              0x906E);
+  std::uint8_t to_init[2] = {0, 0};
+  for (std::uint32_t v = 0; v < 0x10000; ++v) {
+    const std::uint8_t pair[2] = {static_cast<std::uint8_t>(v),
+                                  static_cast<std::uint8_t>(v >> 8)};
+    if (crc16_ccitt_update_reference(0, pair, 2) == kCrc16CcittInit) {
+      to_init[0] = pair[0];
+      to_init[1] = pair[1];
+      break;
+    }
+  }
+  ASSERT_EQ(crc16_ccitt_update_reference(0, to_init, 2), kCrc16CcittInit);
+  for (const std::size_t zeros : {0u, 5u, 37u, 53u, 64u, 117u, 1000u, 4099u}) {
+    std::vector<std::uint8_t> buf(zeros, 0);
+    buf.insert(buf.end(), to_init, to_init + 2);
+    buf.insert(buf.end(), check_bytes, check_bytes + check.size());
+    for (const auto path : paths)
+      EXPECT_EQ(crc16_ccitt_finalize(path(0, buf.data(), buf.size())), 0x906E)
+          << "buffer of " << buf.size() << " bytes";
+  }
+}
+
+TEST(Crc, CombineAndChainingSplitAtEveryOffsetAcrossFoldBoundaries) {
+  // A message of 200 bytes spans the 64- and 128-byte fold boundaries;
+  // split it at every offset and join the halves both ways.
+  const auto buf = random_bytes(200, 0xc3d4);
+  const auto whole = crc16_ccitt(buf.data(), buf.size());
+  for (std::size_t a = 0; a <= buf.size(); ++a) {
+    const std::size_t b = buf.size() - a;
+    EXPECT_EQ(crc16_ccitt_combine(crc16_ccitt(buf.data(), a),
+                                  crc16_ccitt(buf.data() + a, b), b),
+              whole)
+        << "split " << a;
+    const auto state = crc16_ccitt_update(kCrc16CcittInit, buf.data(), a);
+    EXPECT_EQ(crc16_ccitt_finalize(crc16_ccitt_update(state, buf.data() + a, b)),
+              whole)
+        << "split " << a;
   }
 }
 
