@@ -121,10 +121,10 @@ inline std::uint8_t* put_f64(std::uint8_t* p, double v) {
   return p + 8;
 }
 
-}  // namespace
-
-bool encode_cell(ByteWriter& out, std::uint32_t id, const CellRecord& rec,
-                 ParamIndexMap& params) {
+/// The encode kernel; `index_of` maps a key to its table index.
+template <typename IndexOf>
+bool encode_cell_kernel(ByteWriter& out, std::uint32_t id,
+                        const CellRecord& rec, IndexOf index_of) {
   const std::size_t start = out.size();
   std::uint8_t* const begin =
       out.extend(max_encoded_cell_size(rec.observations.size()));
@@ -140,13 +140,29 @@ bool encode_cell(ByteWriter& out, std::uint32_t id, const CellRecord& rec,
   for (const auto& obs : rec.observations) {
     p = put_varint(p, zigzag_encode(delta(obs.t.ms, prev_t)));
     prev_t = obs.t.ms;
-    p = put_varint(p, params.assign(obs.key));
+    p = put_varint(p, index_of(obs.key));
     p = put_f64(p, obs.value);
     finite &= std::isfinite(obs.value);
     p = put_varint(p, zigzag_encode(obs.context));
   }
   out.truncate(start + static_cast<std::size_t>(p - begin));
   return finite;
+}
+
+}  // namespace
+
+bool encode_cell(ByteWriter& out, std::uint32_t id, const CellRecord& rec,
+                 ParamIndexMap& params) {
+  return encode_cell_kernel(out, id, rec, [&params](config::ParamKey key) {
+    return params.assign(key);
+  });
+}
+
+bool encode_cell(ByteWriter& out, std::uint32_t id, const CellRecord& rec,
+                 const ParamIndexMap& params) {
+  return encode_cell_kernel(out, id, rec, [&params](config::ParamKey key) {
+    return params.get(key);
+  });
 }
 
 void encode_cell_reference(ByteWriter& out, std::uint32_t id,

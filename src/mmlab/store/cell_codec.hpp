@@ -44,11 +44,12 @@ class ParamIndexMap {
       index_[slot(keys_[i])] = kUnassigned;
     keys_.resize(n);
   }
-
- private:
+  /// The key's dense slot, below kSlots.
   static std::size_t slot(config::ParamKey key) {
     return (static_cast<std::size_t>(key.rat) << 16) | key.id;
   }
+
+ private:
   std::vector<std::uint32_t> index_;
   std::vector<config::ParamKey> keys_;
 };
@@ -71,6 +72,12 @@ constexpr std::size_t max_encoded_cell_size(std::size_t n_obs) {
 /// back (ByteWriter::truncate, ParamIndexMap::truncate) and refuses it.
 bool encode_cell(ByteWriter& out, std::uint32_t id,
                  const core::CellRecord& rec, ParamIndexMap& params);
+
+/// The same kernel against a table fixed in advance: every key must
+/// already be assigned, and the map is only read, so parallel encoders may
+/// share it (ShardWriter::add_database).
+bool encode_cell(ByteWriter& out, std::uint32_t id,
+                 const core::CellRecord& rec, const ParamIndexMap& params);
 
 /// The ByteWriter-call-per-field encoder encode_cell replaced, kept as the
 /// test oracle (the varint_reference idiom): same bytes for the same map.

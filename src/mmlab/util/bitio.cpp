@@ -4,6 +4,32 @@ namespace mmlab {
 
 void BitWriter::write(std::uint64_t value, unsigned width) {
   if (width > 64) throw std::invalid_argument("BitWriter: width > 64");
+  if (width == 0) return;
+  if (width < 64) value &= (1ULL << width) - 1;
+  const std::size_t end = bit_size_ + width;
+  bytes_.resize((end + 7) / 8);  // new bytes start zeroed
+  std::uint8_t* p = bytes_.data() + bit_size_ / 8;
+  unsigned left = width;  // bits of `value` still to place, low-aligned
+  const unsigned used = static_cast<unsigned>(bit_size_ % 8);
+  bit_size_ = end;
+  if (used != 0) {
+    const unsigned room = 8 - used;
+    if (left <= room) {
+      *p |= static_cast<std::uint8_t>(value << (room - left));
+      return;
+    }
+    left -= room;
+    *p++ |= static_cast<std::uint8_t>(value >> left);
+  }
+  while (left >= 8) {
+    left -= 8;
+    *p++ = static_cast<std::uint8_t>(value >> left);
+  }
+  if (left != 0) *p = static_cast<std::uint8_t>(value << (8 - left));
+}
+
+void BitWriter::write_reference(std::uint64_t value, unsigned width) {
+  if (width > 64) throw std::invalid_argument("BitWriter: width > 64");
   if (width < 64) value &= (1ULL << width) - 1;
   for (unsigned i = width; i-- > 0;) {
     const bool bit = (value >> i) & 1ULL;
@@ -25,7 +51,7 @@ void BitWriter::write_ranged(std::int64_t value, std::int64_t min,
 }
 
 void BitWriter::align() {
-  while (bit_size_ % 8 != 0) write_bit(false);
+  if (bit_size_ % 8 != 0) write(0, 8 - static_cast<unsigned>(bit_size_ % 8));
 }
 
 std::uint64_t BitReader::read(unsigned width) {
@@ -53,8 +79,15 @@ std::uint64_t BitReader::read(unsigned width) {
     const std::uint64_t head = w & ((1ULL << (64 - bit)) - 1);
     return (head << rem) | (data_[byte + 8] >> (8 - rem));
   }
-  // Tail (< 8 bytes left): the reference bit loop, bounded by 56 bits.
-  return read_reference(width);
+  // Tail (< 8 bytes left): the same extract from the remaining bytes,
+  // zero-padded into one word.  The field ends inside them (the underflow
+  // check), so bit + width <= 56 and no spill byte exists.
+  std::uint64_t w = 0;
+  const std::size_t n = size_bits_ / 8 - byte;
+  for (std::size_t i = 0; i < n; ++i) w = (w << 8) | data_[byte + i];
+  w <<= 8 * (8 - n);
+  pos_ += width;
+  return (w >> (64 - bit - width)) & ((1ULL << width) - 1);
 }
 
 std::uint64_t BitReader::read_reference(unsigned width) {

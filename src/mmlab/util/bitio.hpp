@@ -22,7 +22,13 @@ class BitUnderflow : public std::runtime_error {
 class BitWriter {
  public:
   /// Append the low `width` bits of `value`, MSB first. width in [0, 64].
+  /// Byte-wise: one resize, then the partial head byte, the whole bytes and
+  /// the tail — the RRC encode hot path.
   void write(std::uint64_t value, unsigned width);
+
+  /// The original bit-at-a-time loop, kept as the property-test oracle for
+  /// write() (tests/test_bitio.cpp).  Identical contract and bytes.
+  void write_reference(std::uint64_t value, unsigned width);
 
   /// Append a single bit.
   void write_bit(bool bit) { write(bit ? 1 : 0, 1); }
@@ -54,8 +60,9 @@ class BitReader {
   /// Read `width` bits MSB-first. Throws BitUnderflow past the end (the
   /// position is unchanged on throw).  Batched: whenever 8 bytes remain at
   /// the cursor, the field is extracted from one 64-bit big-endian load
-  /// (plus at most one spill byte for fields straddling past bit 64)
-  /// instead of a bit-at-a-time loop — the RRC decode hot path.
+  /// (plus at most one spill byte for fields straddling past bit 64); with
+  /// fewer left, the remaining bytes are loaded zero-padded into one word
+  /// — the RRC decode hot path, whose short payloads live in that tail.
   std::uint64_t read(unsigned width);
 
   /// The original bit-at-a-time loop, kept as the property-test oracle for

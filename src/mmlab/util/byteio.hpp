@@ -98,6 +98,7 @@ class ByteWriter {
     return bytes_.data() + old;
   }
   void truncate(std::size_t size) { bytes_.resize(size); }
+  void reserve(std::size_t n) { bytes_.reserve(n); }
 
   std::size_t size() const { return bytes_.size(); }
   const std::vector<std::uint8_t>& buffer() const { return bytes_; }

@@ -128,7 +128,7 @@ INSTANTIATE_TEST_SUITE_P(AllWidths, BitIoWidthSweep,
 // --- batched read() vs the bit-at-a-time oracle ------------------------------
 // read() extracts each field from one 64-bit big-endian load whenever 8
 // whole bytes remain at the cursor (with a spill byte for fields straddling
-// past bit 64) and falls back to the reference loop on the tail;
+// past bit 64) and from the zero-padded remaining bytes on the tail;
 // read_reference() IS the original loop, kept as the oracle.  The sweeps
 // mirror the SWAR-varint-vs-reference property tests in byteio: every
 // (width, bit offset, buffer size) combination — in-word extract, spill
@@ -201,6 +201,96 @@ TEST(BitIo, BatchedAndReferenceInterleaveOnOneReader) {
     EXPECT_EQ(got, oracle.read_reference(width));
     use_batched = !use_batched;
   }
+}
+
+TEST(BitIo, TailReadsMatchReferenceAtEveryEnd) {
+  // Every read that starts at any bit of a 1-16-byte buffer, of every width
+  // 0-64: the ones that end inside the buffer take the tail path at every
+  // end position, the rest underflow — identically on both paths.
+  Rng rng(0x7A11);
+  for (std::size_t size = 1; size <= 16; ++size) {
+    std::vector<std::uint8_t> buf(size);
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+    const std::size_t bits = size * 8;
+    for (std::size_t start = 0; start <= bits; ++start) {
+      for (unsigned width = 0; width <= 64; ++width) {
+        BitReader batched(buf.data(), size);
+        BitReader oracle(buf.data(), size);
+        for (std::size_t skip = start; skip > 0;) {
+          const unsigned step = static_cast<unsigned>(std::min<std::size_t>(
+              skip, 64));
+          batched.read_reference(step);
+          oracle.read_reference(step);
+          skip -= step;
+        }
+        if (start + width > bits) {
+          EXPECT_THROW(batched.read(width), BitUnderflow);
+          EXPECT_THROW(oracle.read_reference(width), BitUnderflow);
+          EXPECT_EQ(batched.position_bits(), start);
+        } else {
+          ASSERT_EQ(batched.read(width), oracle.read_reference(width))
+              << "size " << size << " start " << start << " width " << width;
+          EXPECT_EQ(batched.position_bits(), oracle.position_bits());
+        }
+      }
+    }
+  }
+}
+
+// --- byte-wise write() vs the bit-at-a-time oracle ---------------------------
+// write() resizes once and fills the partial head byte, the whole bytes and
+// the tail; write_reference() is the original loop.  Same bytes and bit
+// size for every (start offset, width, value), and for random streams.
+
+void expect_same_writer(const BitWriter& fast, const BitWriter& oracle) {
+  EXPECT_EQ(fast.bit_size(), oracle.bit_size());
+  EXPECT_EQ(fast.bytes(), oracle.bytes());
+}
+
+TEST(BitIo, ByteWiseWriteMatchesReferenceSweep) {
+  Rng rng(0xB17E);
+  for (unsigned offset = 0; offset < 16; ++offset) {
+    for (unsigned width = 0; width <= 64; ++width) {
+      for (int trial = 0; trial < 4; ++trial) {
+        // All ones, all zeros, then random values with excess high bits
+        // that must be masked off.
+        const std::uint64_t value =
+            trial == 0 ? ~0ULL : trial == 1 ? 0 : rng.next_u64();
+        const std::uint64_t head = rng.next_u64();
+        BitWriter fast, oracle;
+        fast.write(head >> (64 - std::max(offset, 1u)), offset);
+        oracle.write_reference(head >> (64 - std::max(offset, 1u)), offset);
+        fast.write(value, width);
+        oracle.write_reference(value, width);
+        expect_same_writer(fast, oracle);
+        // A following field lands on the same bits.
+        fast.write(0x5, 3);
+        oracle.write_reference(0x5, 3);
+        expect_same_writer(fast, oracle);
+      }
+    }
+  }
+  BitWriter w;
+  EXPECT_THROW(w.write(0, 65), std::invalid_argument);
+  EXPECT_THROW(w.write_reference(0, 65), std::invalid_argument);
+}
+
+TEST(BitIo, ByteWiseWriteMatchesReferenceRandomStream) {
+  Rng rng(0xF17E);
+  BitWriter fast, oracle;
+  for (int i = 0; i < 4000; ++i) {
+    const unsigned width = static_cast<unsigned>(rng.below(65));
+    const std::uint64_t value = rng.next_u64();
+    fast.write(value, width);
+    oracle.write_reference(value, width);
+    if (rng.below(16) == 0) {
+      fast.align();
+      oracle.write_reference(0, (8 - oracle.bit_size() % 8) % 8);
+    }
+  }
+  expect_same_writer(fast, oracle);
+  BitReader r(fast.bytes());
+  EXPECT_EQ(r.remaining_bits(), fast.bytes().size() * 8);
 }
 
 TEST(BitIo, MixedWidthSequence) {

@@ -27,6 +27,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "mmlab/core/analysis.hpp"
 #include "mmlab/core/cell_fold.hpp"
 #include "mmlab/core/database.hpp"
@@ -119,8 +121,12 @@ class HostileStore : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     db_ = new core::ConfigDatabase(hostile_db(2026));
-    dir_ = new std::string(
-        (fs::path(::testing::TempDir()) / "mmlab_hostile_mix").string());
+    // One directory per process: ctest runs every test of the suite in a
+    // process of its own, and a shared name lets one process delete the
+    // store another is still writing.
+    dir_ = new std::string((fs::path(::testing::TempDir()) /
+                            ("mmlab_hostile_mix_" + std::to_string(::getpid())))
+                               .string());
     fs::remove_all(*dir_);
     WriterOptions wopts;
     wopts.target_block_bytes = 4096;  // many blocks per carrier

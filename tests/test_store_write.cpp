@@ -308,6 +308,27 @@ TEST_F(WriteErrors, ShardWriterThrowsOnShardFailure) {
   EXPECT_THROW(save_database(golden_db(), dir.path()), std::runtime_error);
 }
 
+TEST_F(WriteErrors, ParallelWriterThrowsOnShardFailure) {
+  // The layout walk's write fails while pool jobs are still encoding: the
+  // error surfaces on the calling thread and every job is joined.
+  TempPath dir("full_shard_parallel");
+  full_device_at(dir, "shard-0000.mmds2");
+  WriterOptions wopts;
+  wopts.target_block_bytes = 512;
+  wopts.threads = 4;
+  EXPECT_THROW(save_database(golden_db(), dir.path(), wopts),
+               std::runtime_error);
+}
+
+TEST_F(WriteErrors, ParallelWriterThrowsOnManifestFailure) {
+  TempPath dir("full_manifest_parallel");
+  full_device_at(dir, kMmds2ManifestName);
+  WriterOptions wopts;
+  wopts.threads = 4;
+  EXPECT_THROW(save_database(golden_db(), dir.path(), wopts),
+               std::runtime_error);
+}
+
 TEST_F(WriteErrors, ShardWriterThrowsOnManifestFailure) {
   // The shards land; the manifest does not.  finish() must not report a
   // store that has no manifest.

@@ -178,6 +178,7 @@ store::WriteStats generate_store(const SoakOptions& opts, double scale,
   store::WriterOptions wopts;
   wopts.target_block_bytes = opts.block_mb << 20;
   wopts.target_shard_bytes = opts.shard_mb << 20;
+  wopts.threads = opts.threads;
   store::ShardWriter writer(dir, wopts);
   store::StreamingDatasetSink sink(writer, opts.chunk_rows);
   StoreSink adapter(sink);
