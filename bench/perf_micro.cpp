@@ -101,6 +101,41 @@ void BM_DiagWriteParse(benchmark::State& state) {
 }
 BENCHMARK(BM_DiagWriteParse);
 
+// Framing alone: 256 SIB3 records into a fresh log, through the
+// allocation-free append and through its frame-at-a-time oracle.
+void diag_writer_bench(benchmark::State& state, bool reference) {
+  diag::Record rec{diag::LogCode::kLteRrcOta, SimTime{0},
+                   rrc::encode(rrc::Message{sample_sib3()})};
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    diag::Writer writer;
+    for (int i = 0; i < 256; ++i) {
+      rec.timestamp = SimTime{86'400'000LL * i};
+      if (reference)
+        writer.append_reference(rec);
+      else
+        writer.append(rec.code, rec.timestamp, rec.payload.data(),
+                      rec.payload.size());
+    }
+    bytes = writer.bytes().size();
+    benchmark::DoNotOptimize(writer.bytes().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 256);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+
+void BM_DiagWriterAppend(benchmark::State& state) {
+  diag_writer_bench(state, false);
+}
+BENCHMARK(BM_DiagWriterAppend);
+
+void BM_DiagWriterAppendReference(benchmark::State& state) {
+  diag_writer_bench(state, true);
+}
+BENCHMARK(BM_DiagWriterAppendReference);
+
 // Batch Parser vs StreamParser over the same carrier-scale log: the
 // incremental state machine should stay within a small factor of the batch
 // scan.  range(0) is the feed-chunk size for the streaming side.

@@ -52,9 +52,63 @@ std::uint32_t get_u32(const std::uint8_t* p) {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
+void store_le(std::uint8_t* out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i)
+    out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// Escapes `size` bytes into `out`, which has room for 2 * size; returns the
+/// end of what was written.
+std::uint8_t* escape_into(std::uint8_t* out, const std::uint8_t* data,
+                          std::size_t size) {
+  for (std::size_t i = 0; i < size; ++i) {
+    const std::uint8_t b = data[i];
+    if (b == kTerminator || b == kEscape) {
+      *out++ = kEscape;
+      *out++ = static_cast<std::uint8_t>(b ^ 0x20);  // 0x5E / 0x5D
+    } else {
+      *out++ = b;
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 void Writer::append(const Record& record) {
+  append(record.code, record.timestamp, record.payload.data(),
+         record.payload.size());
+}
+
+void Writer::append(LogCode code, SimTime timestamp, const std::uint8_t* data,
+                    std::size_t size) {
+  if (size > 0xFFFF) throw std::invalid_argument("diag: payload too large");
+  std::uint8_t header[12];
+  store_le(header, static_cast<std::uint16_t>(code), 2);
+  store_le(header + 2, static_cast<std::uint64_t>(timestamp.ms), 8);
+  store_le(header + 10, size, 2);
+  std::uint16_t state =
+      crc16_ccitt_update(kCrc16CcittInit, header, sizeof header);
+  state = crc16_ccitt_update(state, data, size);
+  const std::uint16_t crc = crc16_ccitt_finalize(state);
+  const std::uint8_t trailer[2] = {static_cast<std::uint8_t>(crc & 0xFF),
+                                   static_cast<std::uint8_t>(crc >> 8)};
+
+  // Worst case every byte needs escaping, plus the terminator.  resize()
+  // grows the capacity geometrically, so appends stay amortized O(1); the
+  // unused tail is cut off below.
+  const std::size_t start = buffer_.size();
+  buffer_.resize(start + 2 * (sizeof header + size + sizeof trailer) + 1);
+  std::uint8_t* out = buffer_.data() + start;
+  out = escape_into(out, header, sizeof header);
+  out = escape_into(out, data, size);
+  out = escape_into(out, trailer, sizeof trailer);
+  *out++ = kTerminator;
+  buffer_.resize(static_cast<std::size_t>(out - buffer_.data()));
+  ++count_;
+}
+
+void Writer::append_reference(const Record& record) {
   if (record.payload.size() > 0xFFFF)
     throw std::invalid_argument("diag: payload too large");
   std::vector<std::uint8_t> body;

@@ -43,6 +43,15 @@ struct Record {
 class Writer {
  public:
   void append(const Record& record);
+  /// Frames one record from a borrowed payload, allocation-free apart from
+  /// the log buffer's own geometric growth: the 12-byte header lives on the
+  /// stack, the CRC chains over header then payload, and the escaped frame
+  /// is written after one resize.  Same bytes as append(const Record&).
+  void append(LogCode code, SimTime timestamp, const std::uint8_t* data,
+              std::size_t size);
+  /// The original frame-at-a-time loop (heap body, byte-wise escaping into
+  /// push_back), kept as the oracle append() is property-checked against.
+  void append_reference(const Record& record);
   const std::vector<std::uint8_t>& bytes() const { return buffer_; }
   std::vector<std::uint8_t> take() && { return std::move(buffer_); }
   std::size_t record_count() const { return count_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "mmlab/ue/ue.hpp"
 #include "mmlab/util/worker_pool.hpp"
@@ -89,16 +90,27 @@ CrawlResult run_crawl(netgen::GeneratedWorld& world,
     // Walk this carrier's visits in time order; apply due reconfigurations
     // lazily per cell.  Each cell belongs to exactly one carrier, so the
     // cursors (and the cells they update) are private to this shard.
+    //
+    // A cell's camp frames are encoded on its first visit and reused until a
+    // reconfiguration lands on it: this loop is the only writer of its
+    // cells, so the update below is the one place an entry goes stale.
     std::vector<std::size_t> next_update(network.cells().size(), 0);
+    std::unordered_map<std::uint32_t, ue::CampFrames> frames;
     for (const Visit& visit : shards[pos]) {
       auto& schedule = world.update_schedule[visit.cell_index];
       auto& cursor = next_update[visit.cell_index];
       while (cursor < schedule.size() && schedule[cursor].day <= visit.day) {
         netgen::apply_config_update(world, visit.cell_index, schedule[cursor]);
+        frames.erase(visit.cell_index);
         ++cursor;
       }
       const net::Cell& cell = network.cells()[visit.cell_index];
-      crawler.force_camp(cell, cell.position, SimTime::from_days(visit.day));
+      auto it = frames.find(visit.cell_index);
+      if (it == frames.end())
+        it = frames.emplace(visit.cell_index, ue::encode_camp_frames(cell))
+                 .first;
+      crawler.force_camp(cell, it->second, cell.position,
+                         SimTime::from_days(visit.day));
     }
     shard_camps[pos] = shards[pos].size();
 

@@ -19,7 +19,8 @@
 //               util::WorkerPool.  Each shard owns exactly one carrier: its
 //               crawling UE, its (disjoint) set of cells, and those cells'
 //               reconfiguration schedules, which it applies lazily as its
-//               visits pass them.
+//               visits pass them.  It encodes a cell's camp frames once per
+//               configuration and drops them when an update lands on it.
 // Because a crawl UE only ever reads the cell it camps on, cells belong to
 // exactly one carrier, and netgen::apply_config_update writes only the
 // target cell, shards share no mutable state — the CrawlResult is

@@ -1,5 +1,7 @@
 #include "mmlab/ue/broadcast.hpp"
 
+#include "mmlab/rrc/codec.hpp"
+
 namespace mmlab::ue {
 
 std::vector<rrc::Message> broadcast_system_information(const net::Cell& cell) {
@@ -63,6 +65,23 @@ rrc::RrcConnectionReconfiguration make_measurement_config(
   rrc::RrcConnectionReconfiguration reconf;
   reconf.report_configs = cell.lte_config.report_configs;
   return reconf;
+}
+
+CampFrames encode_camp_frames(const net::Cell& cell) {
+  CampFrames out;
+  auto add = [&out](const rrc::Message& msg) {
+    const auto payload = rrc::encode(msg);
+    out.frames.push_back({std::holds_alternative<rrc::LegacySystemInfo>(msg)
+                              ? diag::LogCode::kLegacyRrcOta
+                              : diag::LogCode::kLteRrcOta,
+                          static_cast<std::uint32_t>(out.bytes.size()),
+                          static_cast<std::uint32_t>(payload.size())});
+    out.bytes.insert(out.bytes.end(), payload.begin(), payload.end());
+  };
+  for (const auto& msg : broadcast_system_information(cell)) add(msg);
+  out.broadcast = out.frames.size();
+  if (cell.is_lte()) add(rrc::Message{make_measurement_config(cell)});
+  return out;
 }
 
 }  // namespace mmlab::ue

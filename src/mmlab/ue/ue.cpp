@@ -12,8 +12,7 @@ namespace {
 /// Idle-mode rules need a CellConfig even when camped on a legacy cell;
 /// synthesize one from the legacy parameters (always-measure gates, LTE
 /// strongly preferred as in operator practice).
-config::CellConfig effective_idle_config(const net::Cell& cell) {
-  if (cell.is_lte()) return cell.lte_config;
+config::CellConfig legacy_idle_config(const net::Cell& cell) {
   config::CellConfig cfg;
   cfg.serving.priority = cell.legacy_config.priority;
   cfg.serving.q_hyst_db = cell.legacy_config.q_hyst_db;
@@ -166,10 +165,18 @@ std::vector<CellMeas> Ue::measure_neighbors(SimTime t,
 
 void Ue::camp_on(const net::Cell& cell, geo::Point pos, SimTime t,
                  diag::CampCause cause) {
+  camp_on(cell, encode_camp_frames(cell), pos, t, cause);
+}
+
+void Ue::camp_on(const net::Cell& cell, const CampFrames& frames,
+                 geo::Point pos, SimTime t, diag::CampCause cause) {
   serving_ = &cell;
   pending_.reset();
   monitors_.clear();
-  reselection_.configure(effective_idle_config(cell));
+  if (cell.is_lte())
+    reselection_.configure(cell.lte_config);
+  else
+    reselection_.configure(legacy_idle_config(cell));
 
   diag::CampEvent ev;
   ev.cell_identity = cell.id;
@@ -181,13 +188,17 @@ void Ue::camp_on(const net::Cell& cell, geo::Point pos, SimTime t,
   ev.y_dm = static_cast<std::int32_t>(pos.y * 10.0);
   diag_.append({diag::LogCode::kServingCellInfo, t, diag::encode_camp_event(ev)});
 
-  for (const auto& msg : broadcast_system_information(cell)) log_rrc(t, msg);
-
-  if (opts_.active_mode && cell.is_lte()) {
-    const auto reconf = make_measurement_config(cell);
-    log_rrc(t, rrc::Message{reconf});
-    for (const auto& cfg : reconf.report_configs) monitors_.emplace_back(cfg);
+  // The broadcast, then (active, LTE only) the measConfig and its monitors.
+  const std::size_t logged =
+      opts_.active_mode ? frames.frames.size() : frames.broadcast;
+  for (std::size_t i = 0; i < logged; ++i) {
+    const CampFrames::Frame& frame = frames.frames[i];
+    diag_.append(frame.code, t, frames.bytes.data() + frame.offset,
+                 frame.size);
   }
+  if (opts_.active_mode && cell.is_lte())
+    for (const auto& cfg : cell.lte_config.report_configs)
+      monitors_.emplace_back(cfg);
 }
 
 bool Ue::attach(geo::Point pos, SimTime t) {
@@ -229,6 +240,11 @@ bool Ue::force_camp(net::CellId id, geo::Point pos, SimTime t) {
 
 void Ue::force_camp(const net::Cell& cell, geo::Point pos, SimTime t) {
   camp_on(cell, pos, t, diag::CampCause::kForcedSwitch);
+}
+
+void Ue::force_camp(const net::Cell& cell, const CampFrames& frames,
+                    geo::Point pos, SimTime t) {
+  camp_on(cell, frames, pos, t, diag::CampCause::kForcedSwitch);
 }
 
 void Ue::detach() {

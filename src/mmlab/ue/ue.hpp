@@ -27,6 +27,7 @@
 #include "mmlab/net/deployment.hpp"
 #include "mmlab/rrc/messages.hpp"
 #include "mmlab/traffic/apps.hpp"
+#include "mmlab/ue/broadcast.hpp"
 #include "mmlab/ue/event_engine.hpp"
 #include "mmlab/ue/radio_memo.hpp"
 #include "mmlab/ue/reselection.hpp"
@@ -111,6 +112,12 @@ class Ue {
   /// engine visits cells by index, so the lookup is pure overhead there).
   /// `cell` must belong to this Ue's deployment.
   void force_camp(const net::Cell& cell, geo::Point pos, SimTime t);
+  /// Same, logging `frames` instead of encoding the cell's broadcast and
+  /// measConfig afresh.  `frames` must equal encode_camp_frames(cell) for
+  /// the cell's current configuration; the log is then byte-identical to
+  /// the overload above.
+  void force_camp(const net::Cell& cell, const CampFrames& frames,
+                  geo::Point pos, SimTime t);
 
   /// Detach (camp on nothing); next step() will re-attach.
   void detach();
@@ -155,8 +162,11 @@ class Ue {
     config::EventConfig decisive_config;
   };
 
+  /// Camp and log from freshly encoded frames.
   void camp_on(const net::Cell& cell, geo::Point pos, SimTime t,
                diag::CampCause cause);
+  void camp_on(const net::Cell& cell, const CampFrames& frames,
+               geo::Point pos, SimTime t, diag::CampCause cause);
   /// attach() within the current radio tick.
   bool attach_in_tick(geo::Point pos, SimTime t);
   void log_rrc(SimTime t, const rrc::Message& msg);
