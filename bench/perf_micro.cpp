@@ -323,7 +323,7 @@ BENCHMARK(BM_IngestEndToEnd)
 
 // Same pipeline, sweeping the fleet size (devices per carrier) at a fixed
 // worker count: more devices = more, smaller sessions = more queue/session
-// overhead per byte but also more parallelizable strands.
+// overhead per byte but also more sessions to spread over the workers.
 void BM_IngestDeviceScaling(benchmark::State& state) {
   const auto& logs = d2_scale_logs();
   const auto devices = static_cast<unsigned>(state.range(0));

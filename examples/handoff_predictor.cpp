@@ -35,7 +35,9 @@ int main() {
   const net::Cell* predicted_for = nullptr;
   std::size_t warnings = 0, predicted_handoffs = 0, handoffs_seen = 0;
   std::vector<double> lead_times_ms;
-  std::optional<SimTime> first_warning;
+  // Start of the current run of imminent-handoff warnings, if one is open.
+  bool warning_open = false;
+  SimTime first_warning;
 
   for (Millis t = 0; t <= route.duration(); t += 100) {
     const auto pos = route.position_at(t);
@@ -48,16 +50,16 @@ int main() {
       // New serving cell: if a handoff just executed, score the prediction.
       if (handoffs_before != device.handoffs().size()) {
         ++handoffs_seen;
-        if (first_warning) {
+        if (warning_open) {
           ++predicted_handoffs;
           lead_times_ms.push_back(
-              static_cast<double>(SimTime{t} - *first_warning));
+              static_cast<double>(SimTime{t} - first_warning));
         }
       }
       predictor = std::make_unique<core::HandoffPredictor>(
           serving->lte_config);
       predicted_for = serving;
-      first_warning.reset();
+      warning_open = false;
       continue;
     }
 
@@ -80,9 +82,10 @@ int main() {
         predictor->update(SimTime{t}, serving_meas, neighbors);
     if (prediction.imminent) {
       ++warnings;
-      if (!first_warning) first_warning = SimTime{t};
+      if (!warning_open) first_warning = SimTime{t};
+      warning_open = true;
     } else {
-      first_warning.reset();
+      warning_open = false;
     }
   }
 

@@ -58,7 +58,7 @@ class StreamExtractor {
   StreamExtractor& operator=(const StreamExtractor&) = delete;
 
   void on_record(const diag::Record& rec);
-  /// Flush the pending cell. Idempotent; on_record() afterwards throws.
+  /// Flush the in-progress cell. Idempotent; on_record() afterwards throws.
   void finish();
   bool finished() const;
 

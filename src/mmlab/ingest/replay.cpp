@@ -148,11 +148,14 @@ bool step_device(Service& service, const std::vector<sim::DeviceUpload>& uploads
 
 void produce_adversarial(Service& service,
                          const std::vector<sim::DeviceUpload>& uploads,
+                         const std::vector<SessionId>& sessions,
                          std::vector<DeliveredUpload>& out, std::size_t first,
                          std::size_t stride, const AdversarialOptions& opts,
                          const Rng& fleet_rng) {
   std::vector<Device> devices;
   for (std::size_t i = first; i < uploads.size(); i += stride) {
+    out[i].session = sessions[i];
+    out[i].carrier = uploads[i].carrier;
     Device dev;
     dev.upload = i;
     dev.rng = fleet_rng.fork(static_cast<std::uint64_t>(i));
@@ -167,35 +170,51 @@ void produce_adversarial(Service& service,
   }
 }
 
+/// The shape both drivers share: open one session per upload, in upload
+/// order (the merge order), then stream the uploads on `producer_threads`
+/// threads, clamped to [1, uploads] and run inline when one.  Producer p
+/// calls `produce(p, producers)` and owns uploads p, p + producers, ...
+/// Returns the wall time of the streaming.
+template <typename Produce>
+double open_and_stream(Service& service,
+                       const std::vector<sim::DeviceUpload>& uploads,
+                       unsigned producer_threads,
+                       std::vector<SessionId>& sessions,
+                       const Produce& produce) {
+  sessions.reserve(uploads.size());
+  for (const auto& upload : uploads)
+    sessions.push_back(service.open_session(upload.carrier));
+
+  const std::size_t producers =
+      std::min<std::size_t>(std::max(producer_threads, 1u),
+                            std::max<std::size_t>(uploads.size(), 1));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  if (producers == 1) {
+    produce(std::size_t{0}, std::size_t{1});
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(producers);
+    for (std::size_t p = 0; p < producers; ++p)
+      threads.emplace_back([&, p] { produce(p, producers); });
+    for (auto& t : threads) t.join();
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(t1 - t0).count();
+}
+
 }  // namespace
 
 ReplayResult replay_uploads(Service& service,
                             const std::vector<sim::DeviceUpload>& uploads,
                             const ReplayOptions& opts) {
   ReplayResult result;
-  result.sessions.reserve(uploads.size());
-  for (const auto& upload : uploads)
-    result.sessions.push_back(service.open_session(upload.carrier));
-
   const std::size_t chunk_bytes = std::max<std::size_t>(opts.chunk_bytes, 1);
-  const std::size_t producers =
-      std::min<std::size_t>(std::max(opts.producer_threads, 1u),
-                            std::max<std::size_t>(uploads.size(), 1));
-
-  const auto t0 = std::chrono::steady_clock::now();
-  if (producers <= 1) {
-    produce(service, uploads, result.sessions, 0, 1, chunk_bytes);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(producers);
-    for (std::size_t p = 0; p < producers; ++p)
-      threads.emplace_back([&, p] {
-        produce(service, uploads, result.sessions, p, producers, chunk_bytes);
+  result.seconds = open_and_stream(
+      service, uploads, opts.producer_threads, result.sessions,
+      [&](std::size_t first, std::size_t stride) {
+        produce(service, uploads, result.sessions, first, stride, chunk_bytes);
       });
-    for (auto& t : threads) t.join();
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  result.seconds = std::chrono::duration<double>(t1 - t0).count();
   return result;
 }
 
@@ -204,32 +223,14 @@ AdversarialReplayResult replay_uploads_adversarial(
     const AdversarialOptions& opts) {
   AdversarialReplayResult result;
   result.uploads.resize(uploads.size());
-  for (std::size_t i = 0; i < uploads.size(); ++i) {
-    result.uploads[i].session = service.open_session(uploads[i].carrier);
-    result.uploads[i].carrier = uploads[i].carrier;
-  }
-
   const Rng fleet_rng(opts.seed);
-  const std::size_t producers =
-      std::min<std::size_t>(std::max(opts.producer_threads, 1u),
-                            std::max<std::size_t>(uploads.size(), 1));
-
-  const auto t0 = std::chrono::steady_clock::now();
-  if (producers <= 1) {
-    produce_adversarial(service, uploads, result.uploads, 0, 1, opts,
-                        fleet_rng);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(producers);
-    for (std::size_t p = 0; p < producers; ++p)
-      threads.emplace_back([&, p] {
-        produce_adversarial(service, uploads, result.uploads, p, producers,
-                            opts, fleet_rng);
+  std::vector<SessionId> sessions;
+  result.seconds = open_and_stream(
+      service, uploads, opts.producer_threads, sessions,
+      [&](std::size_t first, std::size_t stride) {
+        produce_adversarial(service, uploads, sessions, result.uploads, first,
+                            stride, opts, fleet_rng);
       });
-    for (auto& t : threads) t.join();
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  result.seconds = std::chrono::duration<double>(t1 - t0).count();
   for (const auto& upload : result.uploads) result.faults += upload.faults;
   return result;
 }

@@ -6,31 +6,23 @@
 namespace mmlab::ingest {
 
 /// One device upload in flight.  The decode members (parser, extractor,
-/// shard, stats deltas) are touched only by the worker holding the strand
-/// (`busy == true`), so they need no lock of their own; `mu` guards the
-/// cross-thread surface: the pending-chunk map, the strand flag, the offer
-/// cursor, and the stats copy readers take.
+/// shard, stats deltas) are touched only by worker `id % workers`, the one
+/// thread that pops this session's queue, so they need no lock of their own.
+/// `admit` serializes this session's producers; `mu` guards the stats copy
+/// that readers take.
 struct Service::Session {
   SessionId id = 0;
   std::string carrier;
 
+  std::mutex admit;  ///< held across the closed-check and the queue push
   std::mutex mu;
-  std::map<std::uint64_t, Chunk> pending;  ///< parked out-of-order chunks
-  std::uint64_t next_offer_seq = 0;   ///< producer side (assigned in offer)
-  std::uint64_t next_decode_seq = 0;  ///< consumer side (strand cursor)
-  bool busy = false;                  ///< a worker owns the strand
-  IngestStats stats;                  ///< read via session_stats() under mu
+  IngestStats stats;  ///< read via session_stats() under mu
 
-  // Strand-owned decode state.
+  // Decode state, owned by the session's worker.
   diag::StreamParser parser;
   core::ConfigDatabase shard;
   std::unique_ptr<core::StreamExtractor> extractor;
   core::ExtractStats last_reported;  ///< for global-counter deltas
-};
-
-struct Service::Stripe {
-  std::mutex mu;
-  std::vector<std::pair<SessionId, core::ConfigDatabase>> sealed;
 };
 
 Service::Service() : Service(Options()) {}
@@ -40,14 +32,9 @@ Service::Service(const Options& opts)
       workers_configured_(opts.workers == 0
                               ? std::max(1u, std::thread::hardware_concurrency())
                               : opts.workers) {
-  if (opts_.shard_stripes == 0)
-    throw std::invalid_argument("ingest::Service: shard_stripes must be > 0");
   queues_.reserve(workers_configured_);
   for (unsigned i = 0; i < workers_configured_; ++i)
     queues_.push_back(std::make_unique<BoundedQueue<Chunk>>(opts.queue_capacity));
-  stripes_.reserve(opts_.shard_stripes);
-  for (std::size_t i = 0; i < opts_.shard_stripes; ++i)
-    stripes_.push_back(std::make_unique<Stripe>());
   if (opts_.autostart) start();
 }
 
@@ -107,90 +94,50 @@ std::shared_ptr<Service::Session> Service::find_session(SessionId id) const {
 
 void Service::offer(SessionId id, std::vector<std::uint8_t> chunk) {
   const auto session = find_session(id);
-  Chunk c;
-  c.session = id;
-  c.bytes = std::move(chunk);
-  const std::size_t chunk_bytes = c.bytes.size();
+  const std::size_t chunk_bytes = chunk.size();
+  std::lock_guard admit(session->admit);
   {
     std::lock_guard lock(session->mu);
     if (session->stats.closed)
       throw std::logic_error("ingest: offer on closed session " +
                              std::to_string(id));
-    c.seq = session->next_offer_seq++;
   }
   {
     std::lock_guard lock(idle_mu_);
     ++undecoded_;
   }
-  if (!queue_for(id).push(std::move(c))) {
-    // Rejected (service stopped): undo every side effect so the strand
-    // cursor stays contiguous — a skipped seq would park all later chunks
-    // forever and hang wait_quiescent().
+  if (!queue_for(id).push(Chunk{session, std::move(chunk)})) {
+    // Rejected (service stopped): the chunk was never admitted.
     note_done_one();
-    {
-      std::lock_guard lock(session->mu);
-      --session->next_offer_seq;
-    }
     throw std::runtime_error("ingest: service stopped");
   }
   chunks_.fetch_add(1, std::memory_order_relaxed);
   bytes_.fetch_add(chunk_bytes, std::memory_order_relaxed);
 }
 
-void Service::close_session(SessionId id) {
-  const auto session = find_session(id);
-  Chunk c;
-  c.session = id;
-  c.end = true;
-  {
-    std::lock_guard lock(session->mu);
-    if (session->stats.closed)
-      throw std::logic_error("ingest: close_session twice on " +
-                             std::to_string(id));
-    session->stats.closed = true;
-    c.seq = session->next_offer_seq++;
-  }
-  {
-    std::lock_guard lock(idle_mu_);
-    ++undecoded_;
-    --open_sessions_;
-  }
-  if (!queue_for(id).push(std::move(c))) {
-    note_done_one();
-    {
-      std::lock_guard lock(idle_mu_);
-      ++open_sessions_;
-    }
-    {
-      std::lock_guard lock(session->mu);
-      session->stats.closed = false;
-      --session->next_offer_seq;
-    }
-    throw std::runtime_error("ingest: service stopped");
-  }
-  sessions_closed_.fetch_add(1, std::memory_order_relaxed);
-}
+void Service::close_session(SessionId id) { end_session(id, /*abort=*/false); }
 
-void Service::abort_session(SessionId id) {
+void Service::abort_session(SessionId id) { end_session(id, /*abort=*/true); }
+
+void Service::end_session(SessionId id, bool abort) {
   const auto session = find_session(id);
-  Chunk c;
-  c.session = id;
-  c.abort = true;
+  std::lock_guard admit(session->admit);
   {
     std::lock_guard lock(session->mu);
     if (session->stats.closed)
-      throw std::logic_error("ingest: abort on closed session " +
-                             std::to_string(id));
+      throw std::logic_error(
+          (abort ? "ingest: abort on closed session "
+                 : "ingest: close_session twice on ") +
+          std::to_string(id));
     session->stats.closed = true;
-    session->stats.aborted = true;
-    c.seq = session->next_offer_seq++;
+    session->stats.aborted = abort;
   }
   {
     std::lock_guard lock(idle_mu_);
     ++undecoded_;
     --open_sessions_;
   }
-  if (!queue_for(id).push(std::move(c))) {
+  if (!queue_for(id).push(Chunk{session, {}, /*end=*/!abort, abort})) {
     note_done_one();
     {
       std::lock_guard lock(idle_mu_);
@@ -200,10 +147,10 @@ void Service::abort_session(SessionId id) {
       std::lock_guard lock(session->mu);
       session->stats.closed = false;
       session->stats.aborted = false;
-      --session->next_offer_seq;
     }
     throw std::runtime_error("ingest: service stopped");
   }
+  if (!abort) sessions_closed_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Service::note_done_one() {
@@ -216,44 +163,16 @@ void Service::worker_loop(unsigned shard) {
   BoundedQueue<Chunk>& queue = *queues_[shard];
   Chunk chunk;
   while (queue.pop(chunk)) {
-    const auto session = find_session(chunk.session);
-    Session& s = *session;
-    {
-      std::lock_guard lock(s.mu);
-      s.pending.emplace(chunk.seq, std::move(chunk));
-      if (s.busy) {
-        // The strand owner will pick this chunk up; parking it here already
-        // counts as progress for quiescence only once decoded, so nothing
-        // to decrement — the owner decrements per decoded chunk.
-        continue;
-      }
-      s.busy = true;
-    }
-    decode_strand(s);
-  }
-}
-
-void Service::decode_strand(Session& s) {
-  for (;;) {
-    Chunk chunk;
-    {
-      std::lock_guard lock(s.mu);
-      const auto it = s.pending.find(s.next_decode_seq);
-      if (it == s.pending.end()) {
-        s.busy = false;
-        return;
-      }
-      chunk = std::move(it->second);
-      s.pending.erase(it);
-      ++s.next_decode_seq;
-    }
-    decode_chunk(s, std::move(chunk));
+    // decode_chunk takes the chunk by value, so a finished session's last
+    // reference is dropped before quiescence is signalled.
+    decode_chunk(std::move(chunk));
     note_done_one();
   }
 }
 
-void Service::decode_chunk(Session& s, Chunk&& chunk) {
-  // Strand-exclusive: only one worker runs this for a given session.
+void Service::decode_chunk(Chunk chunk) {
+  // Only this session's worker runs this, in admission order.
+  Session& s = *chunk.session;
   if (chunk.abort) {
     // The upload died rather than ended: reset the parser mid-frame (the
     // diag reset-on-abort contract — no finish(), no trailing-malformed
@@ -303,10 +222,9 @@ void Service::decode_chunk(Session& s, Chunk&& chunk) {
   }
 
   if (chunk.end) {
-    Stripe& stripe = *stripes_[s.id % stripes_.size()];
     {
-      std::lock_guard lock(stripe.mu);
-      stripe.sealed.emplace_back(s.id, std::move(s.shard));
+      std::lock_guard lock(sealed_mu_);
+      sealed_.emplace(s.id, std::move(s.shard));
     }
     sessions_sealed_.fetch_add(1, std::memory_order_relaxed);
     evict_session(s);
@@ -317,8 +235,8 @@ void Service::evict_session(Session& s) {
   // Session lifecycle contract: a finished (sealed or aborted) session's
   // decode state is dropped immediately; only its compact final stats stay,
   // so the live map is bounded by the number of open uploads no matter how
-  // long the service runs.  The Session object itself stays alive until the
-  // strand unwinds (worker_loop holds a shared_ptr).
+  // long the service runs.  The Session object itself stays alive until its
+  // last chunk is destroyed (each Chunk holds a shared_ptr).
   IngestStats final_stats;
   {
     std::lock_guard lock(s.mu);
@@ -339,30 +257,24 @@ void Service::wait_quiescent() {
 
 core::ConfigDatabase Service::drain() {
   wait_quiescent();
-  std::vector<std::pair<SessionId, core::ConfigDatabase>> shards;
-  for (auto& stripe : stripes_) {
-    std::lock_guard lock(stripe->mu);
-    for (auto& entry : stripe->sealed) shards.push_back(std::move(entry));
-    stripe->sealed.clear();
+  std::map<SessionId, core::ConfigDatabase> sealed;
+  {
+    std::lock_guard lock(sealed_mu_);
+    sealed.swap(sealed_);
   }
-  std::sort(shards.begin(), shards.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   core::ConfigDatabase db;
-  for (auto& [id, shard] : shards) db.merge(std::move(shard));
+  for (auto& [id, shard] : sealed) db.merge(std::move(shard));
   return db;
 }
 
 core::ConfigDatabase Service::snapshot() const {
-  std::vector<std::pair<SessionId, core::ConfigDatabase>> shards;
-  for (const auto& stripe : stripes_) {
-    std::lock_guard lock(stripe->mu);
-    for (const auto& [id, shard] : stripe->sealed)
-      shards.emplace_back(id, shard);  // copy; the store is undisturbed
+  std::map<SessionId, core::ConfigDatabase> sealed;
+  {
+    std::lock_guard lock(sealed_mu_);
+    sealed = sealed_;  // copy; the store is undisturbed
   }
-  std::sort(shards.begin(), shards.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   core::ConfigDatabase db;
-  for (auto& [id, shard] : shards) db.merge(std::move(shard));
+  for (auto& [id, shard] : sealed) db.merge(std::move(shard));
   return db;
 }
 

@@ -5,30 +5,29 @@
 // Shape of the pipeline:
 //
 //   producers (device uploads)       decode workers             snapshot/drain
-//   offer(session, chunk) ──► queues_[session % W] ──► per-session ──► sealed
-//        blocks when the       (one BoundedQueue         strand          shard
-//        shard queue is full    per worker: no          StreamParser +   store
-//        (backpressure)         cross-worker            StreamExtractor (striped)
-//                               contention)             -> private shard
+//   offer(session, chunk) ──► queues_[session % W] ──► worker W ──► sealed
+//        blocks when the       (one FIFO BoundedQueue   StreamParser +  shards
+//        shard queue is full    per worker, popped by   StreamExtractor (one map,
+//        (backpressure)         that worker alone)      -> private shard id order)
 //
-// Concurrency model: the unit of parallelism is the *session*.  Admission is
-// sharded per worker — a session's chunks always land on queue
-// `session % workers`, popped only by worker `workers_[session % workers]` —
-// so the hot path never crosses a shared queue mutex and per-session FIFO is
-// structural.  Each session owns its framing/extraction state (a
-// diag::StreamParser cursor and a core::StreamExtractor) plus a private
-// ConfigDatabase shard, so decoding needs no cross-session locks.  Chunks of
-// one session carry sequence numbers; the pending map + `busy` strand flag
-// keep decode order correct even if a future scheduler lets several workers
-// pop one session's chunks.
+// Concurrency model: the unit of parallelism is the *session*, and each
+// session has exactly one decoder.  A session's chunks always land on the
+// FIFO queue `session % workers`, which only worker `session % workers`
+// pops.  So decode order is admission order, and the session's decode state
+// (a diag::StreamParser cursor, a core::StreamExtractor and a private
+// ConfigDatabase shard) is owned by that one worker and needs no lock.
+// Producers of one session serialize on its `admit` mutex across the
+// closed-check and the push, so admission order is call order even if two
+// threads offer to one session; workers never take that mutex, so a push
+// blocked on backpressure cannot stall decoding.
 //
 // Session lifecycle (each transition is a queued marker, so it serializes
 // after every previously offered chunk of that session):
 //
 //   open ──offer*──► close_session ──► [end decoded] ──► SEALED: shard into
-//     │                                                  the store, Session
-//     │                                                  evicted, final stats
-//     │                                                  to the sealed map
+//     │                                                  the sealed map,
+//     │                                                  Session evicted,
+//     │                                                  final stats kept
 //     └──offer*──► abort_session ────► [abort decoded] ─► ABORTED: shard
 //                  (device vanished)                      discarded, parser
 //                                                         reset, Session
@@ -38,11 +37,10 @@
 // service holds Session state only for currently open uploads, plus one
 // compact IngestStats per finished session so session_stats() still answers.
 //
-// Exception safety: offer()/close_session()/abort_session() assign the
-// session's next sequence number and mutate lifecycle flags *only if the
-// queue push succeeds* — a failed push rolls every side effect back under
-// the session mutex, so the strand cursor can never skip a seq (which would
-// park all later chunks forever and hang wait_quiescent()).
+// Exception safety: a refused push (service stopped) rolls back every side
+// effect of offer()/close_session()/abort_session() — the closed/aborted
+// flags, the open-session and undecoded counts — so the session stays open
+// and wait_quiescent() reports it instead of hanging.
 //
 // Determinism: session ids are handed out in open order, every session is
 // decoded strictly in chunk order, and snapshot()/drain() merge the sealed
@@ -97,7 +95,6 @@ class Service {
     /// Chunks admitted per worker shard before a producer blocks.  Total
     /// queued chunks are bounded by workers * queue_capacity.
     std::size_t queue_capacity = 256;
-    std::size_t shard_stripes = 16;  ///< lock stripes of the shard store
     /// Tests set this false to control exactly when decoding begins (e.g.
     /// to fill the queue and observe producer backpressure first).
     bool autostart = true;
@@ -168,20 +165,19 @@ class Service {
   unsigned worker_count() const { return workers_configured_; }
 
  private:
+  struct Session;
+
   struct Chunk {
-    SessionId session = 0;
-    std::uint64_t seq = 0;
+    std::shared_ptr<Session> session;
     std::vector<std::uint8_t> bytes;
     bool end = false;    ///< close_session marker
     bool abort = false;  ///< abort_session marker
   };
 
-  struct Session;
-  struct Stripe;
-
+  /// The body of close_session() (abort = false) and abort_session().
+  void end_session(SessionId id, bool abort);
   void worker_loop(unsigned shard);
-  void decode_strand(Session& s);
-  void decode_chunk(Session& s, Chunk&& chunk);
+  void decode_chunk(Chunk chunk);
   std::shared_ptr<Session> find_session(SessionId id) const;
   BoundedQueue<Chunk>& queue_for(SessionId id) {
     return *queues_[id % queues_.size()];
@@ -192,8 +188,10 @@ class Service {
   Options opts_;
   unsigned workers_configured_ = 0;
 
-  /// One admission queue per decode worker; a session maps to shard
-  /// `id % workers`, so producers of different shards never share a mutex.
+  /// One FIFO admission queue per decode worker, popped by that worker
+  /// alone.  A session maps to shard `id % workers`, so its chunks decode in
+  /// admission order on one thread, and producers of different shards never
+  /// share a mutex.
   std::vector<std::unique_ptr<BoundedQueue<Chunk>>> queues_;
 
   mutable std::mutex sessions_mu_;
@@ -202,10 +200,10 @@ class Service {
   std::map<SessionId, IngestStats> finished_stats_;
   SessionId next_id_ = 0;
 
-  /// Lock-striped sealed-shard store: stripe = id % stripes. Sealing only
-  /// contends within a stripe; snapshot()/drain() gather all stripes and
-  /// order by session id, so striping never shows in the output.
-  std::vector<std::unique_ptr<Stripe>> stripes_;
+  /// Sealed shards by session id.  A session seals once, and the map's id
+  /// order is the merge order of snapshot()/drain().
+  mutable std::mutex sealed_mu_;
+  std::map<SessionId, core::ConfigDatabase> sealed_;
 
   // Quiescence accounting.
   mutable std::mutex idle_mu_;

@@ -295,19 +295,22 @@ config::LegacyCellConfig make_legacy_config(const CarrierProfile& profile,
 std::vector<ConfigUpdate> make_update_schedule(const CarrierProfile& profile,
                                                const WorldOptions& options,
                                                Rng& rng) {
-  std::vector<ConfigUpdate> schedule;
+  // At most three updates, gathered on the stack: most cells get none, and
+  // the world keeps every cell's schedule, so it is allocated at its size.
+  ConfigUpdate updates[3];
+  std::size_t n = 0;
   if (rng.chance(profile.idle_update_prob_2y))
-    schedule.push_back({rng.uniform(30.0, options.window_days), false});
+    updates[n++] = {rng.uniform(30.0, options.window_days), false};
   if (rng.chance(profile.active_update_prob_2y)) {
-    schedule.push_back({rng.uniform(30.0, options.window_days), true});
+    updates[n++] = {rng.uniform(30.0, options.window_days), true};
     if (rng.chance(0.3))
-      schedule.push_back({rng.uniform(30.0, options.window_days), true});
+      updates[n++] = {rng.uniform(30.0, options.window_days), true};
   }
-  std::sort(schedule.begin(), schedule.end(),
+  std::sort(updates, updates + n,
             [](const ConfigUpdate& a, const ConfigUpdate& b) {
               return a.day < b.day;
             });
-  return schedule;
+  return std::vector<ConfigUpdate>(updates, updates + n);
 }
 
 /// The one generation loop, shared by generate_world (materialise a

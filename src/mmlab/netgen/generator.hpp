@@ -27,7 +27,7 @@ struct ConfigUpdate {
 
 struct GeneratedWorld {
   net::Deployment network;
-  /// Per cell (index-aligned with network.cells()): pending update schedule,
+  /// Per cell (index-aligned with network.cells()): the scheduled updates,
   /// sorted by day.
   std::vector<std::vector<ConfigUpdate>> update_schedule;
   /// Index-aligned with network.carriers().

@@ -451,10 +451,16 @@ std::vector<CarrierProfile> build_profiles() {
       {"Telstra", "TS", "AU", 65},       {"TIM", "TI", "IT", 60},
       {"Proximus", "PX", "BE", 55},
   };
-  int variant = 11;
-  for (const auto& o : others)
+  // Other k (k = 0..12) gets variant 11 + k and salt 0x90C + k, one past
+  // 0x900 + variant: GCC evaluated the unsequenced `variant++` of the call
+  // these worlds were first built from before `0x900 + variant`.  Spelled
+  // out, the worlds stay byte-identical on any compiler.
+  int k = 0;
+  for (const auto& o : others) {
     out.push_back(regional_profile(o.name, o.acr, o.country, o.cells,
-                                   0x900 + variant, variant++));
+                                   0x90C + k, 11 + k));
+    ++k;
+  }
   return out;
 }
 

@@ -79,8 +79,12 @@ struct Visitor {
     if (m.mobility)
       out += fmt(" [handoff -> pci=%u %s]", m.mobility->target_pci,
                  spectrum::to_string(m.mobility->target_channel).c_str());
-    for (const auto& ev : m.report_configs)
-      out += " " + describe_event(ev);
+    for (const auto& ev : m.report_configs) {
+      // Appended: GCC 12 at -O3 flags `" " + std::string` with a false
+      // -Wrestrict.
+      out += ' ';
+      out += describe_event(ev);
+    }
     return out;
   }
   std::string operator()(const MeasurementReport& m) {

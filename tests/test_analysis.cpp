@@ -60,10 +60,12 @@ TEST(Analysis, DiversitySortedBySimpson) {
               diversity[i].measures.simpson);
   // Hs is single-valued => Simpson 0; priority is diverse.
   for (const auto& d : diversity) {
-    if (d.key == config::lte_param(ParamId::kQHyst))
+    if (d.key == config::lte_param(ParamId::kQHyst)) {
       EXPECT_DOUBLE_EQ(d.measures.simpson, 0.0);
-    if (d.key == config::lte_param(ParamId::kServingPriority))
+    }
+    if (d.key == config::lte_param(ParamId::kServingPriority)) {
       EXPECT_GT(d.measures.simpson, 0.5);
+    }
   }
 }
 

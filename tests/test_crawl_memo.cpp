@@ -116,13 +116,12 @@ netgen::GeneratedWorld interleaved_world() {
   net.set_shadowing(3, 0.0, 50.0);
   net.add_carrier({7, "CarrierSeven", "S", "US"});
   net.add_carrier({3, "CarrierThree", "T", "US"});
-  geo::City city;
-  city.id = 0;
-  city.name = "Testville";
-  city.code = "T0";
-  city.country = "US";
-  city.origin = {-1000, -1000};
-  city.extent_m = 8000;
+  geo::City city{.id = 0,
+                 .name = "Testville",
+                 .code = "T0",
+                 .country = "US",
+                 .origin = {-1000, -1000},
+                 .extent_m = 8000};
   net.add_city(city);
   for (std::uint32_t i = 0; i < 12; ++i)
     net.add_cell(test::lte_cell(

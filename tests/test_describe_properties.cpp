@@ -96,8 +96,9 @@ TEST_P(EventInvariantSweep, StrongerNeighborNeverLeavesEarlier) {
     const double serving = rng.uniform(-130.0, -60.0);
     const double weak = rng.uniform(-130.0, -60.0);
     const double strong = weak + rng.uniform(0.0, 20.0);
-    if (ue::event_entry_condition(ev, serving, weak))
+    if (ue::event_entry_condition(ev, serving, weak)) {
       EXPECT_TRUE(ue::event_entry_condition(ev, serving, strong));
+    }
   }
 }
 
@@ -107,8 +108,8 @@ INSTANTIATE_TEST_SUITE_P(
                       config::EventType::kA3, config::EventType::kA4,
                       config::EventType::kA5, config::EventType::kB1,
                       config::EventType::kB2),
-    [](const auto& info) {
-      return std::string(config::event_name(info.param));
+    [](const auto& param_info) {
+      return std::string(config::event_name(param_info.param));
     });
 
 }  // namespace

@@ -55,13 +55,12 @@ inline net::Deployment two_cell_corridor(
   net::Deployment net;
   net.set_shadowing(1, 0.0, 50.0);
   net.add_carrier({0, "TestCarrier", "X", "US"});
-  geo::City city;
-  city.id = 0;
-  city.name = "Testville";
-  city.code = "T0";
-  city.country = "US";
-  city.origin = {-1000, -1000};
-  city.extent_m = 5000;
+  geo::City city{.id = 0,
+                 .name = "Testville",
+                 .code = "T0",
+                 .country = "US",
+                 .origin = {-1000, -1000},
+                 .extent_m = 5000};
   net.add_city(city);
   base.report_configs = {decisive_event};
   net.add_cell(lte_cell(1, 0, {0, 0}, 850, base));

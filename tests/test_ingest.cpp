@@ -9,9 +9,11 @@
 #include <vector>
 
 #include "mmlab/core/extractor.hpp"
+#include "mmlab/diag/log.hpp"
 #include "mmlab/ingest/bounded_queue.hpp"
 #include "mmlab/ingest/replay.hpp"
 #include "mmlab/netgen/generator.hpp"
+#include "mmlab/rrc/codec.hpp"
 #include "mmlab/sim/crawl.hpp"
 #include "mmlab/sim/fleet.hpp"
 
@@ -496,6 +498,67 @@ TEST(Ingest, SnapshotExcludesOpenSessions) {
   core::extract_configs(uploads[0].carrier, uploads[0].diag_log, expected);
   EXPECT_EQ(service.snapshot(), expected);  // open session's shard excluded
   service.close_session(open);
+}
+
+/// One camp on cell 42 at t = 0 whose channel and SIB5 neighbor priority
+/// depend on `variant`: every such log observes the same cell at the same
+/// timestamps with different values.
+std::vector<std::uint8_t> same_cell_log(std::uint32_t variant) {
+  diag::Writer w;
+  diag::CampEvent ev;
+  ev.cell_identity = 42;
+  ev.rat = static_cast<std::uint8_t>(spectrum::Rat::kLte);
+  ev.channel = 850 + variant;
+  w.append({diag::LogCode::kServingCellInfo, SimTime{0},
+            diag::encode_camp_event(ev)});
+  w.append({diag::LogCode::kLteRrcOta, SimTime{1},
+            rrc::encode(rrc::Message{rrc::Sib3{}})});
+  rrc::Sib5 sib5;
+  sib5.target_rat = spectrum::Rat::kLte;
+  config::NeighborFreqConfig nf;
+  nf.channel = {spectrum::Rat::kLte, 1975};
+  nf.priority = static_cast<int>(variant);
+  sib5.freqs = {nf};
+  w.append({diag::LogCode::kLteRrcOta, SimTime{2},
+            rrc::encode(rrc::Message{sib5})});
+  return w.bytes();
+}
+
+TEST(Ingest, SealOrderNeverChangesTheMerge) {
+  // Sessions seal in the reverse of their id order, across both workers.
+  // Merging equal timestamps keeps the earlier shard's observations first
+  // and the earlier-seen cell's channel, so a seal-order merge would differ
+  // from the session-id-order merge that drain() and snapshot() promise.
+  constexpr std::uint32_t kSessions = 4;
+  Service::Options opts;
+  opts.workers = 2;
+  Service service(opts);
+  std::vector<SessionId> ids;
+  for (std::uint32_t i = 0; i < kSessions; ++i) {
+    ids.push_back(service.open_session("X"));
+    service.offer(ids.back(), same_cell_log(i + 1));
+  }
+  for (std::uint32_t i = kSessions; i-- > 0;) {
+    service.close_session(ids[i]);
+    while (!service.session_stats(ids[i]).sealed)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  const auto merge_in = [](std::initializer_list<std::uint32_t> variants) {
+    core::ConfigDatabase db;
+    for (const std::uint32_t v : variants) {
+      core::ConfigDatabase shard;
+      core::extract_configs("X", same_cell_log(v), shard);
+      db.merge(std::move(shard));
+    }
+    return db;
+  };
+  const core::ConfigDatabase by_id = merge_in({1, 2, 3, 4});
+  const core::ConfigDatabase by_seal = merge_in({4, 3, 2, 1});
+  ASSERT_NE(by_id, by_seal);  // the test can tell the two orders apart
+
+  EXPECT_EQ(service.snapshot(), by_id);
+  EXPECT_EQ(service.drain(), by_id);
 }
 
 }  // namespace

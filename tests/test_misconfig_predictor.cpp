@@ -41,8 +41,9 @@ TEST(Misconfig, PrematureMeasurementGap) {
   const auto findings = detect_misconfigurations(db);
   ASSERT_EQ(count_kind(findings, FindingKind::kPrematureMeasurement), 1u);
   for (const auto& f : findings)
-    if (f.kind == FindingKind::kPrematureMeasurement)
+    if (f.kind == FindingKind::kPrematureMeasurement) {
       EXPECT_DOUBLE_EQ(f.value, 56.0);
+    }
 }
 
 TEST(Misconfig, LateNonIntraMeasurement) {

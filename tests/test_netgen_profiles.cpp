@@ -3,6 +3,8 @@
 // error), and the profile set stays internally consistent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mmlab/config/quant.hpp"
 #include "mmlab/netgen/generator.hpp"
 #include "mmlab/rrc/codec.hpp"
@@ -116,12 +118,39 @@ TEST_P(ProfileSweep, HundredGeneratedConfigsEncode) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllCarriers, ProfileSweep, ::testing::Range(0, 30),
-    [](const ::testing::TestParamInfo<int>& info) {
-      std::string name = standard_carrier_profiles()[info.param].name;
+    [](const ::testing::TestParamInfo<int>& param_info) {
+      std::string name = standard_carrier_profiles()[param_info.param].name;
       for (char& c : name)
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       return name;
     });
+
+TEST(ProfileCatalogue, RegionalOthersKeepTheirSaltsAndVariants) {
+  // The 13 small regional carriers (Tab 3 "others"): carrier k has salt
+  // 0x90C + k and variant 11 + k.  The variant picks the three LTE
+  // channels and the tract size; channels mod 8, 6 and 5 pin it exactly.
+  const char* const acronyms[] = {"OR", "DT", "VO", "MS", "EE", "TE", "ND",
+                                  "SB", "AI", "RO", "TS", "TI", "PX"};
+  const auto& profiles = standard_carrier_profiles();
+  const auto find = [&](const char* acronym) {
+    return std::find_if(
+        profiles.begin(), profiles.end(),
+        [&](const CarrierProfile& p) { return p.acronym == acronym; });
+  };
+  for (std::uint32_t k = 0; k < 13; ++k) {
+    const auto it = find(acronyms[k]);
+    ASSERT_NE(it, profiles.end()) << acronyms[k];
+    const std::uint32_t variant = 11 + k;
+    EXPECT_EQ(it->seed_salt, 0x90Cu + k) << it->acronym;
+    ASSERT_EQ(it->lte_freqs.size(), 3u) << it->acronym;
+    EXPECT_EQ(it->lte_freqs[0].earfcn, 1200 + 25 * (variant % 8)) << it->acronym;
+    EXPECT_EQ(it->lte_freqs[1].earfcn, 100 + 50 * (variant % 6)) << it->acronym;
+    EXPECT_EQ(it->lte_freqs[2].earfcn, 2800 + 100 * (variant % 5))
+        << it->acronym;
+    EXPECT_EQ(it->tract_m, variant % 3 == 0 ? 500.0 : 0.0) << it->acronym;
+  }
+  EXPECT_EQ(find("OR")->lte_freqs[0].earfcn, 1275u);
+}
 
 }  // namespace
 }  // namespace mmlab::netgen

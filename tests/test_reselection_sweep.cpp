@@ -72,7 +72,7 @@ INSTANTIATE_TEST_SUITE_P(
         RankingCase{"lower_candidate_too_weak", 4, 2, 2.0, 3.5, false},
         RankingCase{"lower_serving_at_thresh", 4, 2, 6.0, 10.0, false},
         RankingCase{"lower_candidate_at_thresh", 4, 2, 3.0, 4.0, false}),
-    [](const auto& info) { return info.param.name; });
+    [](const auto& param_info) { return param_info.param.name; });
 
 // --- interaction: Treselection x priority classes -----------------------------
 

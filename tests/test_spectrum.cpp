@@ -120,8 +120,9 @@ TEST_P(BandFrequencySweep, EdgesConsistent) {
 
 INSTANTIATE_TEST_SUITE_P(AllBands, BandFrequencySweep,
                          ::testing::ValuesIn(lte_band_table()),
-                         [](const auto& info) {
-                           return "Band" + std::to_string(info.param.band);
+                         [](const auto& param_info) {
+                           return "Band" +
+                                  std::to_string(param_info.param.band);
                          });
 
 }  // namespace

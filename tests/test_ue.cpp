@@ -20,7 +20,7 @@ UeOptions active_opts(std::uint64_t seed = 1) {
 }
 
 /// Drive a UE from x=0 to x=2000 across the two-cell corridor.
-void drive_corridor(net::Deployment& net, Ue& device, Millis duration = 180'000) {
+void drive_corridor(net::Deployment& /*net*/, Ue& device, Millis duration = 180'000) {
   for (Millis t = 0; t <= duration; t += 100) {
     const double frac =
         static_cast<double>(t) / static_cast<double>(duration);
@@ -227,8 +227,9 @@ TEST(Ue, DiagLogFullyParseable) {
   // Every RRC payload decodes.
   for (const auto& rec : records) {
     if (rec.code == diag::LogCode::kLteRrcOta ||
-        rec.code == diag::LogCode::kLegacyRrcOta)
+        rec.code == diag::LogCode::kLegacyRrcOta) {
       EXPECT_TRUE(rrc::decode(rec.payload).ok());
+    }
   }
 }
 
