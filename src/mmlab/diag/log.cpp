@@ -38,13 +38,6 @@ std::int64_t get_i64(const std::uint8_t* p) {
   return static_cast<std::int64_t>(u);
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-    v >>= 8;
-  }
-}
-
 std::uint32_t get_u32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |
          (static_cast<std::uint32_t>(p[1]) << 8) |
@@ -248,17 +241,21 @@ std::vector<Record> Parser::all() {
   return out;
 }
 
-std::vector<std::uint8_t> encode_camp_event(const CampEvent& ev) {
-  std::vector<std::uint8_t> out;
-  out.reserve(20);
-  put_u32(out, ev.cell_identity);
-  put_u16(out, ev.pci);
-  out.push_back(ev.rat);
-  put_u32(out, ev.channel);
-  out.push_back(ev.cause);
-  put_u32(out, static_cast<std::uint32_t>(ev.x_dm));
-  put_u32(out, static_cast<std::uint32_t>(ev.y_dm));
+CampEventBytes encode_camp_event_bytes(const CampEvent& ev) {
+  CampEventBytes out;
+  store_le(out.data(), ev.cell_identity, 4);
+  store_le(out.data() + 4, ev.pci, 2);
+  out[6] = ev.rat;
+  store_le(out.data() + 7, ev.channel, 4);
+  out[11] = ev.cause;
+  store_le(out.data() + 12, static_cast<std::uint32_t>(ev.x_dm), 4);
+  store_le(out.data() + 16, static_cast<std::uint32_t>(ev.y_dm), 4);
   return out;
+}
+
+std::vector<std::uint8_t> encode_camp_event(const CampEvent& ev) {
+  const CampEventBytes bytes = encode_camp_event_bytes(ev);
+  return {bytes.begin(), bytes.end()};
 }
 
 bool decode_camp_event(const std::vector<std::uint8_t>& payload,

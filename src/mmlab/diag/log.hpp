@@ -13,6 +13,7 @@
 // next 0x7E terminator and counts (rather than throws on) bad frames.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -139,6 +140,11 @@ struct RadioSnapshot {
   bool operator==(const RadioSnapshot&) const = default;
 };
 
+/// A CampEvent's fixed-size payload.
+using CampEventBytes = std::array<std::uint8_t, 20>;
+/// The payload without a heap allocation (the per-camp path).
+CampEventBytes encode_camp_event_bytes(const CampEvent& ev);
+/// The same bytes as a vector, for building a Record.
 std::vector<std::uint8_t> encode_camp_event(const CampEvent& ev);
 bool decode_camp_event(const std::vector<std::uint8_t>& payload, CampEvent& out);
 

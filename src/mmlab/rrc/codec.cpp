@@ -394,6 +394,7 @@ const char* message_type_name(MessageType t) {
 
 std::vector<std::uint8_t> encode(const Message& msg) {
   BitWriter w;
+  w.reserve(64);  // most messages fit: no regrowth per field
   w.write(static_cast<std::uint64_t>(message_type(msg)), 8);
   struct Visitor {
     BitWriter& w;

@@ -1,5 +1,6 @@
 #include "mmlab/store/cell_codec.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -8,7 +9,6 @@
 namespace mmlab::store {
 
 using core::CellRecord;
-using core::ConfigDatabase;
 using core::Observation;
 
 namespace {
@@ -33,7 +33,10 @@ struct CellHeader {
   std::uint64_t n_obs;
 };
 
-CellHeader parse_cell_header(ByteReader& r) {
+/// The shortest marker on the wire: a one-byte time delta and the index.
+constexpr std::size_t kMinMarkerBytes = 1 + varint_size(kRepeatMarker);
+
+CellHeader parse_cell_header(ByteReader& r, bool repeats) {
   CellHeader h;
   h.id = checked_u32(r.varint(), "cell_id");
   h.rat_raw = r.u8();
@@ -42,9 +45,10 @@ CellHeader parse_cell_header(ByteReader& r) {
   h.x = r.f64le();
   h.y = r.f64le();
   h.n_obs = r.varint();
-  // Each observation is at least 11 bytes; a count beyond that is
-  // corruption — catch it before reserve() tries to allocate it.
-  if (h.n_obs > r.remaining() / 11 + 1)
+  // Each observation is at least 11 bytes and each marker at least
+  // kMinMarkerBytes; a count beyond that is corruption — catch it before
+  // reserve() tries to allocate it.
+  if (h.n_obs > r.remaining() / (repeats ? kMinMarkerBytes : 11) + 1)
     throw MmdsError("observation count exceeds block size");
   return h;
 }
@@ -80,20 +84,91 @@ inline unsigned kernel_varint(const std::uint8_t* p, std::uint64_t& v) {
   return varint8_swar(p, v);
 }
 
-/// One observation by the reference field-by-field parse.
+/// a + b, or the largest count when that wraps: no hostile body may wrap
+/// the row count the manifest is checked against.
+std::uint64_t saturating_add(std::uint64_t a, std::uint64_t b) {
+  return b > ~a ? ~std::uint64_t{0} : a + b;
+}
+
+/// Snapshot bookkeeping both decoders share, so a marker means the same
+/// rows to each: where the current run of equal-t observations began, and
+/// which rows a marker repeats.
+class SnapshotTracker {
+ public:
+  /// Before a full observation at entry `i`, time `t`, decoded row `row`.
+  void observation(std::uint64_t i, std::int64_t t, std::size_t row,
+                   CellScan& scan) {
+    if (i == 0) {
+      scan.front_t_ms = t;
+    } else if (t < t_) {
+      scan.sorted = false;
+    }
+    if (!in_full_ || t != t_) {  // a new snapshot starts here
+      first_ = i;
+      begin_ = row;
+      in_full_ = true;
+    }
+    t_ = t;
+  }
+  /// A marker at entry `i`, time `t`, before decoded row `row`: the
+  /// previous snapshot again (the full one just closed, or what the
+  /// previous marker repeated).
+  void marker(std::uint64_t i, std::int64_t t, std::size_t row,
+              CellScan& scan) {
+    if (i == 0) throw MmdsError("repeat marker before any snapshot");
+    if (t < t_) scan.sorted = false;
+    if (in_full_) {
+      repeat_ = {t, row, begin_, row};
+      repeat_rows_ = i - first_;
+      in_full_ = false;
+    }
+    repeat_.t_ms = t;
+    repeat_.at = row;
+    scan.repeats.push_back(repeat_);
+    scan.rows = saturating_add(scan.rows, repeat_rows_);
+    t_ = t;
+  }
+  /// Fill the scan's row count once `n` entries are decoded.
+  void finish(std::uint64_t n, CellScan& scan) const {
+    scan.rows = saturating_add(scan.rows, n - scan.repeats.size());
+  }
+
+ private:
+  std::int64_t t_ = 0;        ///< the previous entry's time
+  std::uint64_t first_ = 0;   ///< entry index of the open snapshot
+  std::size_t begin_ = 0;     ///< its first decoded row
+  bool in_full_ = false;      ///< the previous entry was an observation
+  Repeat repeat_;             ///< what the next marker repeats
+  std::uint64_t repeat_rows_ = 0;  ///< its unfiltered row count
+};
+
+void start_scan(CellScan& scan) {
+  scan.rows = 0;
+  scan.values_skipped = 0;
+  scan.front_t_ms = 0;
+  scan.sorted = true;
+  scan.repeats.clear();
+}
+
+/// One entry by the reference field-by-field parse.
 void decode_one_reference(ByteReader& r, std::uint64_t i,
                           const std::vector<config::ParamKey>& params,
-                          ObservationSelection select, std::int64_t& t_ms,
+                          ObservationSelection select, bool repeats,
+                          std::int64_t& t_ms, SnapshotTracker& snapshots,
                           std::vector<Observation>& out, CellScan& scan) {
   t_ms = add_delta(t_ms, r.varint());
-  if (i == 0) scan.front_t_ms = t_ms;
   const std::uint64_t param_index = r.varint();
+  if (repeats && param_index == kRepeatMarker) {
+    snapshots.marker(i, t_ms, out.size(), scan);
+    return;
+  }
   if (param_index >= params.size())
     throw MmdsError("param index out of range");
   // A skipped value is still checked, so a query plan never changes
   // whether a store is accepted.
   const double value = finite_value(r);
   const std::int64_t context = r.svarint();
+  snapshots.observation(i, t_ms, out.size(), scan);
   if (select.keeps(param_index))
     out.push_back({params[param_index], value, SimTime{t_ms}, context});
   else
@@ -121,30 +196,76 @@ inline std::uint8_t* put_f64(std::uint8_t* p, double v) {
   return p + 8;
 }
 
+/// Same key, value bits and context, observation by observation: a
+/// repeat.  Bits, not ==, so -0.0 never repeats 0.0.
+bool same_snapshot(const Observation* a, const Observation* b,
+                   std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k)
+    if (a[k].key != b[k].key || a[k].context != b[k].context ||
+        std::bit_cast<std::uint64_t>(a[k].value) !=
+            std::bit_cast<std::uint64_t>(b[k].value))
+      return false;
+  return true;
+}
+
 /// The encode kernel; `index_of` maps a key to its table index.
 template <typename IndexOf>
 bool encode_cell_kernel(ByteWriter& out, std::uint32_t id,
-                        const CellRecord& rec, IndexOf index_of) {
+                        const CellRecord& rec, IndexOf index_of,
+                        RepeatCount* repeats) {
+  const Observation* const obs = rec.observations.data();
+  const std::size_t n = rec.observations.size();
   const std::size_t start = out.size();
-  std::uint8_t* const begin =
-      out.extend(max_encoded_cell_size(rec.observations.size()));
+  std::uint8_t* const begin = out.extend(max_encoded_cell_size(n));
   std::uint8_t* p = begin;
   p = put_varint(p, id);
   *p++ = static_cast<std::uint8_t>(rec.rat);
   p = put_varint(p, rec.channel);
   p = put_f64(p, rec.position.x);
   p = put_f64(p, rec.position.y);
-  p = put_varint(p, rec.observations.size());
+  // The entry count goes in once it is known: room for n, closed up below
+  // when markers made the count shorter.
+  std::uint8_t* const count_at = p;
+  const std::size_t count_room = varint_size(n);
+  p += count_room;
   std::int64_t prev_t = 0;
   bool finite = true;
-  for (const auto& obs : rec.observations) {
-    p = put_varint(p, zigzag_encode(delta(obs.t.ms, prev_t)));
-    prev_t = obs.t.ms;
-    p = put_varint(p, index_of(obs.key));
-    p = put_f64(p, obs.value);
-    finite &= std::isfinite(obs.value);
-    p = put_varint(p, zigzag_encode(obs.context));
+  std::size_t entries = 0;
+  const Observation* prev = nullptr;  // the previous snapshot
+  std::size_t prev_n = 0;
+  for (std::size_t s = 0; s < n;) {
+    const std::int64_t t = obs[s].t.ms;
+    std::size_t e = s + 1;
+    while (e < n && obs[e].t.ms == t) ++e;
+    const std::size_t len = e - s;
+    p = put_varint(p, zigzag_encode(delta(t, prev_t)));
+    prev_t = t;
+    if (repeats && len == prev_n && same_snapshot(prev, obs + s, len)) {
+      p = put_varint(p, kRepeatMarker);
+      ++entries;
+      ++repeats->snapshots;
+      repeats->rows += len;
+    } else {
+      for (std::size_t k = s; k < e; ++k) {
+        if (k != s) p = put_varint(p, 0);  // same t
+        p = put_varint(p, index_of(obs[k].key));
+        p = put_f64(p, obs[k].value);
+        finite &= std::isfinite(obs[k].value);
+        p = put_varint(p, zigzag_encode(obs[k].context));
+      }
+      entries += len;
+    }
+    prev = obs + s;
+    prev_n = len;
+    s = e;
   }
+  const std::size_t count_len = varint_size(entries);
+  if (count_len < count_room) {
+    std::memmove(count_at + count_len, count_at + count_room,
+                 static_cast<std::size_t>(p - (count_at + count_room)));
+    p -= count_room - count_len;
+  }
+  put_varint(count_at, entries);
   out.truncate(start + static_cast<std::size_t>(p - begin));
   return finite;
 }
@@ -152,17 +273,18 @@ bool encode_cell_kernel(ByteWriter& out, std::uint32_t id,
 }  // namespace
 
 bool encode_cell(ByteWriter& out, std::uint32_t id, const CellRecord& rec,
-                 ParamIndexMap& params) {
-  return encode_cell_kernel(out, id, rec, [&params](config::ParamKey key) {
-    return params.assign(key);
-  });
+                 ParamIndexMap& params, RepeatCount* repeats) {
+  return encode_cell_kernel(
+      out, id, rec,
+      [&params](config::ParamKey key) { return params.assign(key); },
+      repeats);
 }
 
 bool encode_cell(ByteWriter& out, std::uint32_t id, const CellRecord& rec,
-                 const ParamIndexMap& params) {
-  return encode_cell_kernel(out, id, rec, [&params](config::ParamKey key) {
-    return params.get(key);
-  });
+                 const ParamIndexMap& params, RepeatCount* repeats) {
+  return encode_cell_kernel(
+      out, id, rec,
+      [&params](config::ParamKey key) { return params.get(key); }, repeats);
 }
 
 void encode_cell_reference(ByteWriter& out, std::uint32_t id,
@@ -183,62 +305,81 @@ void encode_cell_reference(ByteWriter& out, std::uint32_t id,
   }
 }
 
-std::size_t parse_cell(ByteReader& r, const std::string& carrier,
-                       const std::vector<config::ParamKey>& params,
-                       ConfigDatabase& out) {
-  const CellHeader h = parse_cell_header(r);
-  CellRecord& rec = out.upsert_cell(carrier, h.id);
-  if (rec.observations.empty()) {
-    rec.cell_id = h.id;
-    rec.rat = static_cast<spectrum::Rat>(h.rat_raw);
-    rec.channel = h.channel;
-    rec.position = {h.x, h.y};
-  }
-  CellScan scan;
-  decode_observations(r, h.n_obs, params, {}, rec.observations, scan);
-  return static_cast<std::size_t>(h.n_obs);
-}
-
 std::uint32_t parse_cell_filtered(ByteReader& r,
                                   const std::vector<config::ParamKey>& params,
-                                  const std::vector<char>& keep,
+                                  bool repeats, const std::vector<char>& keep,
                                   std::uint32_t min_cell,
                                   std::uint32_t max_cell, CellRecord& rec,
                                   CellScan& scan) {
-  const CellHeader h = parse_cell_header(r);
+  const CellHeader h = parse_cell_header(r, repeats);
   rec.observations.clear();  // keep capacity: the fold reuses one record
   rec.cell_id = h.id;
   rec.rat = static_cast<spectrum::Rat>(h.rat_raw);
   rec.channel = h.channel;
   rec.position = {h.x, h.y};
-  scan.rows = h.n_obs;
   scan.has_front = h.n_obs > 0;
   ObservationSelection select;
   select.mask = keep.empty() ? nullptr : keep.data();
   select.none = h.id < min_cell || h.id > max_cell;
-  decode_observations(r, h.n_obs, params, select, rec.observations, scan);
+  decode_observations(r, h.n_obs, params, select, rec.observations, scan,
+                      repeats);
   return h.id;
+}
+
+void expand_repeats(std::vector<Observation>& obs,
+                    const std::vector<Repeat>& repeats) {
+  if (repeats.empty()) return;
+  std::size_t added = 0;
+  for (const Repeat& m : repeats) added += m.end - m.begin;
+  // Back to front, in place: the rows after each marker move up to their
+  // final place, then the marker's rows are copied in below them.  Every
+  // row still to be read lies below `read` and every write lands at or
+  // above it, so no source is overwritten before it is copied.
+  std::size_t read = obs.size();
+  obs.reserve(read + added);  // exactly: a loaded record keeps no slack
+  obs.resize(read + added);
+  std::size_t write = obs.size();
+  for (auto m = repeats.rbegin(); m != repeats.rend(); ++m) {
+    const auto first = obs.begin();
+    std::move_backward(first + static_cast<std::ptrdiff_t>(m->at),
+                       first + static_cast<std::ptrdiff_t>(read),
+                       first + static_cast<std::ptrdiff_t>(write));
+    write -= read - m->at;
+    read = m->at;
+    write -= m->end - m->begin;
+    for (std::size_t k = 0; k < m->end - m->begin; ++k) {
+      obs[write + k] = obs[m->begin + k];
+      obs[write + k].t = SimTime{m->t_ms};
+    }
+  }
 }
 
 void decode_observations_reference(ByteReader& r, std::uint64_t n_obs,
                                    const std::vector<config::ParamKey>& params,
                                    ObservationSelection select,
                                    std::vector<Observation>& out,
-                                   CellScan& scan) {
-  scan.values_skipped = 0;
-  scan.front_t_ms = 0;
+                                   CellScan& scan, bool repeats) {
+  start_scan(scan);
+  SnapshotTracker snapshots;
   std::int64_t t_ms = 0;
   for (std::uint64_t i = 0; i < n_obs; ++i)
-    decode_one_reference(r, i, params, select, t_ms, out, scan);
+    decode_one_reference(r, i, params, select, repeats, t_ms, snapshots, out,
+                         scan);
+  snapshots.finish(n_obs, scan);
 }
 
 void decode_observations(ByteReader& r, std::uint64_t n_obs,
                          const std::vector<config::ParamKey>& params,
                          ObservationSelection select,
-                         std::vector<Observation>& out, CellScan& scan) {
-  if (!select.none) out.reserve(out.size() + static_cast<std::size_t>(n_obs));
-  scan.values_skipped = 0;
-  scan.front_t_ms = 0;
+                         std::vector<Observation>& out, CellScan& scan,
+                         bool repeats) {
+  // Every observation takes at least 11 bytes, so the bytes left bound how
+  // many rows the entries can decode into, whatever n_obs claims.
+  if (!select.none)
+    out.reserve(out.size() + static_cast<std::size_t>(std::min<std::uint64_t>(
+                                 n_obs, r.remaining() / 11 + 1)));
+  start_scan(scan);
+  SnapshotTracker snapshots;
   std::int64_t t_ms = 0;
   std::uint64_t i = 0;
   if constexpr (std::endian::native == std::endian::little) {
@@ -260,6 +401,12 @@ void decode_observations(ByteReader& r, std::uint64_t n_obs,
         q += len;
         len = kernel_varint(q, param_index);
       }
+      if (len != 0 && param_index == kRepeatMarker && repeats && i != 0) {
+        p = q + len;
+        t_ms = add_delta(t_ms, delta);
+        snapshots.marker(i, t_ms, out.size(), scan);
+        continue;
+      }
       std::uint64_t bits = 0;
       if (len != 0) {
         q += len;
@@ -271,13 +418,14 @@ void decode_observations(ByteReader& r, std::uint64_t n_obs,
       if (len == 0 || param_index >= n_params ||
           (bits & kExponent) == kExponent) [[unlikely]] {
         r.skip(static_cast<std::size_t>(p - synced));
-        decode_one_reference(r, i, params, select, t_ms, out, scan);
+        decode_one_reference(r, i, params, select, repeats, t_ms, snapshots,
+                             out, scan);
         p = synced = r.raw(0);
         continue;
       }
       p = q + len;
       t_ms = add_delta(t_ms, delta);
-      if (i == 0) scan.front_t_ms = t_ms;
+      snapshots.observation(i, t_ms, out.size(), scan);
       if (select.keeps(param_index))
         out.push_back({params[param_index], std::bit_cast<double>(bits),
                        SimTime{t_ms}, zigzag_decode(context)});
@@ -287,7 +435,9 @@ void decode_observations(ByteReader& r, std::uint64_t n_obs,
     r.skip(static_cast<std::size_t>(p - synced));
   }
   for (; i < n_obs; ++i)
-    decode_one_reference(r, i, params, select, t_ms, out, scan);
+    decode_one_reference(r, i, params, select, repeats, t_ms, snapshots, out,
+                         scan);
+  snapshots.finish(n_obs, scan);
 }
 
 }  // namespace mmlab::store

@@ -1,7 +1,8 @@
 // The MMDS cell codec: one cell's wire encoding inside a v2 shard block body
 // (store/mmds2.hpp has the layout around it).  The shard writer encodes
-// through encode_cell; load_database and the direct fold parse through the
-// parse_cell family, so writer and readers cannot drift apart.
+// through encode_cell; load_database and the direct fold parse through
+// parse_cell_filtered and expand repeats through expand_repeats, so writer
+// and readers cannot drift apart.
 #pragma once
 
 #include <cstdint>
@@ -54,56 +55,85 @@ class ParamIndexMap {
   std::vector<config::ParamKey> keys_;
 };
 
+/// The param index a repeat marker carries in place of a table index
+/// (mmds2.hpp, manifest flags bit 1): one past the largest table a store
+/// can hold, so it is out of range for every table, and a reader that
+/// predates markers rejects it.  A streaming writer cannot use its own
+/// table's size: the table may still grow after the marker is written.
+inline constexpr std::uint64_t kRepeatMarker = ParamIndexMap::kSlots;
+
 /// Worst-case encoded bytes of a cell with `n_obs` observations: the
 /// longest varint of every field (a param index is below kSlots).  The
 /// encode kernel grows its output by this much up front; a record with
-/// every field at its longest encoding reaches it exactly.
+/// every field at its longest encoding reaches it exactly.  A repeat
+/// marker is shorter than the observations it stands for, so the bound
+/// holds for repeat-encoded cells too.
 inline constexpr std::size_t kMaxObservationBytes =
     10 + varint_size(ParamIndexMap::kSlots - 1) + 8 + 10;
 constexpr std::size_t max_encoded_cell_size(std::size_t n_obs) {
   return 5 + 1 + 5 + 16 + varint_size(n_obs) + n_obs * kMaxObservationBytes;
 }
 
+/// Repeat snapshots an encode pass wrote as markers, and the rows they
+/// stand for.
+struct RepeatCount {
+  std::uint64_t snapshots = 0;
+  std::uint64_t rows = 0;
+};
+
 /// Append one cell's encoding to `out`, assigning table indices to unseen
-/// keys (ParamIndexMap::assign).  The pointer kernel: one resize by
-/// max_encoded_cell_size, raw stores, one trim.  Returns whether every
-/// observation value is finite; a store must not hold one that is not
-/// (the readers reject it), so ShardWriter::add_cell rolls such a cell
-/// back (ByteWriter::truncate, ParamIndexMap::truncate) and refuses it.
+/// keys (ParamIndexMap::assign).  Given `repeats`, each snapshot (a
+/// maximal run of equal-t observations) that equals the previous snapshot
+/// of the run in length, keys, value bits and contexts is written as one
+/// repeat marker and counted there; without it, and on a cell without
+/// repeats, the bytes are encode_cell_reference's.  The pointer kernel:
+/// one resize by max_encoded_cell_size, raw stores, one trim.  Returns
+/// whether every observation value is finite; a store must not hold one
+/// that is not (the readers reject it), so ShardWriter::add_cell rolls
+/// such a cell back (ByteWriter::truncate, ParamIndexMap::truncate) and
+/// refuses it.
 bool encode_cell(ByteWriter& out, std::uint32_t id,
-                 const core::CellRecord& rec, ParamIndexMap& params);
+                 const core::CellRecord& rec, ParamIndexMap& params,
+                 RepeatCount* repeats = nullptr);
 
 /// The same kernel against a table fixed in advance: every key must
 /// already be assigned, and the map is only read, so parallel encoders may
 /// share it (ShardWriter::add_database).
 bool encode_cell(ByteWriter& out, std::uint32_t id,
-                 const core::CellRecord& rec, const ParamIndexMap& params);
+                 const core::CellRecord& rec, const ParamIndexMap& params,
+                 RepeatCount* repeats = nullptr);
 
-/// The ByteWriter-call-per-field encoder encode_cell replaced, kept as the
-/// test oracle (the varint_reference idiom): same bytes for the same map.
-/// Every key must already be assigned.
+/// The ByteWriter-call-per-field plain encoder (no repeat markers), kept as
+/// the test oracle (the varint_reference idiom): encode_cell's bytes for
+/// the same map on every cell without repeats.  Every key must already be
+/// assigned.
 void encode_cell_reference(ByteWriter& out, std::uint32_t id,
                            const core::CellRecord& rec,
                            const ParamIndexMap& params);
 
-/// Parse one cell into `out` (upsert semantics: observations append, cell
-/// identity metadata is taken only when the record was fresh).  Returns the
-/// observation count.  Throws std::runtime_error subclasses on structural
-/// damage (bad rat, out-of-range param index, implausible counts) and on a
-/// non-finite (NaN or infinite) observation value.
-std::size_t parse_cell(ByteReader& r, const std::string& carrier,
-                       const std::vector<config::ParamKey>& params,
-                       core::ConfigDatabase& out);
+/// One repeat marker as a decode pass reports it: the decoded rows
+/// [begin, end) of the snapshot it repeats, again at `t_ms`, placed before
+/// row `at`.  Positions index the output vector the pass appended to.
+struct Repeat {
+  std::int64_t t_ms = 0;
+  std::size_t at = 0;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
 
-/// Wire-level facts parse_cell_filtered reports about the *unfiltered* cell
-/// run it just scanned — everything a filtering reader needs to (a) validate
-/// raw counts against the manifest and (b) preserve the merge contract's
-/// metadata tie-break, which is defined over unfiltered runs.
+/// Wire-level facts a decode pass reports about the *unfiltered* cell run
+/// it just scanned — everything a reader needs to (a) validate raw counts
+/// against the manifest, (b) preserve the merge contract's metadata
+/// tie-break, which is defined over unfiltered runs, and (c) decide
+/// whether the run's repeats may be skipped or must be expanded.
 struct CellScan {
-  std::uint64_t rows = 0;            ///< observations on the wire
-  std::uint64_t values_skipped = 0;  ///< observations not materialized
+  /// Expanded rows: wire observations plus every row a marker repeats.
+  std::uint64_t rows = 0;
+  std::uint64_t values_skipped = 0;  ///< wire observations not materialized
   std::int64_t front_t_ms = 0;  ///< first wire observation's t (has_front)
   bool has_front = false;       ///< the run had at least one observation
+  bool sorted = true;  ///< entry times never decrease, markers included
+  std::vector<Repeat> repeats;  ///< markers, in wire order
 };
 
 /// Which observations a decode pass materializes: all of them, those whose
@@ -121,22 +151,24 @@ struct ObservationSelection {
 /// redundant continuation bytes), and the 8-byte value.
 inline constexpr std::size_t kMaxWireObservationBytes = 10 + 10 + 8 + 10;
 
-/// Decode `n_obs` observations from r's position (the cell header already
-/// read), appending the ones `select` keeps to `out`; fills
-/// scan.values_skipped and scan.front_t_ms (the first observation's t, 0
-/// when there is none).  Every observation is walked and checked whether
-/// kept or not: param index below params.size(), a finite value, no
-/// over-long varint, no truncation.  Damage throws std::runtime_error
-/// subclasses.  The pointer kernel: while kMaxWireObservationBytes remain
-/// it checks bounds once per observation and decodes one-byte varints
-/// directly and longer ones by SWAR (varint8_swar);
-/// the tail, varints of 9 or 10 bytes and any damaged observation take
-/// decode_observations_reference, so records, final reader position and
-/// error text are the reference's on every input.
+/// Decode `n_obs` wire entries from r's position (the cell header already
+/// read), appending the observations `select` keeps to `out`; fills every
+/// CellScan field but has_front.  Every observation is walked and checked
+/// whether kept or not: param index below params.size(), a finite value,
+/// no over-long varint, no truncation.  With `repeats` (the store's
+/// manifest flags bit 1) an entry whose param index is kRepeatMarker is a
+/// repeat marker: it decodes into scan.repeats, never into `out`, and may
+/// not come first.  Damage throws std::runtime_error subclasses.  The
+/// pointer kernel: while kMaxWireObservationBytes remain it checks bounds
+/// once per entry and decodes one-byte varints directly and longer ones by
+/// SWAR (varint8_swar); the tail, varints of 9 or 10 bytes and any damaged
+/// entry take decode_observations_reference, so records, scan, final
+/// reader position and error text are the reference's on every input.
 void decode_observations(ByteReader& r, std::uint64_t n_obs,
                          const std::vector<config::ParamKey>& params,
                          ObservationSelection select,
-                         std::vector<core::Observation>& out, CellScan& scan);
+                         std::vector<core::Observation>& out, CellScan& scan,
+                         bool repeats = false);
 
 /// The ByteReader-call-per-field decoder the kernel replaced, kept as the
 /// test oracle (the varint_reference idiom) and as the kernel's slow path.
@@ -144,23 +176,37 @@ void decode_observations_reference(ByteReader& r, std::uint64_t n_obs,
                                    const std::vector<config::ParamKey>& params,
                                    ObservationSelection select,
                                    std::vector<core::Observation>& out,
-                                   CellScan& scan);
+                                   CellScan& scan, bool repeats = false);
 
-/// Parse one cell into a standalone record (the out-of-core path, where no
-/// database exists), with predicate push-down.  `rec` is reset first but
-/// keeps its capacity; rec.cell_id is filled.  Decodes the cell's full wire
-/// structure (every varint must be walked to find the next cell) but
-/// materializes only observations whose param-table index is set in
-/// `keep` — a filtered observation is never materialized, and is counted
-/// in CellScan::values_skipped.  Its 8-byte value is still read and must be
-/// finite, so the filter never decides whether a store is accepted.  An
-/// empty `keep` keeps every observation.  When the returned id falls
-/// outside [min_cell, max_cell] nothing is materialized at all (the caller
-/// drops the cell); `rec` still carries the header metadata either way.
-/// Same structural-damage errors as parse_cell.
+/// Expand the markers a decode pass reported into `obs`, the vector it
+/// appended to: each marker's rows again, at its time, at its place.  The
+/// result is the run as it was written, restricted to the rows the pass
+/// kept.  The one expansion every reader uses (load_database, and the fold
+/// whenever it may not skip repeats).  Grows `obs` by exactly the rows the
+/// markers repeat, which CellScan::rows bounds: callers check that against
+/// the manifest before calling.
+void expand_repeats(std::vector<core::Observation>& obs,
+                    const std::vector<Repeat>& repeats);
+
+/// Parse one cell into a standalone record, with predicate push-down.
+/// `rec` is reset first but keeps its capacity; rec.cell_id is filled.
+/// Decodes the cell's full wire structure (every varint must be walked to
+/// find the next cell) but materializes only observations whose
+/// param-table index is set in `keep` — a filtered observation is never
+/// materialized, and is counted in CellScan::values_skipped.  Its 8-byte
+/// value is still read and must be finite, so the filter never decides
+/// whether a store is accepted.  An empty `keep` keeps every observation.
+/// When the returned id falls outside [min_cell, max_cell] nothing is
+/// materialized at all (the caller drops the cell); `rec` still carries the
+/// header metadata either way.  Repeat markers (allowed by `repeats`) stay
+/// in scan.repeats: rec holds the run's distinct snapshots until the
+/// caller expands them (expand_repeats).  Throws std::runtime_error
+/// subclasses on structural damage (bad rat, out-of-range param index,
+/// implausible counts, a misplaced marker) and on a non-finite (NaN or
+/// infinite) observation value.
 std::uint32_t parse_cell_filtered(ByteReader& r,
                                   const std::vector<config::ParamKey>& params,
-                                  const std::vector<char>& keep,
+                                  bool repeats, const std::vector<char>& keep,
                                   std::uint32_t min_cell,
                                   std::uint32_t max_cell,
                                   core::CellRecord& rec, CellScan& scan);

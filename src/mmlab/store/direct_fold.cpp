@@ -21,20 +21,32 @@ namespace {
 /// One open block: a reader over its mapped body and the block's current
 /// in-range cell run, the only parsed run it holds.  `rec` is refilled for
 /// every run of the block and swapped with the fold's merge buffer, so its
-/// observations keep their capacity.  The raw counts validate the body
+/// observations keep their capacity.  It holds the run's distinct
+/// snapshots; the run's repeat markers stay in `scan` until the merge
+/// decides whether to expand them.  The raw counts validate the body
 /// against the manifest once the reader reaches its end.
 struct BlockCursor {
   std::size_t pos = 0;      ///< index into the carrier plan's blocks
   std::size_t global = 0;   ///< index into ShardSet::blocks()
   ByteReader r{nullptr, 0};
   core::CellRecord rec;     ///< the current run (unless done)
-  CellScan scan;            ///< its unfiltered wire facts
+  CellScan scan;            ///< its unfiltered wire facts and markers
   std::uint32_t id = 0;     ///< last raw id parsed: the current run's id
   std::uint32_t first = 0;  ///< first raw id parsed
   std::uint64_t cells = 0;  ///< raw cells parsed
-  std::uint64_t rows = 0;   ///< raw rows parsed
+  std::uint64_t rows = 0;   ///< raw rows parsed, repeats expanded
   bool done = false;        ///< body read to its end and validated
 };
+
+/// May a cell whose only run this is skip the run's repeats?  Only when
+/// they cannot change an answer: with times never decreasing and none
+/// below CellRecord::latest's -1 sentinel, a repeat adds no first-seen
+/// value or context pair and never decides a key's latest value (the
+/// snapshot it repeats is the last one holding its keys up to it, with
+/// the same values in the same order).
+bool skips_repeats(const CellScan& scan) {
+  return scan.sorted && scan.front_t_ms >= -1;
+}
 
 }  // namespace
 
@@ -67,6 +79,10 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
   const std::uint32_t min_cell = job.plan->query().min_cell;
   const std::uint32_t max_cell = job.plan->query().max_cell;
   const bool filtered = job.plan->filtered();
+  const bool repeats = set_->manifest().repeats;
+  const auto info_of = [&](const BlockCursor& c) -> const BlockInfo& {
+    return *set_->blocks()[c.global].info;
+  };
 
   FoldStats fs;
   fs.crc_checked = options_.check_block_crc;
@@ -80,17 +96,21 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
   const auto advance = [&](BlockCursor& c) {
     while (c.r.remaining() > 0) {
       const std::uint32_t id = parse_cell_filtered(
-          c.r, set_->params(), keep, min_cell, max_cell, c.rec, c.scan);
+          c.r, set_->params(), repeats, keep, min_cell, max_cell, c.rec,
+          c.scan);
       if (c.cells > 0 && id <= c.id)
         throw std::runtime_error("cell ids not ascending within a block");
       if (c.cells == 0) c.first = id;
       c.id = id;
       ++c.cells;
+      // Before any repeat can be expanded: never more rows than declared.
+      if (c.scan.rows > info_of(c).row_count - c.rows)
+        throw std::runtime_error("block row count disagrees with manifest");
       c.rows += c.scan.rows;
       fs.values_skipped += c.scan.values_skipped;
       if (id >= min_cell && id <= max_cell) return;
     }
-    const BlockInfo& info = *set_->blocks()[c.global].info;
+    const BlockInfo& info = info_of(c);
     if (c.cells != info.cell_count)
       throw std::runtime_error("block cell count disagrees with manifest");
     if (c.rows != info.row_count)
@@ -103,7 +123,7 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
   // Map the block's body and check it against its manifest CRC, then
   // parse its first in-range run.
   const auto open = [&](BlockCursor& c) {
-    const BlockInfo& info = *set_->blocks()[c.global].info;
+    const BlockInfo& info = info_of(c);
     const auto body = set_->block_body(c.global);
     if (options_.check_block_crc &&
         crc16_ccitt(body.data(), body.size()) != info.crc16)
@@ -188,6 +208,9 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
     // Merge every current run of min_id, in window (= manifest) order — the
     // pairwise ConfigDatabase::merge the loader performs.  The first run is
     // swapped in and the rest merged, so every buffer keeps its capacity.
+    // A lone run keeps only its distinct snapshots when skips_repeats
+    // allows; every other run is expanded first, as load_database expands
+    // it, since a merge interleaves runs by time.
     // Under wire filtering, merge_from's metadata tie-break would see
     // *filtered* front timestamps, so the winner (minimal unfiltered front
     // t over non-empty runs, earliest run on ties, first run when all runs
@@ -195,6 +218,9 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
     // runs) is recomputed from the wire facts and reapplied after the
     // merge; the observation merge itself commutes with filtering (stable
     // sort by t of a filtered concatenation = filter of the stable sort).
+    std::size_t runs = 0;
+    for (const BlockCursor& c : live)
+      if (!c.done && c.id == min_id) ++runs;
     bool first = true;
     spectrum::Rat m_rat{};
     std::uint32_t m_channel = 0;
@@ -216,6 +242,8 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
           best_front = c.scan.front_t_ms;
         }
       }
+      if (runs > 1 || !skips_repeats(c.scan))
+        expand_repeats(c.rec.observations, c.scan.repeats);
       if (first) {
         std::swap(merged, c.rec);
         first = false;

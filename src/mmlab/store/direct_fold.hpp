@@ -23,6 +23,17 @@
 // first_cell — ids within a block lie inside [first_cell, last_cell], so no
 // later block can contribute another run of it.
 //
+// Repeats (DESIGN.md §12): a cell run's repeat markers (mmds2.hpp) are
+// kept beside its record, not expanded into it.  A cell with exactly one
+// run whose times never decrease and start at or above CellRecord::latest's
+// -1 sentinel reaches the consumer with its distinct snapshots only: there
+// a repeat cannot change a first-seen unique value, a (context, value)
+// pair or a latest value, which is all the fig11-22 products read.  Every
+// other cell (several runs, times out of order, times below -1) is
+// expanded first by the same expand_repeats load_database uses, and merges
+// exactly as loaded.  So a consumer that counts rows must take them from
+// the manifest (FoldStats::rows), not from the records.
+//
 // Planned folds (DESIGN.md §13): every fold is planned.  A store::QueryPlan
 // narrows a fold to the blocks that can contribute to a query — other
 // carriers' blocks and blocks whose cell-id range misses the query are
@@ -118,7 +129,7 @@ struct FoldOptions {
 };
 
 struct FoldStats {
-  std::uint64_t rows = 0;    ///< observations parsed (wire rows scanned)
+  std::uint64_t rows = 0;    ///< rows scanned, repeats expanded
   std::uint64_t cells = 0;   ///< merged cells emitted (distinct ids)
   std::uint64_t blocks = 0;  ///< blocks opened (and parsed to the end)
   std::uint64_t bytes = 0;   ///< block body bytes parsed
@@ -160,8 +171,9 @@ class DirectFold {
   const std::vector<std::string>& carriers() const { return names_; }
 
   /// Receives each of the carrier's cells exactly once, fully merged across
-  /// all its runs, in ascending id order.  The record is only valid for the
-  /// duration of the call.  Under a ParamKey predicate a cell whose
+  /// all its runs, in ascending id order; a lone sorted run may arrive
+  /// without its repeat snapshots (see "Repeats" above).  The record is
+  /// only valid for the duration of the call.  Under a ParamKey predicate a cell whose
   /// observations were all filtered out is still delivered (with empty
   /// observations): per-cell census products — e.g. the LTE cell count
   /// under multi_priority_cell_fraction — must not shift when values are

@@ -10,8 +10,10 @@ namespace mmlab::store {
 
 namespace {
 
-/// Flags byte: bit 0 = per-block extras, the only layout there is.
+/// Flags byte: bit 0 = per-block extras, the only layout there is; bit 1 =
+/// the block bodies hold repeat markers.
 constexpr std::uint8_t kManifestFlags = 0x01;
+constexpr std::uint8_t kRepeatsFlag = 0x02;
 
 std::string manifest_path(const std::string& dir) {
   return (std::filesystem::path(dir) / kMmds2ManifestName).string();
@@ -42,7 +44,7 @@ void write_manifest(const std::string& dir, const Manifest& m) {
   ByteWriter w;
   w.raw(kMmdsMagic, sizeof(kMmdsMagic));
   w.u8(kMmds2Version);
-  w.u8(kManifestFlags);
+  w.u8(m.repeats ? kManifestFlags | kRepeatsFlag : kManifestFlags);
   w.varint(m.carriers.size());
   for (const auto& c : m.carriers) w.str(c);
   w.varint(m.params.size());
@@ -87,12 +89,14 @@ Result<Manifest> read_manifest(const std::string& dir) {
     return R::error("read_manifest: unsupported version " +
                     std::to_string(bytes[4]) + " (expected " +
                     std::to_string(kMmds2Version) + ")");
-  // Same policy as the version byte: the flags select the block-entry
-  // layout, and 0x01 (per-block extras) is the only one this reader knows.
-  if (bytes[5] != kManifestFlags)
+  // Same policy as the version byte: the flags select the layout, and
+  // this reader knows per-block extras (0x01) with or without repeat
+  // markers (0x02).
+  if ((bytes[5] & ~kRepeatsFlag) != kManifestFlags)
     return R::error("read_manifest: unsupported flags " +
                     std::to_string(bytes[5]) + " (expected " +
-                    std::to_string(kManifestFlags) + ")");
+                    std::to_string(kManifestFlags) + " or " +
+                    std::to_string(kManifestFlags | kRepeatsFlag) + ")");
   const std::size_t size = bytes.size();
   const std::uint16_t stored_crc = static_cast<std::uint16_t>(
       bytes[size - 2] | (static_cast<std::uint16_t>(bytes[size - 1]) << 8));
@@ -104,6 +108,7 @@ Result<Manifest> read_manifest(const std::string& dir) {
     ByteReader r(bytes.data(), size - 2);
     r.skip(sizeof(kMmdsMagic) + 2);
     Manifest m;
+    m.repeats = (bytes[5] & kRepeatsFlag) != 0;
     m.carriers.resize(r.count("carrier table"));
     for (auto& c : m.carriers) c = std::string(r.str());
     m.params.resize(r.count("param table"));

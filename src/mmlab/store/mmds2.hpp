@@ -18,11 +18,41 @@
 // framing.  Each cell is encoded as
 //
 //   varint cell_id | u8 rat | varint channel | f64 x | f64 y | varint n_obs
-//   then n_obs observations, in stored order:
-//     svarint delta_t_ms          vs. the previous observation (first vs. 0)
+//   then n_obs entries, in stored order, each an observation:
+//     svarint delta_t_ms          vs. the previous entry (first vs. 0)
 //     varint  param_index         into the manifest's param table
 //     f64     value               raw bits, so every value round-trips
 //     svarint context
+//   or, only in a store whose manifest sets flags bit 1, a repeat marker:
+//     svarint delta_t_ms          vs. the previous entry
+//     varint  327680              kRepeatMarker (cell_codec.hpp): one past
+//                                 the largest param table a store can hold
+//
+// Repeats.  A *snapshot* is a maximal run of consecutive equal-t
+// observations.  A marker stands for the previous snapshot of the same
+// cell run — the run of observations just before it, or what the marker
+// just before it stands for — again, at the marker's time: same length,
+// keys, value bits and contexts, in the same order.  The writer
+// (encode_cell) writes a snapshot that equals the previous one that way as
+// a marker, so a cell configured the same at every visit costs one full
+// snapshot plus a few bytes per later visit.  A marker never comes first
+// in a cell run: every run starts with a full snapshot, and a repeat never
+// reaches into another run.  n_obs counts wire entries (observations plus
+// markers), so it stays bounded by the bytes left (a marker takes at least
+// 4 bytes, an observation at least 11).  Every row count outside the cell
+// body counts *expanded* rows, as if each marker were its snapshot's
+// observations again: the manifest's row_count, WriteStats::rows, and
+// CellScan::rows.
+//
+// Amplification bound.  A marker of 4 bytes may stand for a snapshot of
+// any length, so a body can claim far more rows than it has bytes.  No
+// reader materializes a marker's rows before checking the block's running
+// expanded row count against the manifest's row_count: load_database
+// expands at most row_count rows per block, the direct fold checks the
+// same sum as it decodes and expands only what it must (DESIGN.md §12), and
+// a body that claims more fails the read.  Distinct observations stay
+// bounded by the body (11 bytes each), and a marker costs one 32-byte
+// Repeat record while its cell is decoded.
 //
 // Every structural fact (owning carrier, byte offset, byte length, cell
 // count, row count) lives in the manifest, so the writer streams cells
@@ -33,7 +63,8 @@
 //
 //   [4]  magic "MMDS"
 //   [1]  version (= 2)
-//   [1]  flags (must be 0x01: bit 0 = per-block extras present)
+//   [1]  flags (0x01 or 0x03: bit 0 = per-block extras present, always
+//        set; bit 1 = some block body holds a repeat marker)
 //   carrier table: varint N, then N strings        first-seen order
 //   param table:   varint P, then P registry names  first-seen order
 //   varint shard_count, then per shard:
@@ -45,16 +76,20 @@
 //       varint offset             into the shard file (>= 8, past the magic)
 //       varint length             block body bytes
 //       varint cell_count
-//       varint row_count          observations
+//       varint row_count          observations, markers expanded
 //       u16le  crc16              CRC-16/CCITT of the block body alone
 //       varint first_cell         lowest cell id in the block
 //       varint last_cell          highest cell id in the block
 //   [2]  CRC-16/CCITT over every preceding manifest byte
 //
 // Versioning policy: the version byte bumps on any layout change, and
-// readers reject versions they don't know.  The flags byte must be exactly
-// 0x01; any other value (an unknown bit, or bit 0 cleared by a writer that
-// predates the extras) is rejected with an error naming it.  The per-block
+// readers reject versions they don't know.  The flags byte must be 0x01 or
+// 0x03; any other value (an unknown bit, or bit 0 cleared by a writer that
+// predates the extras) is rejected with an error naming it.  The writer
+// sets bit 1 only when it wrote at least one marker, so a store without
+// repeats keeps the plain encoding's bytes exactly, and a reader that
+// predates markers refuses a store with them at the manifest.  Readers
+// reject a marker in a store whose bit 1 is clear.  The per-block
 // extras let the direct-fold query path checksum each block right before
 // parsing it (mid-fold corruption rejection without a whole-store verify
 // pass) and bound its merge window by cell-id range.  Every table count is
@@ -108,6 +143,9 @@ struct ShardInfo {
 };
 
 struct Manifest {
+  /// Flags bit 1: some cell run holds a repeat marker.  A store without
+  /// one leaves it clear, so its bytes are the plain encoding's.
+  bool repeats = false;
   std::vector<std::string> carriers;  ///< first-seen order
   std::vector<std::string> params;    ///< registry names, first-seen order
   std::vector<ShardInfo> shards;

@@ -158,24 +158,43 @@ Result<std::uint64_t> ShardSet::verify() const {
 
 namespace {
 
-/// Parse one block body into `out`; validates against the manifest counts.
+/// Parse one block body into `out`, expanding every repeat marker, and
+/// check it against the manifest as the direct fold does: ascending cell
+/// ids inside [first_cell, last_cell], the cell count, and the expanded
+/// row count, which is checked before any marker's rows are allocated.
 std::size_t parse_block_body(const ShardSet& set, std::size_t index,
                              core::ConfigDatabase& out) {
   const BlockInfo& info = *set.blocks()[index].info;
   const std::span<const std::uint8_t> body = set.block_body(index);
   const std::string& carrier =
       set.manifest().carriers[info.carrier_index];
+  const auto fail = [index](const char* what) {
+    return std::runtime_error("block " + std::to_string(index) + " " + what);
+  };
   ByteReader r(body.data(), body.size());
-  std::size_t rows = 0;
-  std::uint64_t cells = 0;
+  std::uint64_t rows = 0, cells = 0;
+  std::uint32_t first = 0, last = 0;
+  core::CellRecord rec;
+  CellScan scan;
   while (r.remaining() > 0) {
-    rows += parse_cell(r, carrier, set.params(), out);
+    const std::uint32_t id =
+        parse_cell_filtered(r, set.params(), set.manifest().repeats, {}, 0,
+                            0xFFFFFFFFu, rec, scan);
+    if (cells > 0 && id <= last) throw fail("cell ids not ascending");
+    if (cells == 0) first = id;
+    last = id;
     ++cells;
+    if (scan.rows > info.row_count - rows)
+      throw fail("cell/row counts disagree with manifest");
+    rows += scan.rows;
+    expand_repeats(rec.observations, scan.repeats);
+    out.upsert_cell(carrier, id) = std::move(rec);
   }
   if (cells != info.cell_count || rows != info.row_count)
-    throw std::runtime_error("block " + std::to_string(index) +
-                             " cell/row counts disagree with manifest");
-  return rows;
+    throw fail("cell/row counts disagree with manifest");
+  if (cells > 0 && (first != info.first_cell || last != info.last_cell))
+    throw fail("cell-id range disagrees with manifest");
+  return static_cast<std::size_t>(rows);
 }
 
 }  // namespace

@@ -57,19 +57,23 @@ void ShardWriter::add_cell(const std::string& carrier, std::uint32_t id,
   // leaves no bytes, parameter, carrier or open block behind.
   const std::size_t start = pending_.size();
   const std::size_t params_before = param_index_.keys().size();
-  if (!encode_cell(pending_, id, rec, param_index_)) {
+  RepeatCount repeats;
+  if (!encode_cell(pending_, id, rec, param_index_, &repeats)) {
     pending_.truncate(start);
     param_index_.truncate(params_before);
     throw std::invalid_argument("ShardWriter: non-finite observation value "
                                 "in cell " + std::to_string(id));
   }
   place_cell(carrier, index, id, rec.observations.size(),
-             pending_.size() - start);
+             pending_.size() - start, repeats);
 }
 
 void ShardWriter::place_cell(const std::string& carrier,
                              std::uint32_t carrier_index, std::uint32_t id,
-                             std::uint64_t rows, std::size_t bytes) {
+                             std::uint64_t rows, std::size_t bytes,
+                             RepeatCount repeats) {
+  stats_.repeats.snapshots += repeats.snapshots;
+  stats_.repeats.rows += repeats.rows;
   if (carrier_index == manifest_.carriers.size()) {
     carrier_index_.emplace(carrier, carrier_index);
     manifest_.carriers.push_back(carrier);
@@ -139,6 +143,7 @@ WriteStats ShardWriter::finish() {
   close_block();
   close_shard();
   stats_.shards = manifest_.shards.size();
+  manifest_.repeats = stats_.repeats.snapshots > 0;
   manifest_.params.clear();
   for (const config::ParamKey key : param_index_.keys())
     manifest_.params.push_back(config::param_name(key));
@@ -190,10 +195,11 @@ std::vector<config::ParamKey> first_sight_keys(const std::vector<CellRef>& cells
 }
 
 /// An encode buffer, reused by chunk after chunk.  ends[k] is the end
-/// offset of the chunk's k-th encoded cell.
+/// offset of the chunk's k-th encoded cell, repeats[k] its repeats.
 struct EncodeSlot {
   ByteWriter bytes;
   std::vector<std::size_t> ends;
+  std::vector<RepeatCount> repeats;
 };
 
 /// Cells [first, last) of the input.  A pool job encodes them into `slot`
@@ -251,13 +257,18 @@ void ShardWriter::add_database_parallel(const core::ConfigDatabase& db,
     try {
       slot.bytes.clear();
       slot.ends.clear();
+      slot.repeats.clear();
       if (!abort) {
         slot.bytes.reserve(chunk.reserve);
         slot.ends.reserve(chunk.last - chunk.first);
+        slot.repeats.reserve(chunk.last - chunk.first);
         for (std::size_t i = chunk.first; i < chunk.last; ++i) {
-          if (!encode_cell(slot.bytes, cells[i].id, *cells[i].rec, table))
+          RepeatCount repeats;
+          if (!encode_cell(slot.bytes, cells[i].id, *cells[i].rec, table,
+                           &repeats))
             break;
           slot.ends.push_back(slot.bytes.size());
+          slot.repeats.push_back(repeats);
         }
       }
     } catch (...) {
@@ -346,7 +357,7 @@ void ShardWriter::add_database_parallel(const core::ConfigDatabase& db,
               std::to_string(cell.id));
         }
         place_cell(*carrier, index, cell.id, cell.rec->observations.size(),
-                   slot.ends[k] - pos);
+                   slot.ends[k] - pos, slot.repeats[k]);
         pos = slot.ends[k];
       }
       write_piece();

@@ -50,7 +50,10 @@ struct WriterOptions {
 };
 
 struct WriteStats {
-  std::uint64_t rows = 0;
+  std::uint64_t rows = 0;  ///< observations, repeats expanded
+  /// Snapshots written as repeat markers, and the rows they stand for
+  /// (counted in `rows` too).
+  RepeatCount repeats;
   std::uint64_t cells = 0;  ///< cell *runs* written (a cell may span runs)
   std::uint64_t blocks = 0;
   std::uint64_t shards = 0;
@@ -67,6 +70,8 @@ class ShardWriter {
   /// and ascending ids extend the current run; a carrier switch or a
   /// non-ascending id starts a new block (a new run of that cell).
   /// Carrier and parameter table indices are assigned on first sight.
+  /// A snapshot that repeats the previous one of the record is written as
+  /// a repeat marker (encode_cell).
   /// Throws std::invalid_argument when an observation value is NaN or
   /// infinite (readers reject such a store).  The refused cell adds no
   /// bytes, carrier or parameter to the store; it may end the current
@@ -102,7 +107,8 @@ class ShardWriter {
   /// Account an accepted cell of `bytes` encoded bytes, registering its
   /// carrier and opening a block (and a shard) when none is open.
   void place_cell(const std::string& carrier, std::uint32_t carrier_index,
-                  std::uint32_t id, std::uint64_t rows, std::size_t bytes);
+                  std::uint32_t id, std::uint64_t rows, std::size_t bytes,
+                  RepeatCount repeats);
   void open_block(std::uint32_t carrier_index, std::uint32_t id);
   /// Write bytes of the open block, folding them into its CRC.
   void write_block_bytes(const std::uint8_t* data, std::size_t size);

@@ -186,7 +186,8 @@ void Ue::camp_on(const net::Cell& cell, const CampFrames& frames,
   ev.cause = static_cast<std::uint8_t>(cause);
   ev.x_dm = static_cast<std::int32_t>(pos.x * 10.0);
   ev.y_dm = static_cast<std::int32_t>(pos.y * 10.0);
-  diag_.append({diag::LogCode::kServingCellInfo, t, diag::encode_camp_event(ev)});
+  const diag::CampEventBytes event = diag::encode_camp_event_bytes(ev);
+  diag_.append(diag::LogCode::kServingCellInfo, t, event.data(), event.size());
 
   // The broadcast, then (active, LTE only) the measConfig and its monitors.
   const std::size_t logged =

@@ -40,6 +40,9 @@ class BitWriter {
   /// Pad with zero bits to the next byte boundary.
   void align();
 
+  /// Room for `bytes` before the buffer grows (write() resizes per call).
+  void reserve(std::size_t bytes) { bytes_.reserve(bytes); }
+
   std::size_t bit_size() const { return bit_size_; }
   /// Final byte buffer; trailing partial byte is zero-padded.
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }

@@ -10,7 +10,7 @@
 // residency gauge drains; the cursors' reused run buffers match the oracle
 // on empty cells after large ones, on cells whose runs span many blocks
 // and under range queries; manifest block extras round-trip, and a
-// manifest without them (flags other than 0x01) is rejected.
+// manifest without them (flags other than 0x01 or 0x03) is rejected.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -514,7 +514,8 @@ TEST(DirectFold, ManifestExtrasRoundTripAndMatchTheBlocks) {
 TEST(DirectFold, UnknownManifestFlagBitsAreRejected) {
   // Forward-compat contract: a store written with flag bits we do not
   // understand must refuse to open, not silently best-effort.  So must a
-  // store without the per-block extras (bit 0 cleared).
+  // store without the per-block extras (bit 0 cleared), with or without
+  // the repeat-marker bit (bit 1, the one other defined bit).
   StoreDir dir("flags");
   save_small_blocks(random_db(73, 1, 10), dir.path());
   const auto manifest_path =
@@ -527,10 +528,11 @@ TEST(DirectFold, UnknownManifestFlagBitsAreRejected) {
                     std::istreambuf_iterator<char>());
   }
   ASSERT_GT(pristine.size(), 8u);
-  const char flags[] = {
-      static_cast<char>(pristine[5] | 0x02),  // an undefined flag bit
-      static_cast<char>(pristine[5] & ~0x01),  // no per-block extras
-  };
+  std::vector<char> flags;
+  for (int bit = 2; bit < 8; ++bit)  // each undefined flag bit
+    flags.push_back(static_cast<char>(pristine[5] | (1 << bit)));
+  flags.push_back(static_cast<char>(pristine[5] & ~0x01));  // no extras
+  flags.push_back(0x02);  // repeat markers, no extras
   for (const char flag : flags) {
     std::vector<char> bytes = pristine;
     bytes[5] = flag;

@@ -372,6 +372,20 @@ int run_planned_checks(const store::DirectFold& direct,
   return mismatches;
 }
 
+/// The writer's repeat markers: one per repeat snapshot, standing for the
+/// rows it repeats (counted in the store's rows).
+void print_repeats(const char* phase, const store::WriteStats& ws) {
+  std::printf("%s: %llu repeat snapshots written as %llu markers (%llu rows, "
+              "%.1f%% of rows); store %.1f MB\n",
+              phase, static_cast<unsigned long long>(ws.repeats.snapshots),
+              static_cast<unsigned long long>(ws.repeats.snapshots),
+              static_cast<unsigned long long>(ws.repeats.rows),
+              ws.rows ? 100.0 * static_cast<double>(ws.repeats.rows) /
+                            static_cast<double>(ws.rows)
+                      : 0.0,
+              static_cast<double>(ws.bytes) / 1e6);
+}
+
 int run_equality_phase(const SoakOptions& opts, unsigned hw) {
   const std::string dir = opts.dir + "/equality";
   std::printf("equality: streaming D2-scale world (scale %.2f) into %s\n",
@@ -383,6 +397,7 @@ int run_equality_phase(const SoakOptions& opts, unsigned hw) {
               static_cast<unsigned long long>(wstats.blocks),
               static_cast<unsigned long long>(wstats.shards),
               static_cast<double>(wstats.bytes) / 1e6);
+  print_repeats("equality", wstats);
 
   auto set_r = store::ShardSet::open(dir);
   if (!set_r.ok()) {
@@ -476,6 +491,7 @@ int run_soak_phase(const SoakOptions& opts, unsigned hw) {
               static_cast<double>(wstats.bytes) / 1e6, write_s,
               static_cast<double>(gen.rows) / 1e6 / write_s,
               static_cast<double>(current_rss_bytes()) / 1e6);
+  print_repeats("soak", wstats);
 
   auto set_r = store::ShardSet::open(dir);
   if (!set_r.ok()) {
