@@ -9,8 +9,10 @@
 
 #include <map>
 #include <sstream>
+#include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "mmlab/core/analysis.hpp"
 #include "mmlab/core/dataset_io.hpp"
@@ -313,7 +315,7 @@ void BM_IngestEndToEnd(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * total_log_bytes(logs));
 }
-// MinTime is set in main(): see kIngestMinTime.
+// Repetitions are set in main(): see kIngestRepetitions.
 benchmark::internal::Benchmark* const ingest_end_to_end =
     benchmark::RegisterBenchmark("BM_IngestEndToEnd", BM_IngestEndToEnd)
         ->Arg(1)
@@ -321,7 +323,8 @@ benchmark::internal::Benchmark* const ingest_end_to_end =
         ->Arg(4)
         ->Arg(8)
         ->Unit(benchmark::kMillisecond)
-        ->UseRealTime();
+        ->UseRealTime()
+        ->MinTime(kThreadedMinTime);
 
 // Same pipeline, sweeping the fleet size (devices per carrier) at a fixed
 // worker count: more devices = more, smaller sessions = more queue/session
@@ -351,15 +354,17 @@ benchmark::internal::Benchmark* const ingest_device_scaling =
         ->Arg(16)
         ->Arg(64)
         ->Unit(benchmark::kMillisecond)
-        ->UseRealTime();
+        ->UseRealTime()
+        ->MinTime(kThreadedMinTime);
 
-// One ingest replay takes 50-150 ms and swings with the VM, so at the other
-// threaded benches' 0.3 s a run averages only a few replays and cannot
-// resolve a change under ~15 % (EXPERIMENTS.md, "Ingest benches that can
-// resolve a change").  A full run gives them this floor.  A per-benchmark
-// MinTime overrides --benchmark_min_time, so main() sets the floor only
-// when that flag is absent: a short run (the CI smoke) keeps 0.3 s.
-constexpr double kIngestMinTime = 3.0;
+// One ingest replay takes 20-150 ms and drifts with the VM from run to run,
+// so neither one 0.3 s run nor one 3 s run resolves a change under ~20 %
+// (EXPERIMENTS.md, "Ingest benches that can resolve a change").  A full run
+// (no --benchmark_min_time) repeats each ingest bench this many times and
+// interleaves every repetition at random with the rest of the run, so
+// drift falls on the parent's and the change's repetitions alike; compare
+// the median aggregates.  A short run (the CI smoke) keeps one repetition.
+constexpr int kIngestRepetitions = 10;
 
 // --- dataset I/O: CSV at ~1M rows -------------------------------------------
 
@@ -984,14 +989,23 @@ BENCHMARK(BM_UeStepDense);
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool min_time_given = false;
-  for (int i = 1; i < argc; ++i)
-    min_time_given |=
-        std::string_view(argv[i]).starts_with("--benchmark_min_time");
-  for (auto* bench : {ingest_end_to_end, ingest_device_scaling})
-    bench->MinTime(min_time_given ? kThreadedMinTime : kIngestMinTime);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  bool min_time_given = false, interleave_given = false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg(argv[i]);
+    min_time_given |= arg.starts_with("--benchmark_min_time");
+    interleave_given |=
+        arg.starts_with("--benchmark_enable_random_interleaving");
+  }
+  std::vector<char*> args(argv, argv + argc);
+  std::string interleave = "--benchmark_enable_random_interleaving=true";
+  if (!min_time_given) {
+    for (auto* bench : {ingest_end_to_end, ingest_device_scaling})
+      bench->Repetitions(kIngestRepetitions);
+    if (!interleave_given) args.push_back(interleave.data());
+  }
+  int n = static_cast<int>(args.size());
+  benchmark::Initialize(&n, args.data());
+  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -12,9 +12,9 @@ matches the benchmark name wins, falling back to --threshold (default 0.25,
 i.e. 25%).  Benchmarks present in OLD but missing from NEW always fail —
 a deleted or crashing bench must not pass silently.  New benchmarks are
 reported but never fail.  Benchmarks pair by name without its
-"/min_time:N" part, which says how long a bench ran, not what it measured:
-perf_micro's ingest benches run longer in a full run than in a run given
---benchmark_min_time, such as the CI smoke.
+"/min_time:N" and "/repeats:N" parts, which say how long a bench ran, not
+what it measured: perf_micro's ingest benches run repeated in a full run
+and once in a run given --benchmark_min_time, such as the CI smoke.
 
 Exit status: 0 = no regressions, 1 = regressions or missing benchmarks,
 2 = bad input.  Intended pairings:
@@ -37,7 +37,7 @@ import re
 import sys
 
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
-_MIN_TIME = re.compile(r"/min_time:[0-9.]+")
+_RUN_LENGTH = re.compile(r"/(min_time:[0-9.]+|repeats:[0-9]+)")
 
 
 def load_times(path):
@@ -54,7 +54,7 @@ def load_times(path):
     iterations = {}
     aggregates = {}
     for b in doc.get("benchmarks", []):
-        name = _MIN_TIME.sub("", b.get("run_name", b["name"]))
+        name = _RUN_LENGTH.sub("", b.get("run_name", b["name"]))
         ns = float(b["real_time"]) * _UNIT_NS.get(b.get("time_unit", "ns"), 1.0)
         if b.get("run_type") == "aggregate":
             if b.get("aggregate_name") == "mean":

@@ -172,9 +172,10 @@ TemporalStats temporal_dynamics(const ConfigDatabase& db,
              key == config::lte_param(config::ParamId::kPeriodicInterval);
     };
     std::map<config::ParamKey, std::vector<std::pair<SimTime, double>>> series;
-    for (const auto& obs : rec.observations)
+    rec.for_each_row([&](const Observation& obs) {
       if (is_idle_evidence(obs.key) || is_active_evidence(obs.key))
         series[obs.key].emplace_back(obs.t, obs.value);
+    });
     Millis idle_gap = -1, active_gap = -1;
     auto note_gap = [](Millis& slot, Millis gap) {
       if (slot < 0 || gap < slot) slot = gap;
@@ -268,10 +269,10 @@ std::vector<ConfigChange> describe_changes(const CellRecord& rec) {
   // per-frequency and per-event parameters may legitimately coexist with
   // several values inside one snapshot.
   std::map<config::ParamKey, std::vector<std::pair<SimTime, double>>> series;
-  for (const auto& obs : rec.observations) {
-    if (obs.context >= 0) continue;  // per-frequency: skip
+  rec.for_each_row([&series](const Observation& obs) {
+    if (obs.context >= 0) return;  // per-frequency: skip
     series[obs.key].emplace_back(obs.t, obs.value);
-  }
+  });
   std::vector<ConfigChange> changes;
   for (auto& [key, points] : series) {
     std::stable_sort(points.begin(), points.end(),

@@ -1,7 +1,9 @@
 #include "mmlab/core/database.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <set>
+#include <stdexcept>
 
 namespace mmlab::core {
 
@@ -31,11 +33,44 @@ std::size_t CellRecord::sample_count(config::ParamKey key) const {
   std::size_t n = 0;
   for (const auto& obs : observations)
     if (obs.key == key) ++n;
+  for (const Repeat& r : repeats)
+    for (std::size_t k = r.begin; k < r.end; ++k)
+      if (observations[k].key == key) ++n;
   return n;
+}
+
+std::size_t CellRecord::row_count() const {
+  std::size_t n = observations.size();
+  for (const Repeat& r : repeats) n += r.end - r.begin;
+  return n;
+}
+
+std::vector<Observation> CellRecord::expanded() const {
+  std::vector<Observation> rows;
+  rows.reserve(row_count());
+  for_each_row([&rows](const Observation& obs) { rows.push_back(obs); });
+  return rows;
+}
+
+void CellRecord::expand() {
+  expand_repeats(observations, repeats);
+  repeats = {};
+}
+
+bool CellRecord::operator==(const CellRecord& o) const {
+  if (cell_id != o.cell_id || rat != o.rat || channel != o.channel ||
+      position != o.position)
+    return false;
+  if (repeats.empty() && o.repeats.empty())
+    return observations == o.observations;
+  return row_count() == o.row_count() && expanded() == o.expanded();
 }
 
 void CellRecord::merge_from(CellRecord&& other) {
   if (other.observations.empty()) return;
+  expand();
+  other.expand();
+  rows_only = false;  // the merged rows are re-checked before a repeat
   if (observations.empty() ||
       other.observations.front().t < observations.front().t) {
     // The other side saw this cell first; its camp metadata wins, as it
@@ -66,20 +101,193 @@ void CellRecord::merge_from(CellRecord&& other) {
   }
 }
 
+void expand_repeats(std::vector<Observation>& obs,
+                    const std::vector<Repeat>& repeats) {
+  if (repeats.empty()) return;
+  std::size_t added = 0;
+  for (const Repeat& m : repeats) added += m.end - m.begin;
+  // Back to front, in place: the rows after each repeat move up to their
+  // final place, then the repeat's rows are copied in below them.  Every
+  // row still to be read lies below `read` and every write lands at or
+  // above it, so no source is overwritten before it is copied.
+  std::size_t read = obs.size();
+  obs.reserve(read + added);  // exactly: a record keeps no slack
+  obs.resize(read + added);
+  std::size_t write = obs.size();
+  for (auto m = repeats.rbegin(); m != repeats.rend(); ++m) {
+    const auto first = obs.begin();
+    std::move_backward(first + static_cast<std::ptrdiff_t>(m->at),
+                       first + static_cast<std::ptrdiff_t>(read),
+                       first + static_cast<std::ptrdiff_t>(write));
+    write -= read - m->at;
+    read = m->at;
+    write -= m->end - m->begin;
+    for (std::size_t k = 0; k < m->end - m->begin; ++k) {
+      obs[write + k] = obs[m->begin + k];
+      obs[write + k].t = SimTime{m->t_ms};
+    }
+  }
+}
+
+namespace {
+
+/// Rows [0, n) form one t-sorted run whose first t is >= -1.
+bool sorted_from_minus_one(const std::vector<Observation>& obs) {
+  if (!obs.empty() && obs.front().t.ms < -1) return false;
+  for (std::size_t i = 1; i < obs.size(); ++i)
+    if (obs[i].t < obs[i - 1].t) return false;
+  return true;
+}
+
+/// Start of the maximal equal-t run of rows ending before `end`, not
+/// reaching below `floor`.
+std::size_t run_begin(const std::vector<Observation>& obs, std::size_t floor,
+                      std::size_t end) {
+  std::size_t b = end - 1;
+  while (b > floor && obs[b - 1].t == obs[end - 1].t) --b;
+  return b;
+}
+
+}  // namespace
+
+bool repeats_hold(const std::vector<Observation>& obs,
+                  const std::vector<Repeat>& repeats) {
+  if (repeats.empty()) return true;
+  if (!sorted_from_minus_one(obs)) return false;
+  for (std::size_t k = 0; k < repeats.size(); ++k) {
+    const Repeat& r = repeats[k];
+    if (r.at == 0 || r.at > obs.size()) return false;
+    const Repeat* prev = k > 0 ? &repeats[k - 1] : nullptr;
+    std::int64_t prev_t;
+    if (prev && prev->at > r.at) return false;
+    if (prev && prev->at == r.at) {  // a repeat again
+      if (r.begin != prev->begin || r.end != prev->end) return false;
+      prev_t = prev->t_ms;
+    } else {  // the run of rows just before it
+      if (r.end != r.at || r.begin != run_begin(obs, prev ? prev->at : 0, r.at))
+        return false;
+      prev_t = obs[r.at - 1].t.ms;
+    }
+    if (r.t_ms <= prev_t) return false;
+    if (k + 1 < repeats.size() && repeats[k + 1].at == r.at) continue;
+    if (r.at < obs.size() && obs[r.at].t.ms <= r.t_ms) return false;
+  }
+  return true;
+}
+
+namespace {
+
+/// The snapshot a new filing of `rec` follows: the last repeat, when it is
+/// the last entry, or else the last run of equal-t rows.
+struct Tail {
+  std::int64_t t_ms;
+  std::size_t begin, end;
+  bool repeat;
+};
+
+Tail tail_of(const CellRecord& rec) {
+  const auto& obs = rec.observations;
+  if (!rec.repeats.empty() && rec.repeats.back().at == obs.size()) {
+    const Repeat& r = rec.repeats.back();
+    return {r.t_ms, r.begin, r.end, true};
+  }
+  const std::size_t floor = rec.repeats.empty() ? 0 : rec.repeats.back().at;
+  return {obs.back().t.ms, run_begin(obs, floor, obs.size()), obs.size(),
+          false};
+}
+
+/// File `n` rows at `t` as a repeat of the tail snapshot, when the
+/// invariant allows it and `same(tail rows)` says they equal it.  A record
+/// whose rows turn out to break the invariant is marked rows_only.
+template <typename Same>
+bool file_repeat(CellRecord& rec, SimTime t, std::size_t n, Same same) {
+  if (n == 0 || rec.rows_only || rec.observations.empty()) return false;
+  const Tail tail = tail_of(rec);
+  if (t.ms <= tail.t_ms || tail.end - tail.begin != n ||
+      !same(rec.observations.data() + tail.begin))
+    return false;
+  if (rec.repeats.empty() && !sorted_from_minus_one(rec.observations)) {
+    rec.rows_only = true;
+    return false;
+  }
+  rec.repeats.push_back({t.ms, rec.observations.size(), tail.begin, tail.end});
+  return true;
+}
+
+/// Before `n` rows at `t` are appended to a record with repeats: expand it
+/// when the rows would break the invariant (out of time order, or sharing
+/// the time of a trailing repeat).
+void prepare_rows(CellRecord& rec, SimTime t, std::size_t n) {
+  if (n == 0 || rec.repeats.empty()) return;
+  const Tail tail = tail_of(rec);
+  if (t.ms > tail.t_ms || (t.ms == tail.t_ms && !tail.repeat)) return;
+  if (t.ms < tail.t_ms) rec.rows_only = true;
+  rec.expand();
+}
+
+void set_first_camp(CellRecord& rec, std::uint32_t cell_id, spectrum::Rat rat,
+                    std::uint32_t channel, geo::Point position) {
+  rec.cell_id = cell_id;
+  rec.rat = rat;
+  rec.channel = channel;
+  rec.position = position;
+}
+
+}  // namespace
+
 void ConfigDatabase::add_snapshot(
     const std::string& carrier, std::uint32_t cell_id, spectrum::Rat rat,
     std::uint32_t channel, geo::Point position, SimTime t,
     const std::vector<config::ParamObservation>& params) {
   CellRecord& rec = carriers_[carrier][cell_id];
-  if (rec.observations.empty()) {
-    rec.cell_id = cell_id;
-    rec.rat = rat;
-    rec.channel = channel;
-    rec.position = position;
-  }
+  if (rec.observations.empty())
+    set_first_camp(rec, cell_id, rat, channel, position);
+  prepare_rows(rec, t, params.size());
   rec.observations.reserve(rec.observations.size() + params.size());
   for (const auto& p : params)
     rec.observations.push_back({p.key, p.value, t, p.context});
+}
+
+void ConfigDatabase::file_snapshot(
+    const std::string& carrier, std::uint32_t cell_id, spectrum::Rat rat,
+    std::uint32_t channel, geo::Point position, SimTime t,
+    const std::vector<config::ParamObservation>& params) {
+  CellRecord& rec = carriers_[carrier][cell_id];
+  // Bits, not ==, so -0.0 never repeats 0.0 (the store's rule).
+  const auto same = [&params](const Observation* rows) {
+    for (std::size_t k = 0; k < params.size(); ++k)
+      if (rows[k].key != params[k].key ||
+          rows[k].context != params[k].context ||
+          std::bit_cast<std::uint64_t>(rows[k].value) !=
+              std::bit_cast<std::uint64_t>(params[k].value))
+        return false;
+    return true;
+  };
+  if (file_repeat(rec, t, params.size(), same)) return;
+  add_snapshot(carrier, cell_id, rat, channel, position, t, params);
+}
+
+void ConfigDatabase::refile_snapshot(const std::string& carrier,
+                                     std::uint32_t cell_id, spectrum::Rat rat,
+                                     std::uint32_t channel,
+                                     geo::Point position, SimTime t,
+                                     std::size_t n) {
+  CellRecord& rec = carriers_[carrier][cell_id];
+  // The tail holds the last filing: a repeat of n rows, or rows that end in
+  // its n rows.  Equal to the tail snapshot exactly when that is n long.
+  if (file_repeat(rec, t, n, [](const Observation*) { return true; })) return;
+  std::vector<config::ParamObservation> params;
+  if (n > 0) {
+    const auto& obs = rec.observations;
+    if (obs.size() < n)
+      throw std::logic_error("refile_snapshot: the cell holds no such filing");
+    const bool repeat = !rec.repeats.empty() && rec.repeats.back().at == obs.size();
+    const std::size_t begin = repeat ? rec.repeats.back().begin : obs.size() - n;
+    params.reserve(n);
+    for (std::size_t k = begin; k < begin + n; ++k)
+      params.push_back({obs[k].key, obs[k].value, obs[k].context});
+  }
+  add_snapshot(carrier, cell_id, rat, channel, position, t, params);
 }
 
 void ConfigDatabase::merge(ConfigDatabase&& other) {
@@ -109,7 +317,7 @@ std::size_t ConfigDatabase::sample_count(const std::string& carrier) const {
   const auto* cells = cells_of(carrier);
   if (!cells) return 0;
   std::size_t n = 0;
-  for (const auto& [id, rec] : *cells) n += rec.observations.size();
+  for (const auto& [id, rec] : *cells) n += rec.row_count();
   return n;
 }
 
@@ -122,7 +330,7 @@ std::size_t ConfigDatabase::total_cells() const {
 std::size_t ConfigDatabase::total_samples() const {
   std::size_t n = 0;
   for (const auto& [carrier, cells] : carriers_)
-    for (const auto& [id, rec] : cells) n += rec.observations.size();
+    for (const auto& [id, rec] : cells) n += rec.row_count();
   return n;
 }
 

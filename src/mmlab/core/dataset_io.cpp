@@ -142,7 +142,7 @@ void save_dataset(const ConfigDatabase& db, std::ostream& out) {
   chunk.push_back('\n');
   for (const auto& [carrier, cells] : db.carriers()) {
     for (const auto& [id, rec] : cells) {
-      for (const auto& obs : rec.observations) {
+      rec.for_each_row([&](const Observation& obs) {
         chunk.append(carrier);
         chunk.push_back(',');
         append_int(chunk, rec.cell_id);
@@ -167,7 +167,7 @@ void save_dataset(const ConfigDatabase& db, std::ostream& out) {
           out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
           chunk.clear();
         }
-      }
+      });
     }
   }
   out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));

@@ -300,7 +300,7 @@ std::vector<CarrierFigures> analyze_database(const ConfigDatabase& db,
   for (const auto& [name, cells] : db.carriers()) {
     names.push_back(&name);
     std::size_t n = 0;
-    for (const auto& [id, rec] : cells) n += rec.observations.size();
+    for (const auto& [id, rec] : cells) n += rec.row_count();
     rows.push_back(n);
   }
   // The worker pool starts jobs in submission order, so submitting the

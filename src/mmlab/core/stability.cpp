@@ -52,11 +52,11 @@ std::vector<PriorityLoop> detect_priority_loops(const ConfigDatabase& db,
     if (!own) continue;
     // Latest advertised priority per neighbour channel.
     std::map<std::int64_t, std::pair<SimTime, double>> advertised;
-    for (const auto& obs : rec.observations) {
-      if (obs.key != neighbor_key || obs.context < 0) continue;
+    rec.for_each_row([&](const Observation& obs) {
+      if (obs.key != neighbor_key || obs.context < 0) return;
       auto& slot = advertised[obs.context];
       if (obs.t >= slot.first) slot = {obs.t, obs.value};
-    }
+    });
     for (const auto& [channel, entry] : advertised) {
       if (entry.second > *own)
         ++raised[{rec.channel, static_cast<std::uint32_t>(channel)}];

@@ -10,6 +10,7 @@ namespace mmlab::store {
 
 using core::CellRecord;
 using core::Observation;
+using core::Repeat;
 
 namespace {
 
@@ -215,46 +216,71 @@ bool encode_cell_kernel(ByteWriter& out, std::uint32_t id,
                         RepeatCount* repeats) {
   const Observation* const obs = rec.observations.data();
   const std::size_t n = rec.observations.size();
+  const std::vector<Repeat>& held = rec.repeats;
+  // The most entries the cell can take: held repeats are markers only
+  // when repeats are counted.
+  const std::size_t most = repeats ? encoded_entries(rec) : rec.row_count();
   const std::size_t start = out.size();
-  std::uint8_t* const begin = out.extend(max_encoded_cell_size(n));
+  std::uint8_t* const begin = out.extend(max_encoded_cell_size(most));
   std::uint8_t* p = begin;
   p = put_varint(p, id);
   *p++ = static_cast<std::uint8_t>(rec.rat);
   p = put_varint(p, rec.channel);
   p = put_f64(p, rec.position.x);
   p = put_f64(p, rec.position.y);
-  // The entry count goes in once it is known: room for n, closed up below
-  // when markers made the count shorter.
+  // The entry count goes in once it is known: room for the most entries
+  // the cell can take, closed up below when markers made the count shorter.
   std::uint8_t* const count_at = p;
-  const std::size_t count_room = varint_size(n);
+  const std::size_t count_room = varint_size(most);
   p += count_room;
   std::int64_t prev_t = 0;
   bool finite = true;
   std::size_t entries = 0;
+  // One snapshot's rows [s, s + len), at time t, in full.
+  const auto put_rows = [&](const Observation* s, std::size_t len,
+                            std::int64_t t) {
+    for (std::size_t k = 0; k < len; ++k) {
+      p = put_varint(p, zigzag_encode(k == 0 ? delta(t, prev_t) : 0));
+      p = put_varint(p, index_of(s[k].key));
+      p = put_f64(p, s[k].value);
+      finite &= std::isfinite(s[k].value);
+      p = put_varint(p, zigzag_encode(s[k].context));
+    }
+    entries += len;
+    prev_t = t;
+  };
+  const auto put_marker = [&](std::int64_t t, std::size_t len) {
+    p = put_varint(p, zigzag_encode(delta(t, prev_t)));
+    p = put_varint(p, kRepeatMarker);
+    prev_t = t;
+    ++entries;
+    ++repeats->snapshots;
+    repeats->rows += len;
+  };
   const Observation* prev = nullptr;  // the previous snapshot
   std::size_t prev_n = 0;
-  for (std::size_t s = 0; s < n;) {
-    const std::int64_t t = obs[s].t.ms;
-    std::size_t e = s + 1;
-    while (e < n && obs[e].t.ms == t) ++e;
-    const std::size_t len = e - s;
-    p = put_varint(p, zigzag_encode(delta(t, prev_t)));
-    prev_t = t;
-    if (repeats && len == prev_n && same_snapshot(prev, obs + s, len)) {
-      p = put_varint(p, kRepeatMarker);
-      ++entries;
-      ++repeats->snapshots;
-      repeats->rows += len;
-    } else {
-      for (std::size_t k = s; k < e; ++k) {
-        if (k != s) p = put_varint(p, 0);  // same t
-        p = put_varint(p, index_of(obs[k].key));
-        p = put_f64(p, obs[k].value);
-        finite &= std::isfinite(obs[k].value);
-        p = put_varint(p, zigzag_encode(obs[k].context));
-      }
-      entries += len;
+  std::size_t next = 0;  // the next held repeat
+  for (std::size_t s = 0; s < n || next < held.size();) {
+    if (next < held.size() && held[next].at == s) {
+      // A held repeat: its snapshot again, by construction.
+      const Repeat& m = held[next++];
+      prev = obs + m.begin;
+      prev_n = m.end - m.begin;
+      if (repeats)
+        put_marker(m.t_ms, prev_n);
+      else
+        put_rows(prev, prev_n, m.t_ms);
+      continue;
     }
+    const std::int64_t t = obs[s].t.ms;
+    const std::size_t stop = next < held.size() ? held[next].at : n;
+    std::size_t e = s + 1;
+    while (e < stop && obs[e].t.ms == t) ++e;
+    const std::size_t len = e - s;
+    if (repeats && len == prev_n && same_snapshot(prev, obs + s, len))
+      put_marker(t, len);
+    else
+      put_rows(obs + s, len, t);
     prev = obs + s;
     prev_n = len;
     s = e;
@@ -294,15 +320,15 @@ void encode_cell_reference(ByteWriter& out, std::uint32_t id,
   out.varint(rec.channel);
   out.f64le(rec.position.x);
   out.f64le(rec.position.y);
-  out.varint(rec.observations.size());
+  out.varint(rec.row_count());
   std::int64_t prev_t = 0;
-  for (const auto& obs : rec.observations) {
+  rec.for_each_row([&](const Observation& obs) {
     out.svarint(delta(obs.t.ms, prev_t));
     prev_t = obs.t.ms;
     out.varint(params.get(obs.key));
     out.f64le(obs.value);
     out.svarint(obs.context);
-  }
+  });
 }
 
 std::uint32_t parse_cell_filtered(ByteReader& r,
@@ -313,6 +339,7 @@ std::uint32_t parse_cell_filtered(ByteReader& r,
                                   CellScan& scan) {
   const CellHeader h = parse_cell_header(r, repeats);
   rec.observations.clear();  // keep capacity: the fold reuses one record
+  rec.repeats.clear();
   rec.cell_id = h.id;
   rec.rat = static_cast<spectrum::Rat>(h.rat_raw);
   rec.channel = h.channel;
@@ -324,34 +351,6 @@ std::uint32_t parse_cell_filtered(ByteReader& r,
   decode_observations(r, h.n_obs, params, select, rec.observations, scan,
                       repeats);
   return h.id;
-}
-
-void expand_repeats(std::vector<Observation>& obs,
-                    const std::vector<Repeat>& repeats) {
-  if (repeats.empty()) return;
-  std::size_t added = 0;
-  for (const Repeat& m : repeats) added += m.end - m.begin;
-  // Back to front, in place: the rows after each marker move up to their
-  // final place, then the marker's rows are copied in below them.  Every
-  // row still to be read lies below `read` and every write lands at or
-  // above it, so no source is overwritten before it is copied.
-  std::size_t read = obs.size();
-  obs.reserve(read + added);  // exactly: a loaded record keeps no slack
-  obs.resize(read + added);
-  std::size_t write = obs.size();
-  for (auto m = repeats.rbegin(); m != repeats.rend(); ++m) {
-    const auto first = obs.begin();
-    std::move_backward(first + static_cast<std::ptrdiff_t>(m->at),
-                       first + static_cast<std::ptrdiff_t>(read),
-                       first + static_cast<std::ptrdiff_t>(write));
-    write -= read - m->at;
-    read = m->at;
-    write -= m->end - m->begin;
-    for (std::size_t k = 0; k < m->end - m->begin; ++k) {
-      obs[write + k] = obs[m->begin + k];
-      obs[write + k].t = SimTime{m->t_ms};
-    }
-  }
 }
 
 void decode_observations_reference(ByteReader& r, std::uint64_t n_obs,

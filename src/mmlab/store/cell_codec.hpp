@@ -1,8 +1,9 @@
 // The MMDS cell codec: one cell's wire encoding inside a v2 shard block body
 // (store/mmds2.hpp has the layout around it).  The shard writer encodes
 // through encode_cell; load_database and the direct fold parse through
-// parse_cell_filtered and expand repeats through expand_repeats, so writer
-// and readers cannot drift apart.
+// parse_cell_filtered, whose repeat markers decode into core::Repeat, the
+// type a CellRecord holds its repeats in, and expand through
+// core::expand_repeats, so writer and readers cannot drift apart.
 #pragma once
 
 #include <cstdint>
@@ -62,16 +63,22 @@ class ParamIndexMap {
 /// table's size: the table may still grow after the marker is written.
 inline constexpr std::uint64_t kRepeatMarker = ParamIndexMap::kSlots;
 
-/// Worst-case encoded bytes of a cell with `n_obs` observations: the
-/// longest varint of every field (a param index is below kSlots).  The
-/// encode kernel grows its output by this much up front; a record with
-/// every field at its longest encoding reaches it exactly.  A repeat
-/// marker is shorter than the observations it stands for, so the bound
-/// holds for repeat-encoded cells too.
+/// Worst-case encoded bytes of a cell with `n_obs` entries: the longest
+/// varint of every field (a param index is below kSlots).  The encode
+/// kernel grows its output by this much up front; a record with every
+/// field at its longest encoding reaches it exactly.  A repeat marker is
+/// shorter than an observation, so a record's distinct rows plus its
+/// repeats (encoded_entries) bound its cell too.
 inline constexpr std::size_t kMaxObservationBytes =
     10 + varint_size(ParamIndexMap::kSlots - 1) + 8 + 10;
 constexpr std::size_t max_encoded_cell_size(std::size_t n_obs) {
   return 5 + 1 + 5 + 16 + varint_size(n_obs) + n_obs * kMaxObservationBytes;
+}
+
+/// The entries a record's cell can take at most: its distinct rows plus
+/// one marker per repeat.
+inline std::size_t encoded_entries(const core::CellRecord& rec) {
+  return rec.observations.size() + rec.repeats.size();
 }
 
 /// Repeat snapshots an encode pass wrote as markers, and the rows they
@@ -85,8 +92,11 @@ struct RepeatCount {
 /// keys (ParamIndexMap::assign).  Given `repeats`, each snapshot (a
 /// maximal run of equal-t observations) that equals the previous snapshot
 /// of the run in length, keys, value bits and contexts is written as one
-/// repeat marker and counted there; without it, and on a cell without
-/// repeats, the bytes are encode_cell_reference's.  The pointer kernel:
+/// repeat marker and counted there: a repeat the record holds is copied
+/// through as a marker, with no comparison, and its distinct rows are
+/// compared as before, so the bytes are those of the expanded rows.
+/// Without `repeats` the record must hold none, and on a cell without
+/// repeats the bytes are encode_cell_reference's.  The pointer kernel:
 /// one resize by max_encoded_cell_size, raw stores, one trim.  Returns
 /// whether every observation value is finite; a store must not hold one
 /// that is not (the readers reject it), so ShardWriter::add_cell rolls
@@ -105,21 +115,11 @@ bool encode_cell(ByteWriter& out, std::uint32_t id,
 
 /// The ByteWriter-call-per-field plain encoder (no repeat markers), kept as
 /// the test oracle (the varint_reference idiom): encode_cell's bytes for
-/// the same map on every cell without repeats.  Every key must already be
-/// assigned.
+/// the same map on every cell without repeats.  Writes the expanded rows.
+/// Every key must already be assigned.
 void encode_cell_reference(ByteWriter& out, std::uint32_t id,
                            const core::CellRecord& rec,
                            const ParamIndexMap& params);
-
-/// One repeat marker as a decode pass reports it: the decoded rows
-/// [begin, end) of the snapshot it repeats, again at `t_ms`, placed before
-/// row `at`.  Positions index the output vector the pass appended to.
-struct Repeat {
-  std::int64_t t_ms = 0;
-  std::size_t at = 0;
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
 
 /// Wire-level facts a decode pass reports about the *unfiltered* cell run
 /// it just scanned — everything a reader needs to (a) validate raw counts
@@ -133,7 +133,10 @@ struct CellScan {
   std::int64_t front_t_ms = 0;  ///< first wire observation's t (has_front)
   bool has_front = false;       ///< the run had at least one observation
   bool sorted = true;  ///< entry times never decrease, markers included
-  std::vector<Repeat> repeats;  ///< markers, in wire order
+  /// Markers, in wire order: the decoded rows [begin, end) of the snapshot
+  /// each repeats, again at t_ms, placed before row `at`.  Positions index
+  /// the output vector the pass appended to.
+  std::vector<core::Repeat> repeats;
 };
 
 /// Which observations a decode pass materializes: all of them, those whose
@@ -178,32 +181,24 @@ void decode_observations_reference(ByteReader& r, std::uint64_t n_obs,
                                    std::vector<core::Observation>& out,
                                    CellScan& scan, bool repeats = false);
 
-/// Expand the markers a decode pass reported into `obs`, the vector it
-/// appended to: each marker's rows again, at its time, at its place.  The
-/// result is the run as it was written, restricted to the rows the pass
-/// kept.  The one expansion every reader uses (load_database, and the fold
-/// whenever it may not skip repeats).  Grows `obs` by exactly the rows the
-/// markers repeat, which CellScan::rows bounds: callers check that against
-/// the manifest before calling.
-void expand_repeats(std::vector<core::Observation>& obs,
-                    const std::vector<Repeat>& repeats);
-
 /// Parse one cell into a standalone record, with predicate push-down.
-/// `rec` is reset first but keeps its capacity; rec.cell_id is filled.
-/// Decodes the cell's full wire structure (every varint must be walked to
-/// find the next cell) but materializes only observations whose
-/// param-table index is set in `keep` — a filtered observation is never
-/// materialized, and is counted in CellScan::values_skipped.  Its 8-byte
-/// value is still read and must be finite, so the filter never decides
-/// whether a store is accepted.  An empty `keep` keeps every observation.
-/// When the returned id falls outside [min_cell, max_cell] nothing is
-/// materialized at all (the caller drops the cell); `rec` still carries the
-/// header metadata either way.  Repeat markers (allowed by `repeats`) stay
-/// in scan.repeats: rec holds the run's distinct snapshots until the
-/// caller expands them (expand_repeats).  Throws std::runtime_error
-/// subclasses on structural damage (bad rat, out-of-range param index,
-/// implausible counts, a misplaced marker) and on a non-finite (NaN or
-/// infinite) observation value.
+/// `rec` is reset first (its repeats too) but keeps its capacity;
+/// rec.cell_id is filled.  Decodes the cell's full wire structure (every
+/// varint must be walked to find the next cell) but materializes only
+/// observations whose param-table index is set in `keep` — a filtered
+/// observation is never materialized, and is counted in
+/// CellScan::values_skipped.  Its 8-byte value is still read and must be
+/// finite, so the filter never decides whether a store is accepted.  An
+/// empty `keep` keeps every observation.  When the returned id falls
+/// outside [min_cell, max_cell] nothing is materialized at all (the caller
+/// drops the cell); `rec` still carries the header metadata either way.
+/// Repeat markers (allowed by `repeats`) stay in scan.repeats: rec holds
+/// the run's distinct snapshots until the caller expands them
+/// (core::expand_repeats, which grows rec by the rows CellScan::rows
+/// bounds: check that against the manifest first) or takes them as
+/// rec.repeats.  Throws std::runtime_error subclasses on structural damage
+/// (bad rat, out-of-range param index, implausible counts, a misplaced
+/// marker) and on a non-finite (NaN or infinite) observation value.
 std::uint32_t parse_cell_filtered(ByteReader& r,
                                   const std::vector<config::ParamKey>& params,
                                   bool repeats, const std::vector<char>& keep,

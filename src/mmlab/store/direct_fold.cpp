@@ -242,8 +242,12 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
           best_front = c.scan.front_t_ms;
         }
       }
-      if (runs > 1 || !skips_repeats(c.scan))
-        expand_repeats(c.rec.observations, c.scan.repeats);
+      if (runs > 1 || !skips_repeats(c.scan)) {
+        core::expand_repeats(c.rec.observations, c.scan.repeats);
+      } else {
+        for (const core::Repeat& m : c.scan.repeats)
+          fs.repeat_rows_skipped += m.end - m.begin;
+      }
       if (first) {
         std::swap(merged, c.rec);
         first = false;
@@ -276,6 +280,7 @@ void DirectFold::accumulate(const FoldStats& fs) const {
   stats_.blocks += fs.blocks;
   stats_.bytes += fs.bytes;
   stats_.values_skipped += fs.values_skipped;
+  stats_.repeat_rows_skipped += fs.repeat_rows_skipped;
   stats_.peak_resident_blocks =
       std::max(stats_.peak_resident_blocks, fs.peak_resident_blocks);
   stats_.crc_checked = stats_.crc_checked && fs.crc_checked;
@@ -377,6 +382,7 @@ Result<FoldStats> DirectFold::fold_query(
     agg.blocks += per[i].blocks;
     agg.bytes += per[i].bytes;
     agg.values_skipped += per[i].values_skipped;
+    agg.repeat_rows_skipped += per[i].repeat_rows_skipped;
   }
   agg.fold_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -30,9 +30,10 @@
 // a repeat cannot change a first-seen unique value, a (context, value)
 // pair or a latest value, which is all the fig11-22 products read.  Every
 // other cell (several runs, times out of order, times below -1) is
-// expanded first by the same expand_repeats load_database uses, and merges
-// exactly as loaded.  So a consumer that counts rows must take them from
-// the manifest (FoldStats::rows), not from the records.
+// expanded first by core::expand_repeats, and merges exactly as loaded.
+// So a consumer that counts rows must take them from the manifest
+// (FoldStats::rows), not from the records; FoldStats::repeat_rows_skipped
+// counts what the lone runs left out.
 //
 // Planned folds (DESIGN.md §13): every fold is planned.  A store::QueryPlan
 // narrows a fold to the blocks that can contribute to a query — other
@@ -143,6 +144,11 @@ struct FoldStats {
   /// Observations the ParamKey push-down dropped instead of materializing
   /// (they still count in `rows`; their values are only checked finite).
   std::uint64_t values_skipped = 0;
+  /// Rows of the repeat snapshots lone runs were delivered without (see
+  /// "Repeats" above), counted over the rows the push-down keeps.  With no
+  /// param or cell-range predicate, the rows delivered plus these equal
+  /// `rows`.
+  std::uint64_t repeat_rows_skipped = 0;
   /// Largest number of concurrently open blocks — the realized window,
   /// i.e. what bounds transient memory (each open block is its mapped body
   /// plus one parsed cell run).  For fold_query this is the gauge peak:

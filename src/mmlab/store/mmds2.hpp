@@ -48,11 +48,11 @@
 // any length, so a body can claim far more rows than it has bytes.  No
 // reader materializes a marker's rows before checking the block's running
 // expanded row count against the manifest's row_count: load_database
-// expands at most row_count rows per block, the direct fold checks the
-// same sum as it decodes and expands only what it must (DESIGN.md §12), and
-// a body that claims more fails the read.  Distinct observations stay
-// bounded by the body (11 bytes each), and a marker costs one 32-byte
-// Repeat record while its cell is decoded.
+// expands (or keeps as CellRecord::repeats) at most row_count rows per
+// block, the direct fold checks the same sum as it decodes and expands
+// only what it must (DESIGN.md §12), and a body that claims more fails the
+// read.  Distinct observations stay bounded by the body (11 bytes each),
+// and a marker costs one 32-byte Repeat record while its cell is decoded.
 //
 // Every structural fact (owning carrier, byte offset, byte length, cell
 // count, row count) lives in the manifest, so the writer streams cells

@@ -158,10 +158,13 @@ Result<std::uint64_t> ShardSet::verify() const {
 
 namespace {
 
-/// Parse one block body into `out`, expanding every repeat marker, and
-/// check it against the manifest as the direct fold does: ascending cell
-/// ids inside [first_cell, last_cell], the cell count, and the expanded
-/// row count, which is checked before any marker's rows are allocated.
+/// Parse one block body into `out`, and check it against the manifest as
+/// the direct fold does: ascending cell ids inside [first_cell, last_cell],
+/// the cell count, and the expanded row count, which is checked before any
+/// marker's rows are allocated.  A run whose markers meet CellRecord's
+/// repeat invariant keeps them as the record's repeats; any other run is
+/// expanded.  A cell with runs in several blocks is expanded when
+/// load_database merges them (CellRecord::merge_from).
 std::size_t parse_block_body(const ShardSet& set, std::size_t index,
                              core::ConfigDatabase& out) {
   const BlockInfo& info = *set.blocks()[index].info;
@@ -187,7 +190,10 @@ std::size_t parse_block_body(const ShardSet& set, std::size_t index,
     if (scan.rows > info.row_count - rows)
       throw fail("cell/row counts disagree with manifest");
     rows += scan.rows;
-    expand_repeats(rec.observations, scan.repeats);
+    if (core::repeats_hold(rec.observations, scan.repeats))
+      rec.repeats.assign(scan.repeats.begin(), scan.repeats.end());
+    else
+      core::expand_repeats(rec.observations, scan.repeats);
     out.upsert_cell(carrier, id) = std::move(rec);
   }
   if (cells != info.cell_count || rows != info.row_count)

@@ -102,7 +102,9 @@ class ShardSet {
 /// parses into a private database (concurrently for threads != 1; 0 = all
 /// cores), then the per-block databases merge in global block order — so
 /// the result is identical for every thread count, and identical to the
-/// chunk-merge contract the streaming writer documents.
+/// chunk-merge contract the streaming writer documents.  A cell stored as
+/// one run whose repeat markers meet CellRecord's invariant keeps them as
+/// its repeats, unexpanded; every other cell is expanded.
 Result<core::LoadStats> load_database(const ShardSet& set,
                                       core::ConfigDatabase& db,
                                       unsigned threads = 1);

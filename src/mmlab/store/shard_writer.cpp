@@ -64,7 +64,7 @@ void ShardWriter::add_cell(const std::string& carrier, std::uint32_t id,
     throw std::invalid_argument("ShardWriter: non-finite observation value "
                                 "in cell " + std::to_string(id));
   }
-  place_cell(carrier, index, id, rec.observations.size(),
+  place_cell(carrier, index, id, rec.row_count(),
              pending_.size() - start, repeats);
 }
 
@@ -236,12 +236,11 @@ void ShardWriter::add_database_parallel(const core::ConfigDatabase& db,
     Chunk& chunk = chunks.emplace_back();
     chunk.first = i;
     do {
-      chunk.reserve +=
-          max_encoded_cell_size(cells[i].rec->observations.size());
+      chunk.reserve += max_encoded_cell_size(encoded_entries(*cells[i].rec));
       ++i;
     } while (i < cells.size() &&
              chunk.reserve +
-                     max_encoded_cell_size(cells[i].rec->observations.size()) <=
+                     max_encoded_cell_size(encoded_entries(*cells[i].rec)) <=
                  budget);
     chunk.last = i;
   }
@@ -356,7 +355,7 @@ void ShardWriter::add_database_parallel(const core::ConfigDatabase& db,
               "ShardWriter: non-finite observation value in cell " +
               std::to_string(cell.id));
         }
-        place_cell(*carrier, index, cell.id, cell.rec->observations.size(),
+        place_cell(*carrier, index, cell.id, cell.rec->row_count(),
                    slot.ends[k] - pos, slot.repeats[k]);
         pos = slot.ends[k];
       }

@@ -390,7 +390,8 @@ int report_store(const CliOptions& opts, const char* carrier) {
   const auto& plan_stats = qa.value().stats;
   std::printf("\nfold stats: %llu blocks parsed (%.1f MB), "
               "%llu blocks skipped by the plan (%.1f MB), "
-              "%.1f MB not materialized, peak window %llu blocks "
+              "%.1f MB not materialized, %llu repeat rows not expanded, "
+              "peak window %llu blocks "
               "(~%.1f MB of mapped block bytes), CRC %s, %.2fs total\n",
               static_cast<unsigned long long>(plan_stats.blocks),
               static_cast<double>(plan_stats.bytes) / 1e6,
@@ -398,6 +399,7 @@ int report_store(const CliOptions& opts, const char* carrier) {
               static_cast<double>(plan_stats.bytes_skipped) / 1e6,
               static_cast<double>(plan_stats.bytes - plan_stats.bytes_read()) /
                   1e6,
+              static_cast<unsigned long long>(plan_stats.repeat_rows_skipped),
               static_cast<unsigned long long>(plan_stats.peak_resident_blocks),
               static_cast<double>(plan_stats.peak_resident_blocks * max_block) /
                   1e6,
