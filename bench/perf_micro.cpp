@@ -614,8 +614,10 @@ const EncodedCells& encoded_cells() {
     store::ParamIndexMap map;
     ByteWriter w;
     const auto& records = folder_records(46, 8);
+    store::RepeatCount repeats;  // random values: no snapshot repeats
     for (std::size_t i = 0; i < records.size(); ++i)
-      store::encode_cell(w, static_cast<std::uint32_t>(i), records[i], map);
+      store::encode_cell(w, static_cast<std::uint32_t>(i), records[i], map,
+                         repeats);
     out.bytes = std::move(w).take();
     ByteReader r(out.bytes);
     while (r.remaining() > 0) {
@@ -627,7 +629,7 @@ const EncodedCells& encoded_cells() {
       const std::uint64_t n = r.varint();
       out.bodies.emplace_back(r.position(), n);
       out.rows += n;
-      std::vector<core::Observation> sink;
+      core::CellRecord sink;
       store::CellScan scan;
       store::decode_observations_reference(r, n, map.keys(), {}, sink, scan);
     }
@@ -640,20 +642,20 @@ const EncodedCells& encoded_cells() {
 template <bool kKernel>
 void parse_cell_bench(benchmark::State& state) {
   const auto& cells = encoded_cells();
-  std::vector<core::Observation> out;
+  core::CellRecord out;
   store::CellScan scan;
   for (auto _ : state) {
     for (const auto& [pos, n] : cells.bodies) {
       ByteReader r(cells.bytes);
       r.skip(pos);
-      out.clear();
+      out.observations.clear();
       if constexpr (kKernel)
         store::decode_observations(r, n, cells.params, {}, out, scan);
       else
         store::decode_observations_reference(r, n, cells.params, {}, out,
                                              scan);
     }
-    benchmark::DoNotOptimize(out.data());
+    benchmark::DoNotOptimize(out.observations.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(cells.rows));

@@ -1,7 +1,6 @@
 #include "mmlab/core/database.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <set>
 #include <stdexcept>
 
@@ -53,7 +52,31 @@ std::vector<Observation> CellRecord::expanded() const {
 }
 
 void CellRecord::expand() {
-  expand_repeats(observations, repeats);
+  if (repeats.empty()) return;
+  auto& obs = observations;
+  std::size_t added = 0;
+  for (const Repeat& m : repeats) added += m.end - m.begin;
+  // Back to front, in place: the rows after each repeat move up to their
+  // final place, then the repeat's rows are copied in below them.  Every
+  // row still to be read lies below `read` and every write lands at or
+  // above it, so no source is overwritten before it is copied.
+  std::size_t read = obs.size();
+  obs.reserve(read + added);  // exactly: a record keeps no slack
+  obs.resize(read + added);
+  std::size_t write = obs.size();
+  for (auto m = repeats.rbegin(); m != repeats.rend(); ++m) {
+    const auto first = obs.begin();
+    std::move_backward(first + static_cast<std::ptrdiff_t>(m->at),
+                       first + static_cast<std::ptrdiff_t>(read),
+                       first + static_cast<std::ptrdiff_t>(write));
+    write -= read - m->at;
+    read = m->at;
+    write -= m->end - m->begin;
+    for (std::size_t k = 0; k < m->end - m->begin; ++k) {
+      obs[write + k] = obs[m->begin + k];
+      obs[write + k].t = SimTime{m->t_ms};
+    }
+  }
   repeats = {};
 }
 
@@ -101,34 +124,6 @@ void CellRecord::merge_from(CellRecord&& other) {
   }
 }
 
-void expand_repeats(std::vector<Observation>& obs,
-                    const std::vector<Repeat>& repeats) {
-  if (repeats.empty()) return;
-  std::size_t added = 0;
-  for (const Repeat& m : repeats) added += m.end - m.begin;
-  // Back to front, in place: the rows after each repeat move up to their
-  // final place, then the repeat's rows are copied in below them.  Every
-  // row still to be read lies below `read` and every write lands at or
-  // above it, so no source is overwritten before it is copied.
-  std::size_t read = obs.size();
-  obs.reserve(read + added);  // exactly: a record keeps no slack
-  obs.resize(read + added);
-  std::size_t write = obs.size();
-  for (auto m = repeats.rbegin(); m != repeats.rend(); ++m) {
-    const auto first = obs.begin();
-    std::move_backward(first + static_cast<std::ptrdiff_t>(m->at),
-                       first + static_cast<std::ptrdiff_t>(read),
-                       first + static_cast<std::ptrdiff_t>(write));
-    write -= read - m->at;
-    read = m->at;
-    write -= m->end - m->begin;
-    for (std::size_t k = 0; k < m->end - m->begin; ++k) {
-      obs[write + k] = obs[m->begin + k];
-      obs[write + k].t = SimTime{m->t_ms};
-    }
-  }
-}
-
 namespace {
 
 /// Rows [0, n) form one t-sorted run whose first t is >= -1.
@@ -150,9 +145,9 @@ std::size_t run_begin(const std::vector<Observation>& obs, std::size_t floor,
 
 }  // namespace
 
-bool repeats_hold(const std::vector<Observation>& obs,
-                  const std::vector<Repeat>& repeats) {
+bool CellRecord::repeats_hold() const {
   if (repeats.empty()) return true;
+  const auto& obs = observations;
   if (!sorted_from_minus_one(obs)) return false;
   for (std::size_t k = 0; k < repeats.size(); ++k) {
     const Repeat& r = repeats[k];
@@ -177,60 +172,66 @@ bool repeats_hold(const std::vector<Observation>& obs,
 
 namespace {
 
-/// The snapshot a new filing of `rec` follows: the last repeat, when it is
-/// the last entry, or else the last run of equal-t rows.
-struct Tail {
-  std::int64_t t_ms;
-  std::size_t begin, end;
-  bool repeat;
-};
-
-Tail tail_of(const CellRecord& rec) {
+/// The time of the record's last entry: its trailing repeat's, or its
+/// last row's.  The record holds rows.
+std::int64_t last_t(const CellRecord& rec) {
   const auto& obs = rec.observations;
-  if (!rec.repeats.empty() && rec.repeats.back().at == obs.size()) {
-    const Repeat& r = rec.repeats.back();
-    return {r.t_ms, r.begin, r.end, true};
-  }
-  const std::size_t floor = rec.repeats.empty() ? 0 : rec.repeats.back().at;
-  return {obs.back().t.ms, run_begin(obs, floor, obs.size()), obs.size(),
-          false};
+  return !rec.repeats.empty() && rec.repeats.back().at == obs.size()
+             ? rec.repeats.back().t_ms
+             : obs.back().t.ms;
 }
 
-/// File `n` rows at `t` as a repeat of the tail snapshot, when the
-/// invariant allows it and `same(tail rows)` says they equal it.  A record
-/// whose rows turn out to break the invariant is marked rows_only.
+/// File `n` rows at `t` as a repeat of the tail snapshot (the last repeat,
+/// when it is the last entry, or else the last run of equal-t rows), when
+/// the invariant allows it and `same(tail rows)` says they equal it.  `t`
+/// is tested first, so a filing at the tail's time never walks the tail.
+/// A record whose rows turn out to break the invariant is marked rows_only.
 template <typename Same>
 bool file_repeat(CellRecord& rec, SimTime t, std::size_t n, Same same) {
-  if (n == 0 || rec.rows_only || rec.observations.empty()) return false;
-  const Tail tail = tail_of(rec);
-  if (t.ms <= tail.t_ms || tail.end - tail.begin != n ||
-      !same(rec.observations.data() + tail.begin))
+  if (n == 0 || rec.rows_only || rec.observations.empty() ||
+      t.ms <= last_t(rec))
     return false;
-  if (rec.repeats.empty() && !sorted_from_minus_one(rec.observations)) {
+  const auto& obs = rec.observations;
+  std::size_t begin, end = obs.size();
+  if (!rec.repeats.empty() && rec.repeats.back().at == end) {
+    begin = rec.repeats.back().begin;
+    end = rec.repeats.back().end;
+  } else {
+    begin = run_begin(obs, rec.repeats.empty() ? 0 : rec.repeats.back().at,
+                      end);
+  }
+  if (end - begin != n || !same(obs.data() + begin)) return false;
+  if (rec.repeats.empty() && !sorted_from_minus_one(obs)) {
     rec.rows_only = true;
     return false;
   }
-  rec.repeats.push_back({t.ms, rec.observations.size(), tail.begin, tail.end});
+  rec.repeats.push_back({t.ms, obs.size(), begin, end});
   return true;
 }
 
-/// Before `n` rows at `t` are appended to a record with repeats: expand it
-/// when the rows would break the invariant (out of time order, or sharing
-/// the time of a trailing repeat).
-void prepare_rows(CellRecord& rec, SimTime t, std::size_t n) {
-  if (n == 0 || rec.repeats.empty()) return;
-  const Tail tail = tail_of(rec);
-  if (t.ms > tail.t_ms || (t.ms == tail.t_ms && !tail.repeat)) return;
-  if (t.ms < tail.t_ms) rec.rows_only = true;
-  rec.expand();
-}
-
-void set_first_camp(CellRecord& rec, std::uint32_t cell_id, spectrum::Rat rat,
-                    std::uint32_t channel, geo::Point position) {
-  rec.cell_id = cell_id;
-  rec.rat = rat;
-  rec.channel = channel;
-  rec.position = position;
+/// Append `params` at `t` as rows.  A record with repeats is expanded
+/// first when the rows would break the invariant (out of time order, or
+/// sharing the time of a trailing repeat).
+void file_rows(CellRecord& rec, std::uint32_t cell_id, spectrum::Rat rat,
+               std::uint32_t channel, geo::Point position, SimTime t,
+               const std::vector<config::ParamObservation>& params) {
+  if (rec.observations.empty()) {  // the first-camp rule
+    rec.cell_id = cell_id;
+    rec.rat = rat;
+    rec.channel = channel;
+    rec.position = position;
+  }
+  if (!params.empty() && !rec.repeats.empty()) {
+    const std::int64_t tail_t = last_t(rec);
+    const bool repeat_tail = rec.repeats.back().at == rec.observations.size();
+    if (t.ms < tail_t || (t.ms == tail_t && repeat_tail)) {
+      if (t.ms < tail_t) rec.rows_only = true;
+      rec.expand();
+    }
+  }
+  rec.observations.reserve(rec.observations.size() + params.size());
+  for (const auto& p : params)
+    rec.observations.push_back({p.key, p.value, t, p.context});
 }
 
 }  // namespace
@@ -240,31 +241,10 @@ void ConfigDatabase::add_snapshot(
     std::uint32_t channel, geo::Point position, SimTime t,
     const std::vector<config::ParamObservation>& params) {
   CellRecord& rec = carriers_[carrier][cell_id];
-  if (rec.observations.empty())
-    set_first_camp(rec, cell_id, rat, channel, position);
-  prepare_rows(rec, t, params.size());
-  rec.observations.reserve(rec.observations.size() + params.size());
-  for (const auto& p : params)
-    rec.observations.push_back({p.key, p.value, t, p.context});
-}
-
-void ConfigDatabase::file_snapshot(
-    const std::string& carrier, std::uint32_t cell_id, spectrum::Rat rat,
-    std::uint32_t channel, geo::Point position, SimTime t,
-    const std::vector<config::ParamObservation>& params) {
-  CellRecord& rec = carriers_[carrier][cell_id];
-  // Bits, not ==, so -0.0 never repeats 0.0 (the store's rule).
-  const auto same = [&params](const Observation* rows) {
-    for (std::size_t k = 0; k < params.size(); ++k)
-      if (rows[k].key != params[k].key ||
-          rows[k].context != params[k].context ||
-          std::bit_cast<std::uint64_t>(rows[k].value) !=
-              std::bit_cast<std::uint64_t>(params[k].value))
-        return false;
-    return true;
-  };
-  if (file_repeat(rec, t, params.size(), same)) return;
-  add_snapshot(carrier, cell_id, rat, channel, position, t, params);
+  if (!file_repeat(rec, t, params.size(), [&params](const Observation* rows) {
+        return same_snapshot(rows, params.data(), params.size());
+      }))
+    file_rows(rec, cell_id, rat, channel, position, t, params);
 }
 
 void ConfigDatabase::refile_snapshot(const std::string& carrier,
@@ -287,7 +267,13 @@ void ConfigDatabase::refile_snapshot(const std::string& carrier,
     for (std::size_t k = begin; k < begin + n; ++k)
       params.push_back({obs[k].key, obs[k].value, obs[k].context});
   }
-  add_snapshot(carrier, cell_id, rat, channel, position, t, params);
+  file_rows(rec, cell_id, rat, channel, position, t, params);
+}
+
+void ConfigDatabase::trim_repeats(const std::string& carrier) {
+  const auto it = carriers_.find(carrier);
+  if (it == carriers_.end()) return;
+  for (auto& [id, rec] : it->second) rec.repeats.shrink_to_fit();
 }
 
 void ConfigDatabase::merge(ConfigDatabase&& other) {

@@ -9,6 +9,7 @@
 // observation counts are the paper's "samples" (Fig 12).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -32,10 +33,23 @@ struct Observation {
   bool operator==(const Observation&) const = default;
 };
 
+/// Whether `n` rows of `a` and `b` (Observations or ParamObservations) are
+/// one snapshot: key, context and value bits (so -0.0 never repeats 0.0).
+/// The one snapshot equality: add_snapshot and encode_cell decide by it.
+template <typename A, typename B>
+bool same_snapshot(const A* a, const B* b, std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k)
+    if (a[k].key != b[k].key || a[k].context != b[k].context ||
+        std::bit_cast<std::uint64_t>(a[k].value) !=
+            std::bit_cast<std::uint64_t>(b[k].value))
+      return false;
+  return true;
+}
+
 /// One repeated snapshot of a CellRecord: the rows [begin, end) of its
 /// `observations` again, at `t_ms`, placed before row `at`.  MMDS v2 repeat
-/// markers decode into the same type (store/cell_codec.hpp), so the
-/// database and the store share one expansion.
+/// markers decode into a record's repeats (store/cell_codec.hpp), so the
+/// database and the store share one expansion (CellRecord::expand).
 struct Repeat {
   std::int64_t t_ms = 0;
   std::size_t at = 0;
@@ -45,24 +59,14 @@ struct Repeat {
   bool operator==(const Repeat&) const = default;
 };
 
-/// Insert every repeat's rows into `obs`, at its time and place: the rows
-/// as they were filed.  Grows `obs` by exactly the rows the repeats stand
-/// for (no spare capacity).  The one expansion every reader uses.
-void expand_repeats(std::vector<Observation>& obs,
-                    const std::vector<Repeat>& repeats);
-
-/// Whether `repeats` over `obs` meets CellRecord's repeat invariant.  O(rows).
-bool repeats_hold(const std::vector<Observation>& obs,
-                  const std::vector<Repeat>& repeats);
-
 /// One cell's configuration history.
 ///
 /// Repeats.  A *snapshot* is a maximal run of equal-t rows.  A snapshot
-/// that equals the one before it in length, keys, value bits and contexts
-/// may be held as a Repeat instead of rows: `observations` holds the
+/// that equals the one before it (same length, same_snapshot) may be held
+/// as a Repeat instead of rows: `observations` holds the
 /// distinct snapshots' rows, and `repeats` says where each repeat goes.
 /// The *expanded* rows (for_each_row, expanded()) are the rows as filed.
-/// A record with repeats keeps this invariant (repeats_hold):
+/// A record with repeats keeps this invariant (repeats_hold()):
 ///   - its expanded rows are one t-sorted run whose first t is >= -1;
 ///   - each repeat's t is strictly above the entry before it and strictly
 ///     below the entry after it, so it is a snapshot of its own, and it
@@ -85,7 +89,7 @@ struct CellRecord {
   std::vector<Observation> observations;  ///< the distinct snapshots' rows
   std::vector<Repeat> repeats;            ///< in row order
   /// Set once the rows are known to break the invariant (out of time
-  /// order, or a first t below -1): ConfigDatabase::file_snapshot then
+  /// order, or a first t below -1): ConfigDatabase::add_snapshot then
   /// files rows only.  Not part of equality.
   bool rows_only = false;
 
@@ -116,8 +120,16 @@ struct CellRecord {
   }
   /// The expanded rows, as a new vector.
   std::vector<Observation> expanded() const;
-  /// Replace the repeats by their rows, in place.
+  /// Replace the repeats by their rows, in place, growing `observations`
+  /// by exactly those rows (no spare capacity).
   void expand();
+  /// Whether the repeats meet the invariant above.  O(rows).
+  bool repeats_hold() const;
+  /// The one keep-or-expand rule, which both store readers apply to every
+  /// decoded cell run: keep the repeats when they hold, else expand them.
+  void keep_or_expand() {
+    if (!repeats_hold()) expand();
+  }
 
   /// Absorb another record of the same cell under ConfigDatabase::merge's
   /// ordering contract: observations re-ordered by timestamp (stable,
@@ -138,27 +150,20 @@ class ConfigDatabase {
  public:
   using CellMap = std::map<std::uint32_t, CellRecord>;
 
-  /// Record one decoded configuration snapshot of a cell, as rows: the
-  /// rows-only filing every repeat-holding record is defined against.  A
-  /// fresh record takes the camp's identity metadata (the first-camp
-  /// rule), and the cell's rows grow by an exact `size + n` reserve.
+  /// Record one decoded configuration snapshot of a cell: as a Repeat when
+  /// CellRecord's invariant allows it (`params` same_snapshot as the
+  /// cell's previous snapshot, `t` above its last time, its rows one
+  /// t-sorted run from -1), else as rows by an exact `size + n` reserve.
+  /// A fresh record takes the camp's identity (the first-camp rule).
+  /// Expanded, the record is the rows appended filing by filing
+  /// (upsert_cell's append, the reference).  `t` is tested first, so
+  /// row-at-a-time filing costs O(1) per row.
   void add_snapshot(const std::string& carrier, std::uint32_t cell_id,
                     spectrum::Rat rat, std::uint32_t channel,
                     geo::Point position, SimTime t,
                     const std::vector<config::ParamObservation>& params);
 
-  /// The same snapshot, held as a Repeat when CellRecord's invariant allows
-  /// it: `params` is non-empty and equals the cell's previous snapshot in
-  /// length, keys, value bits and contexts, `t` is above the cell's last
-  /// time, and the rows form one t-sorted run from -1.  Otherwise exactly
-  /// add_snapshot (expanding the record first when the new rows would
-  /// break the invariant).  Expanded, the record equals add_snapshot's.
-  void file_snapshot(const std::string& carrier, std::uint32_t cell_id,
-                     spectrum::Rat rat, std::uint32_t channel,
-                     geo::Point position, SimTime t,
-                     const std::vector<config::ParamObservation>& params);
-
-  /// file_snapshot with the params of the cell's last filing, which had
+  /// add_snapshot with the params of the cell's last filing, which had
   /// `n` of them, without naming them: what StreamExtractor files for a
   /// camp whose RRC payloads repeat the cell's previous camp.  The caller
   /// guarantees the cell's last filing had `n` params and that nothing
@@ -175,6 +180,9 @@ class ConfigDatabase {
   CellRecord& upsert_cell(const std::string& carrier, std::uint32_t cell_id) {
     return carriers_[carrier][cell_id];
   }
+
+  /// Give back the spare capacity add_snapshot left in a carrier's repeats.
+  void trim_repeats(const std::string& carrier);
 
   /// Absorb another database (a parallel extraction worker's private shard),
   /// leaving `other` empty.  Deterministic: carriers and cells land in key

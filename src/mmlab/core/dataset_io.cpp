@@ -50,9 +50,13 @@ bool parse_num(std::string_view s, T& out) {
 /// Per-load CSV row parser: splits fields as string_views (no stream, no
 /// per-field strings) and memoizes parameter-name lookups so the registry's
 /// linear-scan parse_param_name runs once per distinct name, not per row.
+/// Each run of consecutive rows that share carrier, cell, identity and time
+/// is filed as one snapshot, so the database holds repeats as a crawl's
+/// does; expanded, that is the rows filed one at a time.
 class CsvRowParser {
  public:
-  /// Returns false for a malformed row (caller counts it as bad).
+  /// Returns false for a malformed row (caller counts it as bad).  A good
+  /// row that does not continue the open snapshot files it first.
   bool parse(std::string_view line, ConfigDatabase& db) {
     std::string_view fields[10];
     std::size_t nfields = 0;
@@ -71,41 +75,60 @@ class CsvRowParser {
     const config::ParamKey* key = param(fields[7]);
     if (!key) return false;
 
-    std::uint32_t cell_id, channel;
-    std::uint8_t rat_raw;
-    double x, y;
-    std::int64_t t_ms;
-    config::ParamObservation& obs = obs_buf_[0];
+    Head h;
+    config::ParamObservation obs;
     // from_chars on unsigned types rejects a leading '-', so a negative
     // cell_id/channel is a bad row instead of wrapping into a huge id.
-    if (!parse_num(fields[1], cell_id) || !parse_num(fields[2], rat_raw) ||
-        rat_raw > kMaxRat || !parse_num(fields[3], channel) ||
-        !parse_num(fields[4], x) || !parse_num(fields[5], y) ||
-        !std::isfinite(x) || !std::isfinite(y) ||
-        !parse_num(fields[6], t_ms) || !parse_num(fields[8], obs.value) ||
+    if (!parse_num(fields[1], h.cell_id) || !parse_num(fields[2], h.rat) ||
+        h.rat > kMaxRat || !parse_num(fields[3], h.channel) ||
+        !parse_num(fields[4], h.x) || !parse_num(fields[5], h.y) ||
+        !std::isfinite(h.x) || !std::isfinite(h.y) ||
+        !parse_num(fields[6], h.t_ms) || !parse_num(fields[8], obs.value) ||
         !std::isfinite(obs.value) || !parse_num(fields[9], obs.context))
       return false;
 
     obs.key = *key;
-    carrier_buf_.assign(fields[0]);
-    db.add_snapshot(carrier_buf_, cell_id, static_cast<spectrum::Rat>(rat_raw),
-                    channel, {x, y}, SimTime{t_ms}, obs_buf_);
+    if (params_.empty() || !(h == open_) || fields[0] != carrier_buf_) {
+      flush(db);
+      open_ = h;
+      carrier_buf_.assign(fields[0]);
+    }
+    params_.push_back(obs);
     return true;
   }
 
+  /// File the open snapshot, if any.
+  void flush(ConfigDatabase& db) {
+    if (params_.empty()) return;
+    db.add_snapshot(carrier_buf_, open_.cell_id,
+                    static_cast<spectrum::Rat>(open_.rat), open_.channel,
+                    {open_.x, open_.y}, SimTime{open_.t_ms}, params_);
+    params_.clear();
+  }
+
  private:
+  /// A row's cell, identity and time.
+  struct Head {
+    std::uint32_t cell_id = 0, channel = 0;
+    std::uint8_t rat = 0;
+    double x = 0.0, y = 0.0;
+    std::int64_t t_ms = 0;
+    bool operator==(const Head&) const = default;
+  };
+
   const config::ParamKey* param(std::string_view name) {
-    const auto it = params_.find(name);
-    if (it != params_.end())
+    const auto it = names_.find(name);
+    if (it != names_.end())
       return it->second ? &*it->second : nullptr;
     const auto parsed = config::parse_param_name(std::string(name));
-    const auto ins = params_.emplace(name, parsed).first;
+    const auto ins = names_.emplace(name, parsed).first;
     return ins->second ? &*ins->second : nullptr;
   }
 
-  std::map<std::string, std::optional<config::ParamKey>, std::less<>> params_;
-  std::string carrier_buf_;
-  std::vector<config::ParamObservation> obs_buf_{1};
+  std::map<std::string, std::optional<config::ParamKey>, std::less<>> names_;
+  Head open_;                ///< the open snapshot's
+  std::string carrier_buf_;  ///< the open snapshot's carrier
+  std::vector<config::ParamObservation> params_;  ///< the open snapshot's
 };
 
 Result<LoadStats> load_csv_lines(std::string_view text, ConfigDatabase& db) {
@@ -130,6 +153,7 @@ Result<LoadStats> load_csv_lines(std::string_view text, ConfigDatabase& db) {
     ++stats.rows;
     if (!parser.parse(line, db)) ++stats.bad_rows;
   }
+  parser.flush(db);
   return stats;
 }
 

@@ -136,7 +136,7 @@ void StreamExtractor::flush() {
   memo.filed = params.has_value();
   memo.rows = params ? params->size() : 0;
   if (!params) return;
-  db_.file_snapshot(carrier_, camp.cell_identity, rat, camp.channel, pos,
+  db_.add_snapshot(carrier_, camp.cell_identity, rat, camp.channel, pos,
                     pending_->camp_time, *params);
   ++stats_.snapshots;
 }
@@ -188,6 +188,7 @@ void StreamExtractor::finish() {
     pending_.reset();
   }
   memo_.clear();
+  db_.trim_repeats(carrier_);
 }
 
 ExtractStats extract_configs(const std::string& carrier,

@@ -65,8 +65,9 @@ struct ExtractStats {
 /// filed.  A camp whose payloads equal it is not decoded or flattened: it
 /// files the cell's last snapshot again (ConfigDatabase::refile_snapshot),
 /// which the database mostly holds as a repeat.  Every other camp is
-/// decoded and filed through ConfigDatabase::file_snapshot.  Expanded, the
-/// database equals add_snapshot's filing of every decoded camp.
+/// decoded and filed through ConfigDatabase::add_snapshot, so the database
+/// is add_snapshot's filing of every decoded camp; finish() trims its
+/// repeat lists (ConfigDatabase::trim_repeats).
 ///
 /// Not thread-safe; `db` must outlive the extractor, and nothing else may
 /// change the cells it files into while it runs (the memo's refilings

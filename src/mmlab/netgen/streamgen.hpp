@@ -34,7 +34,9 @@
 namespace mmlab::netgen {
 
 /// Receives one decoded configuration snapshot per cell visit.  Mirrors
-/// ConfigDatabase::add_snapshot so an adapter is a one-line forward.
+/// ConfigDatabase::add_snapshot so an adapter is a one-line forward; a
+/// visit that sees the cell's previous configuration again is sent whole,
+/// and add_snapshot holds it as a repeat.
 class SnapshotSink {
  public:
   virtual ~SnapshotSink() = default;

@@ -99,11 +99,7 @@ class SnapshotTracker {
   /// Before a full observation at entry `i`, time `t`, decoded row `row`.
   void observation(std::uint64_t i, std::int64_t t, std::size_t row,
                    CellScan& scan) {
-    if (i == 0) {
-      scan.front_t_ms = t;
-    } else if (t < t_) {
-      scan.sorted = false;
-    }
+    if (i == 0) scan.front_t_ms = t;
     if (!in_full_ || t != t_) {  // a new snapshot starts here
       first_ = i;
       begin_ = row;
@@ -113,11 +109,10 @@ class SnapshotTracker {
   }
   /// A marker at entry `i`, time `t`, before decoded row `row`: the
   /// previous snapshot again (the full one just closed, or what the
-  /// previous marker repeated).
+  /// previous marker repeated), appended to `out`.
   void marker(std::uint64_t i, std::int64_t t, std::size_t row,
-              CellScan& scan) {
+              std::vector<Repeat>& out, CellScan& scan) {
     if (i == 0) throw MmdsError("repeat marker before any snapshot");
-    if (t < t_) scan.sorted = false;
     if (in_full_) {
       repeat_ = {t, row, begin_, row};
       repeat_rows_ = i - first_;
@@ -125,13 +120,14 @@ class SnapshotTracker {
     }
     repeat_.t_ms = t;
     repeat_.at = row;
-    scan.repeats.push_back(repeat_);
+    out.push_back(repeat_);
+    ++markers_;
     scan.rows = saturating_add(scan.rows, repeat_rows_);
     t_ = t;
   }
   /// Fill the scan's row count once `n` entries are decoded.
   void finish(std::uint64_t n, CellScan& scan) const {
-    scan.rows = saturating_add(scan.rows, n - scan.repeats.size());
+    scan.rows = saturating_add(scan.rows, n - markers_);
   }
 
  private:
@@ -141,14 +137,13 @@ class SnapshotTracker {
   bool in_full_ = false;      ///< the previous entry was an observation
   Repeat repeat_;             ///< what the next marker repeats
   std::uint64_t repeat_rows_ = 0;  ///< its unfiltered row count
+  std::uint64_t markers_ = 0;      ///< markers decoded
 };
 
 void start_scan(CellScan& scan) {
   scan.rows = 0;
   scan.values_skipped = 0;
   scan.front_t_ms = 0;
-  scan.sorted = true;
-  scan.repeats.clear();
 }
 
 /// One entry by the reference field-by-field parse.
@@ -156,11 +151,11 @@ void decode_one_reference(ByteReader& r, std::uint64_t i,
                           const std::vector<config::ParamKey>& params,
                           ObservationSelection select, bool repeats,
                           std::int64_t& t_ms, SnapshotTracker& snapshots,
-                          std::vector<Observation>& out, CellScan& scan) {
+                          CellRecord& out, CellScan& scan) {
   t_ms = add_delta(t_ms, r.varint());
   const std::uint64_t param_index = r.varint();
   if (repeats && param_index == kRepeatMarker) {
-    snapshots.marker(i, t_ms, out.size(), scan);
+    snapshots.marker(i, t_ms, out.observations.size(), out.repeats, scan);
     return;
   }
   if (param_index >= params.size())
@@ -169,9 +164,10 @@ void decode_one_reference(ByteReader& r, std::uint64_t i,
   // whether a store is accepted.
   const double value = finite_value(r);
   const std::int64_t context = r.svarint();
-  snapshots.observation(i, t_ms, out.size(), scan);
+  snapshots.observation(i, t_ms, out.observations.size(), scan);
   if (select.keeps(param_index))
-    out.push_back({params[param_index], value, SimTime{t_ms}, context});
+    out.observations.push_back(
+        {params[param_index], value, SimTime{t_ms}, context});
   else
     ++scan.values_skipped;
 }
@@ -197,29 +193,15 @@ inline std::uint8_t* put_f64(std::uint8_t* p, double v) {
   return p + 8;
 }
 
-/// Same key, value bits and context, observation by observation: a
-/// repeat.  Bits, not ==, so -0.0 never repeats 0.0.
-bool same_snapshot(const Observation* a, const Observation* b,
-                   std::size_t n) {
-  for (std::size_t k = 0; k < n; ++k)
-    if (a[k].key != b[k].key || a[k].context != b[k].context ||
-        std::bit_cast<std::uint64_t>(a[k].value) !=
-            std::bit_cast<std::uint64_t>(b[k].value))
-      return false;
-  return true;
-}
-
 /// The encode kernel; `index_of` maps a key to its table index.
 template <typename IndexOf>
 bool encode_cell_kernel(ByteWriter& out, std::uint32_t id,
                         const CellRecord& rec, IndexOf index_of,
-                        RepeatCount* repeats) {
+                        RepeatCount& repeats) {
   const Observation* const obs = rec.observations.data();
   const std::size_t n = rec.observations.size();
   const std::vector<Repeat>& held = rec.repeats;
-  // The most entries the cell can take: held repeats are markers only
-  // when repeats are counted.
-  const std::size_t most = repeats ? encoded_entries(rec) : rec.row_count();
+  const std::size_t most = encoded_entries(rec);
   const std::size_t start = out.size();
   std::uint8_t* const begin = out.extend(max_encoded_cell_size(most));
   std::uint8_t* p = begin;
@@ -254,8 +236,8 @@ bool encode_cell_kernel(ByteWriter& out, std::uint32_t id,
     p = put_varint(p, kRepeatMarker);
     prev_t = t;
     ++entries;
-    ++repeats->snapshots;
-    repeats->rows += len;
+    ++repeats.snapshots;
+    repeats.rows += len;
   };
   const Observation* prev = nullptr;  // the previous snapshot
   std::size_t prev_n = 0;
@@ -266,10 +248,7 @@ bool encode_cell_kernel(ByteWriter& out, std::uint32_t id,
       const Repeat& m = held[next++];
       prev = obs + m.begin;
       prev_n = m.end - m.begin;
-      if (repeats)
-        put_marker(m.t_ms, prev_n);
-      else
-        put_rows(prev, prev_n, m.t_ms);
+      put_marker(m.t_ms, prev_n);
       continue;
     }
     const std::int64_t t = obs[s].t.ms;
@@ -277,7 +256,7 @@ bool encode_cell_kernel(ByteWriter& out, std::uint32_t id,
     std::size_t e = s + 1;
     while (e < stop && obs[e].t.ms == t) ++e;
     const std::size_t len = e - s;
-    if (repeats && len == prev_n && same_snapshot(prev, obs + s, len))
+    if (len == prev_n && core::same_snapshot(prev, obs + s, len))
       put_marker(t, len);
     else
       put_rows(obs + s, len, t);
@@ -299,7 +278,7 @@ bool encode_cell_kernel(ByteWriter& out, std::uint32_t id,
 }  // namespace
 
 bool encode_cell(ByteWriter& out, std::uint32_t id, const CellRecord& rec,
-                 ParamIndexMap& params, RepeatCount* repeats) {
+                 ParamIndexMap& params, RepeatCount& repeats) {
   return encode_cell_kernel(
       out, id, rec,
       [&params](config::ParamKey key) { return params.assign(key); },
@@ -307,7 +286,7 @@ bool encode_cell(ByteWriter& out, std::uint32_t id, const CellRecord& rec,
 }
 
 bool encode_cell(ByteWriter& out, std::uint32_t id, const CellRecord& rec,
-                 const ParamIndexMap& params, RepeatCount* repeats) {
+                 const ParamIndexMap& params, RepeatCount& repeats) {
   return encode_cell_kernel(
       out, id, rec,
       [&params](config::ParamKey key) { return params.get(key); }, repeats);
@@ -315,20 +294,41 @@ bool encode_cell(ByteWriter& out, std::uint32_t id, const CellRecord& rec,
 
 void encode_cell_reference(ByteWriter& out, std::uint32_t id,
                            const CellRecord& rec, const ParamIndexMap& params) {
+  const std::vector<Observation> rows = rec.expanded();
+  ByteWriter body;
+  std::uint64_t entries = 0;
+  std::int64_t prev_t = 0;
+  std::size_t prev = 0, prev_n = 0;  // the previous snapshot
+  for (std::size_t s = 0; s < rows.size();) {
+    std::size_t e = s + 1;
+    while (e < rows.size() && rows[e].t == rows[s].t) ++e;
+    const std::int64_t dt = delta(rows[s].t.ms, prev_t);
+    if (e - s == prev_n &&
+        core::same_snapshot(rows.data() + prev, rows.data() + s, prev_n)) {
+      body.svarint(dt);
+      body.varint(kRepeatMarker);
+      ++entries;
+    } else {
+      for (std::size_t k = s; k < e; ++k) {
+        body.svarint(k == s ? dt : 0);
+        body.varint(params.get(rows[k].key));
+        body.f64le(rows[k].value);
+        body.svarint(rows[k].context);
+      }
+      entries += e - s;
+    }
+    prev_t = rows[s].t.ms;
+    prev = s;
+    prev_n = e - s;
+    s = e;
+  }
   out.varint(id);
   out.u8(static_cast<std::uint8_t>(rec.rat));
   out.varint(rec.channel);
   out.f64le(rec.position.x);
   out.f64le(rec.position.y);
-  out.varint(rec.row_count());
-  std::int64_t prev_t = 0;
-  rec.for_each_row([&](const Observation& obs) {
-    out.svarint(delta(obs.t.ms, prev_t));
-    prev_t = obs.t.ms;
-    out.varint(params.get(obs.key));
-    out.f64le(obs.value);
-    out.svarint(obs.context);
-  });
+  out.varint(entries);
+  out.raw(body.buffer().data(), body.size());
 }
 
 std::uint32_t parse_cell_filtered(ByteReader& r,
@@ -348,16 +348,15 @@ std::uint32_t parse_cell_filtered(ByteReader& r,
   ObservationSelection select;
   select.mask = keep.empty() ? nullptr : keep.data();
   select.none = h.id < min_cell || h.id > max_cell;
-  decode_observations(r, h.n_obs, params, select, rec.observations, scan,
-                      repeats);
+  decode_observations(r, h.n_obs, params, select, rec, scan, repeats);
   return h.id;
 }
 
 void decode_observations_reference(ByteReader& r, std::uint64_t n_obs,
                                    const std::vector<config::ParamKey>& params,
                                    ObservationSelection select,
-                                   std::vector<Observation>& out,
-                                   CellScan& scan, bool repeats) {
+                                   CellRecord& out, CellScan& scan,
+                                   bool repeats) {
   start_scan(scan);
   SnapshotTracker snapshots;
   std::int64_t t_ms = 0;
@@ -369,14 +368,14 @@ void decode_observations_reference(ByteReader& r, std::uint64_t n_obs,
 
 void decode_observations(ByteReader& r, std::uint64_t n_obs,
                          const std::vector<config::ParamKey>& params,
-                         ObservationSelection select,
-                         std::vector<Observation>& out, CellScan& scan,
-                         bool repeats) {
+                         ObservationSelection select, CellRecord& out,
+                         CellScan& scan, bool repeats) {
   // Every observation takes at least 11 bytes, so the bytes left bound how
   // many rows the entries can decode into, whatever n_obs claims.
+  std::vector<Observation>& rows = out.observations;
   if (!select.none)
-    out.reserve(out.size() + static_cast<std::size_t>(std::min<std::uint64_t>(
-                                 n_obs, r.remaining() / 11 + 1)));
+    rows.reserve(rows.size() + static_cast<std::size_t>(std::min<std::uint64_t>(
+                                   n_obs, r.remaining() / 11 + 1)));
   start_scan(scan);
   SnapshotTracker snapshots;
   std::int64_t t_ms = 0;
@@ -403,7 +402,7 @@ void decode_observations(ByteReader& r, std::uint64_t n_obs,
       if (len != 0 && param_index == kRepeatMarker && repeats && i != 0) {
         p = q + len;
         t_ms = add_delta(t_ms, delta);
-        snapshots.marker(i, t_ms, out.size(), scan);
+        snapshots.marker(i, t_ms, rows.size(), out.repeats, scan);
         continue;
       }
       std::uint64_t bits = 0;
@@ -424,10 +423,10 @@ void decode_observations(ByteReader& r, std::uint64_t n_obs,
       }
       p = q + len;
       t_ms = add_delta(t_ms, delta);
-      snapshots.observation(i, t_ms, out.size(), scan);
+      snapshots.observation(i, t_ms, rows.size(), scan);
       if (select.keeps(param_index))
-        out.push_back({params[param_index], std::bit_cast<double>(bits),
-                       SimTime{t_ms}, zigzag_decode(context)});
+        rows.push_back({params[param_index], std::bit_cast<double>(bits),
+                        SimTime{t_ms}, zigzag_decode(context)});
       else
         ++scan.values_skipped;
     }

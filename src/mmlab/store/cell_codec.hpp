@@ -1,9 +1,9 @@
 // The MMDS cell codec: one cell's wire encoding inside a v2 shard block body
 // (store/mmds2.hpp has the layout around it).  The shard writer encodes
-// through encode_cell; load_database and the direct fold parse through
-// parse_cell_filtered, whose repeat markers decode into core::Repeat, the
-// type a CellRecord holds its repeats in, and expand through
-// core::expand_repeats, so writer and readers cannot drift apart.
+// through encode_cell (markers by core::same_snapshot); load_database and
+// the direct fold parse through parse_cell_filtered, which decodes markers
+// into the record's repeats, and both keep or expand them by
+// CellRecord::keep_or_expand, so writer and readers cannot drift apart.
 #pragma once
 
 #include <cstdint>
@@ -89,54 +89,45 @@ struct RepeatCount {
 };
 
 /// Append one cell's encoding to `out`, assigning table indices to unseen
-/// keys (ParamIndexMap::assign).  Given `repeats`, each snapshot (a
-/// maximal run of equal-t observations) that equals the previous snapshot
-/// of the run in length, keys, value bits and contexts is written as one
-/// repeat marker and counted there: a repeat the record holds is copied
-/// through as a marker, with no comparison, and its distinct rows are
-/// compared as before, so the bytes are those of the expanded rows.
-/// Without `repeats` the record must hold none, and on a cell without
-/// repeats the bytes are encode_cell_reference's.  The pointer kernel:
-/// one resize by max_encoded_cell_size, raw stores, one trim.  Returns
-/// whether every observation value is finite; a store must not hold one
-/// that is not (the readers reject it), so ShardWriter::add_cell rolls
-/// such a cell back (ByteWriter::truncate, ParamIndexMap::truncate) and
-/// refuses it.
+/// keys (ParamIndexMap::assign).  Each snapshot (a maximal run of equal-t
+/// observations) that equals the run's previous one (core::same_snapshot)
+/// is written as one repeat marker and counted in `repeats`; a repeat the
+/// record holds is copied through uncompared, so the bytes are those of
+/// the expanded rows (encode_cell_reference's).  The pointer kernel: one
+/// resize by max_encoded_cell_size, raw stores, one trim.  Returns whether every observation value is finite; a store must
+/// not hold one that is not (the readers reject it), so
+/// ShardWriter::add_cell rolls such a cell back (ByteWriter::truncate,
+/// ParamIndexMap::truncate) and refuses it.
 bool encode_cell(ByteWriter& out, std::uint32_t id,
                  const core::CellRecord& rec, ParamIndexMap& params,
-                 RepeatCount* repeats = nullptr);
+                 RepeatCount& repeats);
 
 /// The same kernel against a table fixed in advance: every key must
 /// already be assigned, and the map is only read, so parallel encoders may
 /// share it (ShardWriter::add_database).
 bool encode_cell(ByteWriter& out, std::uint32_t id,
                  const core::CellRecord& rec, const ParamIndexMap& params,
-                 RepeatCount* repeats = nullptr);
+                 RepeatCount& repeats);
 
-/// The ByteWriter-call-per-field plain encoder (no repeat markers), kept as
-/// the test oracle (the varint_reference idiom): encode_cell's bytes for
-/// the same map on every cell without repeats.  Writes the expanded rows.
-/// Every key must already be assigned.
+/// The ByteWriter-call-per-field encoder, kept as the test oracle (the
+/// varint_reference idiom): it walks the expanded rows and writes a marker
+/// for each snapshot equal to the one before it, the rows of every other.
+/// encode_cell's bytes for the same map on every record.  Every key must
+/// already be assigned.
 void encode_cell_reference(ByteWriter& out, std::uint32_t id,
                            const core::CellRecord& rec,
                            const ParamIndexMap& params);
 
 /// Wire-level facts a decode pass reports about the *unfiltered* cell run
-/// it just scanned — everything a reader needs to (a) validate raw counts
-/// against the manifest, (b) preserve the merge contract's metadata
-/// tie-break, which is defined over unfiltered runs, and (c) decide
-/// whether the run's repeats may be skipped or must be expanded.
+/// it just scanned — what a reader needs to (a) validate raw counts
+/// against the manifest and (b) preserve the merge contract's metadata
+/// tie-break, which is defined over unfiltered runs.
 struct CellScan {
   /// Expanded rows: wire observations plus every row a marker repeats.
   std::uint64_t rows = 0;
   std::uint64_t values_skipped = 0;  ///< wire observations not materialized
   std::int64_t front_t_ms = 0;  ///< first wire observation's t (has_front)
   bool has_front = false;       ///< the run had at least one observation
-  bool sorted = true;  ///< entry times never decrease, markers included
-  /// Markers, in wire order: the decoded rows [begin, end) of the snapshot
-  /// each repeats, again at t_ms, placed before row `at`.  Positions index
-  /// the output vector the pass appended to.
-  std::vector<core::Repeat> repeats;
 };
 
 /// Which observations a decode pass materializes: all of them, those whose
@@ -155,12 +146,14 @@ struct ObservationSelection {
 inline constexpr std::size_t kMaxWireObservationBytes = 10 + 10 + 8 + 10;
 
 /// Decode `n_obs` wire entries from r's position (the cell header already
-/// read), appending the observations `select` keeps to `out`; fills every
-/// CellScan field but has_front.  Every observation is walked and checked
-/// whether kept or not: param index below params.size(), a finite value,
-/// no over-long varint, no truncation.  With `repeats` (the store's
-/// manifest flags bit 1) an entry whose param index is kRepeatMarker is a
-/// repeat marker: it decodes into scan.repeats, never into `out`, and may
+/// read), appending the observations `select` keeps to out.observations;
+/// fills every CellScan field but has_front.  Every observation is walked
+/// and checked whether kept or not: param index below params.size(), a
+/// finite value, no over-long varint, no truncation.  With `repeats` (the
+/// store's manifest flags bit 1) an entry whose param index is
+/// kRepeatMarker is a repeat marker: it decodes into out.repeats (the
+/// decoded rows [begin, end) of the snapshot it repeats, again at t_ms,
+/// placed before decoded row `at`), never into out.observations, and may
 /// not come first.  Damage throws std::runtime_error subclasses.  The
 /// pointer kernel: while kMaxWireObservationBytes remain it checks bounds
 /// once per entry and decodes one-byte varints directly and longer ones by
@@ -169,17 +162,16 @@ inline constexpr std::size_t kMaxWireObservationBytes = 10 + 10 + 8 + 10;
 /// reader position and error text are the reference's on every input.
 void decode_observations(ByteReader& r, std::uint64_t n_obs,
                          const std::vector<config::ParamKey>& params,
-                         ObservationSelection select,
-                         std::vector<core::Observation>& out, CellScan& scan,
-                         bool repeats = false);
+                         ObservationSelection select, core::CellRecord& out,
+                         CellScan& scan, bool repeats = false);
 
 /// The ByteReader-call-per-field decoder the kernel replaced, kept as the
 /// test oracle (the varint_reference idiom) and as the kernel's slow path.
 void decode_observations_reference(ByteReader& r, std::uint64_t n_obs,
                                    const std::vector<config::ParamKey>& params,
                                    ObservationSelection select,
-                                   std::vector<core::Observation>& out,
-                                   CellScan& scan, bool repeats = false);
+                                   core::CellRecord& out, CellScan& scan,
+                                   bool repeats = false);
 
 /// Parse one cell into a standalone record, with predicate push-down.
 /// `rec` is reset first (its repeats too) but keeps its capacity;
@@ -192,11 +184,10 @@ void decode_observations_reference(ByteReader& r, std::uint64_t n_obs,
 /// empty `keep` keeps every observation.  When the returned id falls
 /// outside [min_cell, max_cell] nothing is materialized at all (the caller
 /// drops the cell); `rec` still carries the header metadata either way.
-/// Repeat markers (allowed by `repeats`) stay in scan.repeats: rec holds
-/// the run's distinct snapshots until the caller expands them
-/// (core::expand_repeats, which grows rec by the rows CellScan::rows
-/// bounds: check that against the manifest first) or takes them as
-/// rec.repeats.  Throws std::runtime_error subclasses on structural damage
+/// Repeat markers (allowed by `repeats`) decode into rec.repeats: rec
+/// holds the run's distinct snapshots until the caller keeps or expands
+/// them (CellRecord::keep_or_expand, which may grow rec by the rows
+/// CellScan::rows bounds: check that against the manifest first).  Throws std::runtime_error subclasses on structural damage
 /// (bad rat, out-of-range param index, implausible counts, a misplaced
 /// marker) and on a non-finite (NaN or infinite) observation value.
 std::uint32_t parse_cell_filtered(ByteReader& r,

@@ -22,31 +22,21 @@ namespace {
 /// in-range cell run, the only parsed run it holds.  `rec` is refilled for
 /// every run of the block and swapped with the fold's merge buffer, so its
 /// observations keep their capacity.  It holds the run's distinct
-/// snapshots; the run's repeat markers stay in `scan` until the merge
-/// decides whether to expand them.  The raw counts validate the body
-/// against the manifest once the reader reaches its end.
+/// snapshots and its decoded markers until the merge keeps or expands
+/// them.  The raw counts validate the body against the manifest once the
+/// reader reaches its end.
 struct BlockCursor {
   std::size_t pos = 0;      ///< index into the carrier plan's blocks
   std::size_t global = 0;   ///< index into ShardSet::blocks()
   ByteReader r{nullptr, 0};
   core::CellRecord rec;     ///< the current run (unless done)
-  CellScan scan;            ///< its unfiltered wire facts and markers
+  CellScan scan;            ///< its unfiltered wire facts
   std::uint32_t id = 0;     ///< last raw id parsed: the current run's id
   std::uint32_t first = 0;  ///< first raw id parsed
   std::uint64_t cells = 0;  ///< raw cells parsed
   std::uint64_t rows = 0;   ///< raw rows parsed, repeats expanded
   bool done = false;        ///< body read to its end and validated
 };
-
-/// May a cell whose only run this is skip the run's repeats?  Only when
-/// they cannot change an answer: with times never decreasing and none
-/// below CellRecord::latest's -1 sentinel, a repeat adds no first-seen
-/// value or context pair and never decides a key's latest value (the
-/// snapshot it repeats is the last one holding its keys up to it, with
-/// the same values in the same order).
-bool skips_repeats(const CellScan& scan) {
-  return scan.sorted && scan.front_t_ms >= -1;
-}
 
 }  // namespace
 
@@ -208,9 +198,10 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
     // Merge every current run of min_id, in window (= manifest) order — the
     // pairwise ConfigDatabase::merge the loader performs.  The first run is
     // swapped in and the rest merged, so every buffer keeps its capacity.
-    // A lone run keeps only its distinct snapshots when skips_repeats
-    // allows; every other run is expanded first, as load_database expands
-    // it, since a merge interleaves runs by time.
+    // The merged record then keeps or expands its repeats by
+    // load_database's rule (CellRecord::keep_or_expand); merge_from has
+    // already expanded the runs of a cell with several, since it
+    // interleaves them by time.
     // Under wire filtering, merge_from's metadata tie-break would see
     // *filtered* front timestamps, so the winner (minimal unfiltered front
     // t over non-empty runs, earliest run on ties, first run when all runs
@@ -218,9 +209,6 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
     // runs) is recomputed from the wire facts and reapplied after the
     // merge; the observation merge itself commutes with filtering (stable
     // sort by t of a filtered concatenation = filter of the stable sort).
-    std::size_t runs = 0;
-    for (const BlockCursor& c : live)
-      if (!c.done && c.id == min_id) ++runs;
     bool first = true;
     spectrum::Rat m_rat{};
     std::uint32_t m_channel = 0;
@@ -242,12 +230,6 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
           best_front = c.scan.front_t_ms;
         }
       }
-      if (runs > 1 || !skips_repeats(c.scan)) {
-        core::expand_repeats(c.rec.observations, c.scan.repeats);
-      } else {
-        for (const core::Repeat& m : c.scan.repeats)
-          fs.repeat_rows_skipped += m.end - m.begin;
-      }
       if (first) {
         std::swap(merged, c.rec);
         first = false;
@@ -261,6 +243,9 @@ Result<FoldStats> DirectFold::run_fold(const FoldJob& job,
       merged.channel = m_channel;
       merged.position = m_position;
     }
+    merged.keep_or_expand();
+    for (const core::Repeat& m : merged.repeats)
+      fs.repeat_rows_skipped += m.end - m.begin;
     consumer(static_cast<std::uint32_t>(min_id), merged);
     ++fs.cells;
     while (!live.empty() && live.front().done) live.pop_front();

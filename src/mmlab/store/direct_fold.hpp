@@ -23,17 +23,13 @@
 // first_cell — ids within a block lie inside [first_cell, last_cell], so no
 // later block can contribute another run of it.
 //
-// Repeats (DESIGN.md §12): a cell run's repeat markers (mmds2.hpp) are
-// kept beside its record, not expanded into it.  A cell with exactly one
-// run whose times never decrease and start at or above CellRecord::latest's
-// -1 sentinel reaches the consumer with its distinct snapshots only: there
-// a repeat cannot change a first-seen unique value, a (context, value)
-// pair or a latest value, which is all the fig11-22 products read.  Every
-// other cell (several runs, times out of order, times below -1) is
-// expanded first by core::expand_repeats, and merges exactly as loaded.
-// So a consumer that counts rows must take them from the manifest
-// (FoldStats::rows), not from the records; FoldStats::repeat_rows_skipped
-// counts what the lone runs left out.
+// Repeats (DESIGN.md §12): a cell run's repeat markers (mmds2.hpp) decode
+// into its record's repeats, and the run keeps or expands them by
+// CellRecord::keep_or_expand, load_database's rule.  So a cell with one run
+// reaches the consumer as load_database holds it, repeats and all, and the
+// fig11-22 products read its distinct rows alone; a cell with several runs
+// is expanded by the merge, as loaded.  FoldStats::repeat_rows_skipped
+// counts the rows the delivered records hold as repeats.
 //
 // Planned folds (DESIGN.md §13): every fold is planned.  A store::QueryPlan
 // narrows a fold to the blocks that can contribute to a query — other
@@ -144,9 +140,9 @@ struct FoldStats {
   /// Observations the ParamKey push-down dropped instead of materializing
   /// (they still count in `rows`; their values are only checked finite).
   std::uint64_t values_skipped = 0;
-  /// Rows of the repeat snapshots lone runs were delivered without (see
-  /// "Repeats" above), counted over the rows the push-down keeps.  With no
-  /// param or cell-range predicate, the rows delivered plus these equal
+  /// Rows the delivered records hold as repeats (see "Repeats" above),
+  /// counted over the rows the push-down keeps.  With no param or
+  /// cell-range predicate, the distinct rows delivered plus these equal
   /// `rows`.
   std::uint64_t repeat_rows_skipped = 0;
   /// Largest number of concurrently open blocks — the realized window,
@@ -177,9 +173,9 @@ class DirectFold {
   const std::vector<std::string>& carriers() const { return names_; }
 
   /// Receives each of the carrier's cells exactly once, fully merged across
-  /// all its runs, in ascending id order; a lone sorted run may arrive
-  /// without its repeat snapshots (see "Repeats" above).  The record is
-  /// only valid for the duration of the call.  Under a ParamKey predicate a cell whose
+  /// all its runs, in ascending id order, holding repeats as load_database
+  /// would (see "Repeats" above).  The record is only valid for the
+  /// duration of the call.  Under a ParamKey predicate a cell whose
   /// observations were all filtered out is still delivered (with empty
   /// observations): per-cell census products — e.g. the LTE cell count
   /// under multi_priority_cell_fraction — must not shift when values are

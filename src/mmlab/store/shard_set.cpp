@@ -159,12 +159,13 @@ Result<std::uint64_t> ShardSet::verify() const {
 namespace {
 
 /// Parse one block body into `out`, and check it against the manifest as
-/// the direct fold does: ascending cell ids inside [first_cell, last_cell],
-/// the cell count, and the expanded row count, which is checked before any
-/// marker's rows are allocated.  A run whose markers meet CellRecord's
-/// repeat invariant keeps them as the record's repeats; any other run is
-/// expanded.  A cell with runs in several blocks is expanded when
-/// load_database merges them (CellRecord::merge_from).
+/// the direct fold does: the block CRC first, then ascending cell ids
+/// inside [first_cell, last_cell], the cell count, and the expanded row
+/// count, which is checked before any marker's rows are allocated.  Each run keeps or expands its markers
+/// (CellRecord::keep_or_expand, the fold's rule too) and is copied out of
+/// one reused record, so a loaded record's rows take exactly their size.
+/// A cell with runs in several blocks is expanded when load_database
+/// merges them (CellRecord::merge_from).
 std::size_t parse_block_body(const ShardSet& set, std::size_t index,
                              core::ConfigDatabase& out) {
   const BlockInfo& info = *set.blocks()[index].info;
@@ -174,6 +175,8 @@ std::size_t parse_block_body(const ShardSet& set, std::size_t index,
   const auto fail = [index](const char* what) {
     return std::runtime_error("block " + std::to_string(index) + " " + what);
   };
+  if (crc16_ccitt(body.data(), body.size()) != info.crc16)
+    throw fail("CRC mismatch");
   ByteReader r(body.data(), body.size());
   std::uint64_t rows = 0, cells = 0;
   std::uint32_t first = 0, last = 0;
@@ -190,11 +193,8 @@ std::size_t parse_block_body(const ShardSet& set, std::size_t index,
     if (scan.rows > info.row_count - rows)
       throw fail("cell/row counts disagree with manifest");
     rows += scan.rows;
-    if (core::repeats_hold(rec.observations, scan.repeats))
-      rec.repeats.assign(scan.repeats.begin(), scan.repeats.end());
-    else
-      core::expand_repeats(rec.observations, scan.repeats);
-    out.upsert_cell(carrier, id) = std::move(rec);
+    rec.keep_or_expand();
+    out.upsert_cell(carrier, id) = rec;
   }
   if (cells != info.cell_count || rows != info.row_count)
     throw fail("cell/row counts disagree with manifest");

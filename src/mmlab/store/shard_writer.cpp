@@ -58,7 +58,7 @@ void ShardWriter::add_cell(const std::string& carrier, std::uint32_t id,
   const std::size_t start = pending_.size();
   const std::size_t params_before = param_index_.keys().size();
   RepeatCount repeats;
-  if (!encode_cell(pending_, id, rec, param_index_, &repeats)) {
+  if (!encode_cell(pending_, id, rec, param_index_, repeats)) {
     pending_.truncate(start);
     param_index_.truncate(params_before);
     throw std::invalid_argument("ShardWriter: non-finite observation value "
@@ -264,7 +264,7 @@ void ShardWriter::add_database_parallel(const core::ConfigDatabase& db,
         for (std::size_t i = chunk.first; i < chunk.last; ++i) {
           RepeatCount repeats;
           if (!encode_cell(slot.bytes, cells[i].id, *cells[i].rec, table,
-                           &repeats))
+                           repeats))
             break;
           slot.ends.push_back(slot.bytes.size());
           slot.repeats.push_back(repeats);

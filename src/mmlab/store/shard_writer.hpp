@@ -12,14 +12,15 @@
 //
 // StreamingDatasetSink sits on top for producers that emit *snapshots* in
 // arbitrary carrier order (the netgen streaming generator, a live ingest
-// pipeline): it batches snapshots into an in-memory ConfigDatabase chunk
-// and spills the chunk — carriers in name order, cells ascending — as one
-// run per carrier.  The spill contract: loading the finished store yields
+// pipeline): it files snapshots into an in-memory ConfigDatabase chunk
+// (add_snapshot: each repeat held once, counted in expanded rows) and
+// spills the chunk — carriers in name order, cells ascending — as one run
+// per carrier.  The spill contract: loading the finished store yields
 // exactly the fold-merge of the chunk databases in spill order
 // (ConfigDatabase::merge semantics).  When every cell's snapshots arrive in
 // nondecreasing time order — true of the generator and of any replayed
-// crawl — that is bit-identical to add_snapshot-ing everything into one big
-// database, so chunk size never changes results.
+// crawl — that equals add_snapshot-ing everything into one big database,
+// so chunk size never changes results.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +71,8 @@ class ShardWriter {
   /// and ascending ids extend the current run; a carrier switch or a
   /// non-ascending id starts a new block (a new run of that cell).
   /// Carrier and parameter table indices are assigned on first sight.
-  /// A snapshot that repeats the previous one of the record is written as
-  /// a repeat marker (encode_cell).
+  /// A snapshot that repeats the previous one of the record, held as a
+  /// repeat or not, is written as a repeat marker (encode_cell).
   /// Throws std::invalid_argument when an observation value is NaN or
   /// infinite (readers reject such a store).  The refused cell adds no
   /// bytes, carrier or parameter to the store; it may end the current
@@ -144,13 +145,13 @@ class ShardWriter {
 
 class StreamingDatasetSink {
  public:
-  /// Spills to `writer` every `chunk_rows` buffered observations.  The
+  /// Spills to `writer` every `chunk_rows` buffered (expanded) rows.  The
   /// writer must outlive the sink; call finish() (not the writer's) when
   /// done so the tail chunk spills first.
   explicit StreamingDatasetSink(ShardWriter& writer,
                                 std::size_t chunk_rows = 4'000'000);
 
-  /// Mirror of ConfigDatabase::add_snapshot.
+  /// ConfigDatabase::add_snapshot into the chunk.
   void snapshot(const std::string& carrier, std::uint32_t cell_id,
                 spectrum::Rat rat, std::uint32_t channel, geo::Point position,
                 SimTime t, const std::vector<config::ParamObservation>& params);

@@ -2,12 +2,13 @@
 // a store::analyze_carrier / analyze_query result is compared bit for bit
 // with the reference ConfigDatabase scans (core/analysis.hpp) over a
 // database — load_database(store), the database the store was written
-// from, or that database filtered by a query.  Shared by
-// test_direct_fold.cpp and test_query_plan.cpp.
+// from, or that database filtered by a query (filter_db).  Shared by the
+// store suites.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <map>
@@ -16,8 +17,10 @@
 #include <vector>
 
 #include "mmlab/core/analysis.hpp"
+#include "mmlab/core/cell_fold.hpp"
 #include "mmlab/core/database.hpp"
 #include "mmlab/core/figures.hpp"
+#include "mmlab/store/query_plan.hpp"
 
 namespace mmlab::test {
 
@@ -94,6 +97,34 @@ inline std::vector<geo::City> test_cities() {
                       .extent_m = 3.4e4});
   }
   return cities;
+}
+
+/// The planned-fold oracle: `db` restricted by `q`.  Drop non-selected
+/// carriers and out-of-range cells; strip non-selected-param rows from the
+/// expanded rows but KEEP the cell (with its unfiltered metadata) even when
+/// nothing remains — the planned fold's documented contract, so per-cell
+/// census products (e.g. multi_priority's LTE cell count) agree.
+inline core::ConfigDatabase filter_db(const core::ConfigDatabase& db,
+                                      const store::Query& q) {
+  const core::ParamKeySet pset(q.params);
+  core::ConfigDatabase out;
+  for (const auto& [carrier, cells] : db.carriers()) {
+    if (!q.carriers.empty() &&
+        std::find(q.carriers.begin(), q.carriers.end(), carrier) ==
+            q.carriers.end())
+      continue;
+    for (const auto& [id, rec] : cells) {
+      if (id < q.min_cell || id > q.max_cell) continue;
+      auto& dst = out.upsert_cell(carrier, id);
+      dst = rec;
+      if (q.params.empty()) continue;
+      dst.expand();
+      std::erase_if(dst.observations, [&](const core::Observation& obs) {
+        return !pset.contains(obs.key);
+      });
+    }
+  }
+  return out;
 }
 
 /// Every fig11–22 product of `f` (computed with `options`) against the

@@ -31,7 +31,7 @@ using core::Observation;
 
 /// What one decode pass left behind.
 struct Outcome {
-  std::vector<Observation> records;
+  core::CellRecord records;  ///< what the pass appended
   CellScan scan;
   std::size_t position = 0;
   std::string error;
@@ -71,11 +71,13 @@ Outcome expect_same(const std::vector<std::uint8_t>& bytes, std::size_t size,
   EXPECT_EQ(k.position, ref.position) << tag;
   EXPECT_EQ(k.scan.values_skipped, ref.scan.values_skipped) << tag;
   EXPECT_EQ(k.scan.front_t_ms, ref.scan.front_t_ms) << tag;
-  EXPECT_EQ(k.records.size(), ref.records.size()) << tag;
-  for (std::size_t i = 0; i < std::min(k.records.size(), ref.records.size());
-       ++i) {
-    const Observation& a = k.records[i];
-    const Observation& b = ref.records[i];
+  EXPECT_EQ(k.records.repeats, ref.records.repeats) << tag;
+  const auto& ko = k.records.observations;
+  const auto& ro = ref.records.observations;
+  EXPECT_EQ(ko.size(), ro.size()) << tag;
+  for (std::size_t i = 0; i < std::min(ko.size(), ro.size()); ++i) {
+    const Observation& a = ko[i];
+    const Observation& b = ro[i];
     EXPECT_EQ(a.key, b.key) << tag << " record " << i;
     EXPECT_EQ(std::bit_cast<std::uint64_t>(a.value),
               std::bit_cast<std::uint64_t>(b.value))
@@ -161,7 +163,10 @@ TEST(CellCodecKernel, RandomCellsMatchTheReference) {
         random_cell(rng, 1 + rng.below(300), rng.below(120), wide);
     ParamIndexMap map;
     ByteWriter w;
-    ASSERT_TRUE(encode_cell(w, static_cast<std::uint32_t>(round), rec, map));
+    RepeatCount repeats;
+    ASSERT_TRUE(
+        encode_cell(w, static_cast<std::uint32_t>(round), rec, map, repeats));
+    ASSERT_EQ(repeats.snapshots, 0u) << "round " << round;  // plain cells
     const auto& bytes = w.buffer();
     std::uint64_t n_obs = 0;
     const std::size_t start = skip_header(bytes, n_obs);
@@ -172,12 +177,13 @@ TEST(CellCodecKernel, RandomCellsMatchTheReference) {
         expect_same(bytes, bytes.size(), start, n_obs, params, {}, tag);
     EXPECT_TRUE(all.error.empty()) << tag << ": " << all.error;
     EXPECT_EQ(all.position, bytes.size()) << tag;
-    ASSERT_EQ(all.records.size(), rec.observations.size()) << tag;
+    const auto& got = all.records.observations;
+    ASSERT_EQ(got.size(), rec.observations.size()) << tag;
     for (std::size_t i = 0; i < rec.observations.size(); ++i) {
       // Wide time deltas wrap on both sides of the wire and round-trip.
-      EXPECT_EQ(all.records[i].t.ms, rec.observations[i].t.ms) << tag;
-      EXPECT_EQ(all.records[i].context, rec.observations[i].context) << tag;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(all.records[i].value),
+      EXPECT_EQ(got[i].t.ms, rec.observations[i].t.ms) << tag;
+      EXPECT_EQ(got[i].context, rec.observations[i].context) << tag;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].value),
                 std::bit_cast<std::uint64_t>(rec.observations[i].value))
           << tag;
     }
@@ -194,7 +200,9 @@ TEST(CellCodecKernel, CellCutAtEveryByteOffset) {
     const auto rec = random_cell(rng, 40, 24, wide);
     ParamIndexMap map;
     ByteWriter w;
-    ASSERT_TRUE(encode_cell(w, 5, rec, map));
+    RepeatCount repeats;
+    ASSERT_TRUE(encode_cell(w, 5, rec, map, repeats));
+    ASSERT_EQ(repeats.snapshots, 0u);  // a plain cell
     const auto& bytes = w.buffer();
     std::uint64_t n_obs = 0;
     const std::size_t start = skip_header(bytes, n_obs);

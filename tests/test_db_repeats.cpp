@@ -1,5 +1,5 @@
 // Repeat snapshots in the database (core/database.hpp) and at extraction
-// (core/extractor.hpp).  ConfigDatabase::file_snapshot and refile_snapshot
+// (core/extractor.hpp).  ConfigDatabase::add_snapshot and refile_snapshot
 // hold a snapshot equal to the cell's previous one as a Repeat, and the
 // extractor's memo refiles a camp whose RRC payloads repeat the cell's last
 // camp without decoding it.  Each must equal its rows-only oracle: a
@@ -12,9 +12,11 @@
 
 #include <array>
 #include <bit>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -121,7 +123,7 @@ void expect_same_text(const std::string& a, const std::string& b,
 void expect_invariant(const ConfigDatabase& db, const std::string& tag) {
   for (const auto& [carrier, cells] : db.carriers())
     for (const auto& [id, rec] : cells)
-      EXPECT_TRUE(repeats_hold(rec.observations, rec.repeats))
+      EXPECT_TRUE(rec.repeats_hold())
           << tag << " " << carrier << " cell " << id;
 }
 
@@ -261,6 +263,24 @@ void expect_same_as_rows(const ConfigDatabase& db, const ConfigDatabase& ref,
   }
 }
 
+/// The rows-only filing every test here holds the database to: `params`
+/// appended to the cell's rows (upsert_cell), the first camp's identity
+/// kept.
+void file_rows(ConfigDatabase& db, const std::string& carrier,
+               std::uint32_t id, spectrum::Rat rat, std::uint32_t channel,
+               geo::Point pos, SimTime t,
+               const std::vector<config::ParamObservation>& params) {
+  CellRecord& rec = db.upsert_cell(carrier, id);
+  if (rec.observations.empty()) {
+    rec.cell_id = id;
+    rec.rat = rat;
+    rec.channel = channel;
+    rec.position = pos;
+  }
+  for (const auto& p : params)
+    rec.observations.push_back({p.key, p.value, t, p.context});
+}
+
 // --- the database property test -------------------------------------------------
 
 const std::array<config::ParamKey, 4> kKeys = {
@@ -270,8 +290,8 @@ const std::array<config::ParamKey, 4> kKeys = {
     config::lte_param(config::ParamId::kA3Offset)};
 
 /// Seeded filings of a few cells, applied to a database through
-/// file_snapshot / refile_snapshot and to its rows-only oracle through
-/// upsert_cell.  Times mostly rise, sometimes tie, fall or sit at and
+/// add_snapshot / refile_snapshot and to its rows-only oracle through
+/// file_rows.  Times mostly rise, sometimes tie, fall or sit at and
 /// below -1; params are often the cell's last ones again, sometimes empty,
 /// and values include both zeros.
 class Filings {
@@ -337,16 +357,8 @@ class Filings {
       db_.refile_snapshot(carrier, id, rat, channel, pos, SimTime{t},
                           params.size());
     else
-      db_.file_snapshot(carrier, id, rat, channel, pos, SimTime{t}, params);
-    CellRecord& rec = ref_.upsert_cell(carrier, id);
-    if (rec.observations.empty()) {
-      rec.cell_id = id;
-      rec.rat = rat;
-      rec.channel = channel;
-      rec.position = pos;
-    }
-    for (const auto& p : params)
-      rec.observations.push_back({p.key, p.value, SimTime{t}, p.context});
+      db_.add_snapshot(carrier, id, rat, channel, pos, SimTime{t}, params);
+    file_rows(ref_, carrier, id, rat, channel, pos, SimTime{t}, params);
     cell.filed = true;
     cell.last = std::move(params);
   }
@@ -389,8 +401,8 @@ TEST(DbRepeats, ARepeatNeedsEqualBitsAndARisingTime) {
   const config::ParamKey k = kKeys[0];
   ConfigDatabase db;
   const auto file = [&](std::int64_t t, double v) {
-    db.file_snapshot("C", 1, spectrum::Rat::kLte, 1, {}, SimTime{t},
-                     {{k, v, -1}, {kKeys[1], 1.0, 2}});
+    db.add_snapshot("C", 1, spectrum::Rat::kLte, 1, {}, SimTime{t},
+                    {{k, v, -1}, {kKeys[1], 1.0, 2}});
   };
   file(10, 0.0);
   file(20, 0.0);   // repeat
@@ -416,8 +428,8 @@ TEST(DbRepeats, RowsOutOfOrderOrBelowMinusOneNeverRepeat) {
   for (const std::int64_t first : {-5, 100}) {
     ConfigDatabase db;
     const auto file = [&](std::int64_t t) {
-      db.file_snapshot("C", 1, spectrum::Rat::kLte, 1, {}, SimTime{t},
-                       {{k, 1.0, -1}});
+      db.add_snapshot("C", 1, spectrum::Rat::kLte, 1, {}, SimTime{t},
+                      {{k, 1.0, -1}});
     };
     file(first);
     file(50);  // falls below 100, or rises from -5
@@ -427,6 +439,132 @@ TEST(DbRepeats, RowsOutOfOrderOrBelowMinusOneNeverRepeat) {
     EXPECT_TRUE(rec.rows_only) << first;
     EXPECT_EQ(rec.observations.size(), 8u) << first;
   }
+}
+
+// --- the CSV loader: snapshots, not rows --------------------------------------
+
+/// One CSV row as its fields.
+struct CsvRow {
+  std::string carrier;
+  std::uint32_t id = 0;
+  spectrum::Rat rat{};
+  std::uint32_t channel = 0;
+  geo::Point pos;
+  std::int64_t t = 0;
+  config::ParamObservation p;
+};
+
+std::string csv_double(double v) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, res.ptr);
+}
+
+/// A seeded hostile CSV, and its rows filed one at a time into `ref` (the
+/// rows-only oracle).  Snapshots of a few cells, most of them the cell's
+/// previous snapshot again; times mostly rise but also tie (and, when
+/// `falls`, fall and cross -1), and many snapshots share one time across
+/// cells; a snapshot's rows are often riffled with the next snapshot's, so
+/// cells interleave mid-snapshot; values and positions take both zeros;
+/// and some rows are bad.
+std::string hostile_csv(std::uint64_t seed, bool falls, ConfigDatabase& ref,
+                        std::size_t& bad_rows) {
+  Rng rng(seed);
+  struct Cell {
+    std::int64_t t = 0;
+    std::vector<config::ParamObservation> last;
+  };
+  std::map<std::pair<std::string, std::uint32_t>, Cell> cells;
+  std::vector<std::vector<CsvRow>> snapshots;
+  std::int64_t shared_t = 0;
+  for (int s = 0; s < 160; ++s) {
+    CsvRow head;
+    head.carrier = rng.chance(0.5) ? "A" : "B";
+    head.id = static_cast<std::uint32_t>(1 + rng.below(4));
+    head.rat = static_cast<spectrum::Rat>(rng.below(2));
+    head.channel = static_cast<std::uint32_t>(rng.below(3));
+    head.pos = {rng.chance(0.5) ? 0.0 : -0.0,
+                static_cast<double>(rng.below(3))};
+    Cell& cell = cells[{head.carrier, head.id}];
+    const double r = rng.uniform(0.0, 1.0);
+    if (r < 0.25)  // the time of another cell's snapshot
+      cell.t = falls ? shared_t : std::max(cell.t, shared_t);
+    else if (falls && r < 0.29)
+      cell.t -= static_cast<std::int64_t>(1 + rng.below(50));
+    else if (falls && r < 0.31)
+      cell.t = -static_cast<std::int64_t>(rng.below(3));  // at or near -1
+    else if (r < 0.38)
+      ;  // ties
+    else
+      cell.t += static_cast<std::int64_t>(1 + rng.below(100));
+    shared_t = cell.t;
+    head.t = cell.t;
+    if (cell.last.empty() || rng.chance(0.35)) {
+      cell.last.clear();
+      for (std::size_t k = 0, n = 1 + rng.below(4); k < n; ++k)
+        cell.last.push_back({kKeys[rng.below(kKeys.size())],
+                             rng.chance(0.3)   ? 0.0
+                             : rng.chance(0.4) ? -0.0
+                                               : static_cast<double>(rng.below(3)),
+                             rng.chance(0.5) ? -1 : 2});
+    }
+    std::vector<CsvRow> rows;
+    for (const auto& p : cell.last) {
+      CsvRow row = head;
+      row.p = p;
+      rows.push_back(row);
+    }
+    snapshots.push_back(std::move(rows));
+  }
+  std::string text =
+      "carrier,cell_id,rat,channel,x_m,y_m,t_ms,param,value,context\n";
+  bad_rows = 0;
+  for (std::size_t s = 0; s < snapshots.size(); ++s) {
+    std::vector<CsvRow> rows = snapshots[s];
+    if (s + 1 < snapshots.size() && rng.chance(0.3)) {  // riffle two
+      std::vector<CsvRow> next = snapshots[++s], mixed;
+      std::size_t a = 0, b = 0;
+      while (a < rows.size() || b < next.size())
+        mixed.push_back(b == next.size() || (a < rows.size() && rng.chance(0.5))
+                            ? rows[a++]
+                            : next[b++]);
+      rows = std::move(mixed);
+    }
+    for (const CsvRow& row : rows) {
+      if (rng.chance(0.03)) {
+        text += row.carrier + "," + std::to_string(row.id) + ",0,0,0,0,0," +
+                "NoSuchParam,1,-1\n";
+        ++bad_rows;
+      }
+      text += cat({row.carrier, ",", std::to_string(row.id), ",",
+                   std::to_string(static_cast<int>(row.rat)), ",",
+                   std::to_string(row.channel), ",", csv_double(row.pos.x),
+                   ",", csv_double(row.pos.y), ",", std::to_string(row.t), ",",
+                   config::param_name(row.p.key), ",", csv_double(row.p.value),
+                   ",", std::to_string(row.p.context), "\n"});
+      file_rows(ref, row.carrier, row.id, row.rat, row.channel, row.pos,
+                SimTime{row.t}, {row.p});
+    }
+  }
+  return text;
+}
+
+TEST(CsvRepeats, HostileCsvsLoadLikeTheirRowsFiledOneByOne) {
+  std::size_t held = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    ConfigDatabase ref;
+    std::size_t bad = 0;
+    const std::string text = hostile_csv(seed, seed % 2 == 0, ref, bad);
+    std::istringstream in(text);
+    ConfigDatabase db;
+    const auto stats = load_dataset(in, db);
+    ASSERT_TRUE(stats.ok()) << stats.error_message();
+    EXPECT_EQ(stats.value().bad_rows, bad);
+    EXPECT_EQ(stats.value().rows, ref.total_samples() + bad);
+    expect_same_as_rows(db, ref, cat({"seed ", std::to_string(seed)}));
+    held += repeat_count(db);
+  }
+  EXPECT_GT(held, 50u);  // the loader files snapshots, so repeats are held
 }
 
 // --- extraction: the memo against a replay that decodes every camp ------------
@@ -465,9 +603,9 @@ Replay reference_extract(const std::string& carrier,
     } else {
       return;
     }
-    out.db.add_snapshot(carrier, camp->ev.cell_identity,
-                        static_cast<spectrum::Rat>(camp->ev.rat),
-                        camp->ev.channel, pos, camp->t, params);
+    file_rows(out.db, carrier, camp->ev.cell_identity,
+              static_cast<spectrum::Rat>(camp->ev.rat), camp->ev.channel, pos,
+              camp->t, params);
     ++out.stats.snapshots;
   };
   diag::Parser parser(log);
@@ -805,6 +943,54 @@ TEST(StoreLoadRepeats, SingleRunsKeepTheirMarkersAndFoldStatsCountTheSkips) {
       EXPECT_EQ(consumed + r.value().repeat_rows_skipped, manifest_rows)
           << "threads " << threads << " carriers " << q.carriers.size();
     }
+}
+
+TEST(CsvRepeats, TheCrawlCsvLoadsWithTheCrawlsRepeats) {
+  const auto crawl = small_crawl();
+  ConfigDatabase db;
+  extract_configs_parallel(crawl.logs, db, 2);
+  std::ostringstream out;
+  save_dataset(db, out);
+  std::istringstream in(out.str());
+  ConfigDatabase loaded;
+  ASSERT_TRUE(load_dataset(in, loaded).ok());
+  EXPECT_TRUE(loaded == db);
+  EXPECT_EQ(rows_text(loaded), rows_text(db));
+  // Each camp's rows share one time, so the loader files the camps the
+  // extractor filed and holds the same repeats.
+  EXPECT_EQ(repeat_count(loaded), repeat_count(db));
+  EXPECT_GT(repeat_count(loaded), 0u);
+}
+
+TEST(StoreLoadRepeats, LoadedRecordsHoldNoSpareRowsOrRepeats) {
+  // A loaded single-run record reserves its distinct rows, not a row per
+  // wire entry (markers included), and its repeat list is exact.  So is an
+  // extracted record's: the extractor trims the lists add_snapshot grew.
+  const auto crawl = small_crawl();
+  ConfigDatabase db;
+  extract_configs_parallel(crawl.logs, db, 2);
+  StoreDir dir("capacity");
+  store::WriterOptions wopts;
+  wopts.target_block_bytes = 4096;
+  store::save_database(db, dir.path(), wopts);
+  auto set = store::ShardSet::open(dir.path());
+  ASSERT_TRUE(set.ok()) << set.error_message();
+  ConfigDatabase loaded;
+  ASSERT_TRUE(store::load_database(set.value(), loaded, 2).ok());
+  ASSERT_TRUE(loaded == db);
+  for (const auto* d : {&db, &loaded}) {
+    const std::string what = d == &db ? "extracted" : "loaded";
+    std::size_t held = 0;
+    for (const auto& [carrier, cells] : d->carriers())
+      for (const auto& [id, rec] : cells) {
+        EXPECT_EQ(rec.observations.capacity(), rec.observations.size())
+            << what << " " << carrier << " cell " << id;
+        EXPECT_EQ(rec.repeats.capacity(), rec.repeats.size())
+            << what << " " << carrier << " cell " << id;
+        held += rec.repeats.size();
+      }
+    EXPECT_GT(held, 0u) << what;
+  }
 }
 
 }  // namespace

@@ -640,17 +640,20 @@ TEST(DirectFoldBlockEnd, ManifestDisagreementFailsEveryFoldAndDrainsTheGauge) {
 // --- cursor buffer reuse -------------------------------------------------------
 
 /// The oracle record for a planned fold: load_database's record restricted
-/// to the query's parameters.  Identity metadata is the unfiltered merge's.
+/// to the query's parameters (its expanded rows, filtered).  Identity
+/// metadata is the unfiltered merge's.
 core::CellRecord restrict_record(const core::CellRecord& rec, const Query& q) {
   core::CellRecord out = rec;
   if (q.params.empty()) return out;
-  out.observations.clear();
-  for (const auto& obs : rec.observations)
-    if (std::find(q.params.begin(), q.params.end(), obs.key) != q.params.end())
-      out.observations.push_back(obs);
+  out.expand();
+  std::erase_if(out.observations, [&](const core::Observation& obs) {
+    return std::find(q.params.begin(), q.params.end(), obs.key) ==
+           q.params.end();
+  });
   return out;
 }
 
+/// Identity bits and expanded rows bit for bit (CellRecord::== too).
 void expect_same_record(const core::CellRecord& a, const core::CellRecord& b,
                         const std::string& what) {
   EXPECT_EQ(a.cell_id, b.cell_id) << what;
@@ -658,10 +661,13 @@ void expect_same_record(const core::CellRecord& a, const core::CellRecord& b,
   EXPECT_EQ(a.channel, b.channel) << what;
   expect_bits(a.position.x, b.position.x, what + " x");
   expect_bits(a.position.y, b.position.y, what + " y");
-  ASSERT_EQ(a.observations.size(), b.observations.size()) << what;
-  for (std::size_t i = 0; i < a.observations.size(); ++i) {
-    const auto& oa = a.observations[i];
-    const auto& ob = b.observations[i];
+  EXPECT_TRUE(a == b) << what;
+  const auto ra = a.expanded();
+  const auto rb = b.expanded();
+  ASSERT_EQ(ra.size(), rb.size()) << what;
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    const auto& oa = ra[i];
+    const auto& ob = rb[i];
     const std::string at = what + " obs " + std::to_string(i);
     EXPECT_EQ(oa.key, ob.key) << at;
     expect_bits(oa.value, ob.value, at);
@@ -696,8 +702,13 @@ void expect_folds_match_oracle(const ShardSet& set, const Query& q,
         auto it = want->begin();
         for (const auto& [id, rec] : got) {
           ASSERT_EQ(id, it->first) << what;
-          expect_same_record(rec, it->second,
-                             what + " " + carrier + " cell " + std::to_string(id));
+          const std::string cell =
+              what + " " + carrier + " cell " + std::to_string(id);
+          expect_same_record(rec, it->second, cell);
+          // Unplanned, the delivered record keeps the loaded one's repeats.
+          if (q.params.empty()) {
+            EXPECT_EQ(rec.repeats, it->second.repeats) << cell;
+          }
           ++it;
         }
       };

@@ -206,16 +206,8 @@ TEST_F(HostileStore, DirectFoldHostileMixMatchesScans) {
     ASSERT_TRUE(some.ok()) << some.error_message();
     ASSERT_EQ(some.value().results.size(), 1u);
     // The planned fold equals the mix over the database it filters to.
-    core::ConfigDatabase filtered;
-    const core::ParamKeySet keys(planned.params);
-    for (const auto& [id, rec] : *db_->cells_of("H1")) {
-      auto& dst = filtered.upsert_cell("H1", id);
-      dst = rec;
-      std::erase_if(dst.observations, [&](const core::Observation& obs) {
-        return !keys.contains(obs.key);
-      });
-    }
-    expect_mix_matches_scans(filtered, some.value().results[0], mopts,
+    expect_mix_matches_scans(test::filter_db(*db_, planned),
+                             some.value().results[0], mopts,
                              tag + " planned");
 
     auto values = direct.values("H0", lte_key(kBigKey));

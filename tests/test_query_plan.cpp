@@ -37,6 +37,7 @@ using test::expect_counts;
 using test::expect_diversity;
 using test::expect_gaps;
 using test::expect_mix_matches_scans;
+using test::filter_db;
 
 class StoreDir {
  public:
@@ -109,33 +110,6 @@ void save_small_blocks(const core::ConfigDatabase& db, const std::string& dir) {
   wopts.target_block_bytes = 1024;  // many blocks, many shards
   wopts.target_shard_bytes = 8192;
   save_database(db, dir, wopts);
-}
-
-/// THE ORACLE: apply a Query to the fully merged in-memory database.  Drop
-/// non-selected carriers and out-of-range cells; strip non-selected-param
-/// observations but KEEP the cell (with its unfiltered metadata) even when
-/// nothing remains — that is the planned fold's documented contract, so
-/// per-cell census products (e.g. multi_priority's LTE cell count) agree.
-core::ConfigDatabase filter_db(const core::ConfigDatabase& db,
-                               const Query& q) {
-  const core::ParamKeySet pset(q.params);
-  core::ConfigDatabase out;
-  for (const auto& [carrier, cells] : db.carriers()) {
-    if (!q.carriers.empty() &&
-        std::find(q.carriers.begin(), q.carriers.end(), carrier) ==
-            q.carriers.end())
-      continue;
-    for (const auto& [id, rec] : cells) {
-      if (id < q.min_cell || id > q.max_cell) continue;
-      auto& dst = out.upsert_cell(carrier, id);
-      dst = rec;
-      if (!q.params.empty())
-        std::erase_if(dst.observations, [&](const core::Observation& obs) {
-          return !pset.contains(obs.key);
-        });
-    }
-  }
-  return out;
 }
 
 /// Median cell id of the whole database — a cell range split point that

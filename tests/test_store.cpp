@@ -208,21 +208,20 @@ WriteStats replay_into_sink(const core::ConfigDatabase& db,
                             StreamingDatasetSink& sink) {
   for (const auto& [carrier, cells] : db.carriers()) {
     for (const auto& [id, rec] : cells) {
-      // Group the flat observation list back into snapshots: the encoder
-      // stored them in arrival order, so consecutive equal timestamps of
-      // one visit stay adjacent.
+      // Group the expanded rows back into snapshots: the encoder stored
+      // them in arrival order, so consecutive equal timestamps of one
+      // visit stay adjacent.
+      const auto obs = rec.expanded();
       std::size_t i = 0;
-      while (i < rec.observations.size()) {
+      while (i < obs.size()) {
         std::size_t j = i;
         std::vector<config::ParamObservation> params;
-        while (j < rec.observations.size() &&
-               rec.observations[j].t == rec.observations[i].t) {
-          params.push_back({rec.observations[j].key, rec.observations[j].value,
-                            rec.observations[j].context});
+        while (j < obs.size() && obs[j].t == obs[i].t) {
+          params.push_back({obs[j].key, obs[j].value, obs[j].context});
           ++j;
         }
         sink.snapshot(carrier, id, rec.rat, rec.channel, rec.position,
-                      rec.observations[i].t, params);
+                      obs[i].t, params);
         i = j;
       }
     }

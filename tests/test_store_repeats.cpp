@@ -3,17 +3,19 @@
 // - The codec: a cell with repeats round-trips through encode_cell and
 //   decode_observations + expand_repeats bit for bit, the kernel and the
 //   reference agree on it (records, scan, markers, position, errors), and
-//   a cell without repeats keeps encode_cell_reference's bytes.
+//   a marker is the only difference repeats make to the bytes.
 // - The store: the manifest sets flags bit 1 exactly when a marker was
 //   written; load_database of a repeat-encoded store equals the database
 //   it was written from, for both D2 worlds (the crawl and the stream
 //   generator), at every writer thread count; a golden pin covers a
 //   repeat-heavy store.
-// - The fold: every delivered record equals load_database's under the
-//   omission rule (a lone run with times never decreasing from >= -1 loses
-//   its repeats, every other cell arrives expanded), planned and
-//   unplanned, at 1 and 4 threads; the mix matches the reference scans;
-//   and `latest` is pinned for out-of-order runs, ties at the max t
+// - The fold: every delivered record equals load_database's record for
+//   its cell (restricted to the query), planned and unplanned, at 1 and 4
+//   threads, on a repeat-heavy generated store and on chunked spills;
+//   unplanned, it holds the same repeats, and a lone run with times never
+//   decreasing from >= -1 holds exactly the omission rule's distinct rows
+//   (every other cell arrives expanded); the mix matches the reference
+//   scans; and `latest` is pinned for out-of-order runs, ties at the max t
 //   between a repeat and another run's row, times below -1, and a run
 //   that ends in repeats.
 // - Hostile bodies: a deterministic mutation sweep (bit flips, truncation,
@@ -36,6 +38,7 @@
 #include <vector>
 
 #include "figures_oracle.hpp"
+#include "store_image.hpp"
 #include "mmlab/core/cell_fold.hpp"
 #include "mmlab/core/database.hpp"
 #include "mmlab/core/figures.hpp"
@@ -60,7 +63,10 @@ namespace fs = std::filesystem;
 using core::CellRecord;
 using core::ConfigDatabase;
 using core::Observation;
+using test::BodyMap;
 using test::expect_bits;
+using test::filter_db;
+using test::StoreImage;
 
 class StoreDir {
  public:
@@ -197,7 +203,7 @@ void save_chunked(const ConfigDatabase& db, const std::string& dir,
   // Replay snapshot by snapshot (a maximal equal-t run of a cell).
   for (const auto& [carrier, cells] : db.carriers())
     for (const auto& [id, rec] : cells) {
-      const auto& obs = rec.observations;
+      const auto obs = rec.expanded();
       for (std::size_t s = 0; s < obs.size();) {
         std::size_t e = s + 1;
         while (e < obs.size() && obs[e].t == obs[s].t) ++e;
@@ -232,13 +238,15 @@ bool same_observation(const Observation& a, const Observation& b) {
              std::bit_cast<std::uint64_t>(b.value);
 }
 
-/// The omission rule, written independently of the codec: every snapshot
-/// equal (keys, value bits, contexts) to the snapshot before it dropped,
-/// and counted in `count` when given.
+/// The omission rule, written independently of the codec: of the expanded
+/// rows, every snapshot equal (keys, value bits, contexts) to the snapshot
+/// before it dropped, and counted in `count` when given.  The result holds
+/// no repeats.
 CellRecord omit_repeats(const CellRecord& rec, RepeatCount* count = nullptr) {
   CellRecord out = rec;
   out.observations.clear();
-  const auto& o = rec.observations;
+  out.repeats.clear();
+  const auto o = rec.expanded();
   std::size_t prev = 0, prev_n = 0;
   for (std::size_t s = 0; s < o.size();) {
     std::size_t e = s + 1;
@@ -260,9 +268,10 @@ CellRecord omit_repeats(const CellRecord& rec, RepeatCount* count = nullptr) {
   return out;
 }
 
-/// The fold's skip conditions on a lone run, read off its expanded record.
-bool run_may_skip(const CellRecord& rec) {
-  const auto& o = rec.observations;
+/// Whether a lone run keeps its repeats, read off its expanded rows: they
+/// never fall in time, and start at or above -1.
+bool run_holds_repeats(const CellRecord& rec) {
+  const auto o = rec.expanded();
   if (o.empty()) return true;
   for (std::size_t i = 1; i < o.size(); ++i)
     if (o[i].t < o[i - 1].t) return false;
@@ -288,68 +297,60 @@ std::map<std::pair<std::string, std::uint32_t>, int> run_counts(
   return runs;
 }
 
+/// Identity bits equal, and the rows, value bits included: the distinct
+/// rows when `distinct`, else the expanded rows (CellRecord::== too).
 void expect_same_record(const CellRecord& a, const CellRecord& b,
-                        const std::string& what) {
+                        const std::string& what, bool distinct = false) {
   EXPECT_EQ(a.cell_id, b.cell_id) << what;
   EXPECT_EQ(a.rat, b.rat) << what;
   EXPECT_EQ(a.channel, b.channel) << what;
   expect_bits(a.position.x, b.position.x, what + " x");
   expect_bits(a.position.y, b.position.y, what + " y");
-  ASSERT_EQ(a.observations.size(), b.observations.size()) << what;
-  for (std::size_t i = 0; i < a.observations.size(); ++i) {
-    EXPECT_TRUE(same_observation(a.observations[i], b.observations[i]))
-        << what << " obs " << i;
-    EXPECT_EQ(a.observations[i].t, b.observations[i].t) << what << " obs " << i;
+  if (!distinct) {
+    EXPECT_TRUE(a == b) << what;
+  }
+  const auto ra = distinct ? a.observations : a.expanded();
+  const auto rb = distinct ? b.observations : b.expanded();
+  ASSERT_EQ(ra.size(), rb.size()) << what;
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    EXPECT_TRUE(same_observation(ra[i], rb[i])) << what << " obs " << i;
+    EXPECT_EQ(ra[i].t, rb[i].t) << what << " obs " << i;
   }
 }
 
-/// `db` restricted to a query's cell range and parameters (cells kept even
-/// when every observation is filtered, as the planned fold delivers them).
-ConfigDatabase filter_db(const ConfigDatabase& db, const Query& q) {
-  const core::ParamKeySet pset(q.params);
-  ConfigDatabase out;
-  for (const auto& [carrier, cells] : db.carriers())
-    for (const auto& [id, rec] : cells) {
-      if (id < q.min_cell || id > q.max_cell) continue;
-      CellRecord& dst = out.upsert_cell(carrier, id);
-      dst = rec;
-      if (!q.params.empty())
-        std::erase_if(dst.observations, [&](const Observation& obs) {
-          return !pset.contains(obs.key);
-        });
-    }
-  return out;
-}
-
 /// Every record fold_planned and fold_query (threads 1 and 4) deliver for
-/// `q`, against load_database's record under the omission rule.
-void expect_records_follow_the_omission_rule(const ShardSet& set,
-                                             const Query& q,
-                                             const std::string& tag) {
+/// `q` equals load_database's record for its cell, restricted to `q`.
+/// With no param predicate it also holds the loaded record's repeats, and
+/// a lone run whose rows never fall from >= -1 holds the omission rule's
+/// distinct rows.
+void expect_fold_records_equal_loaded(const ShardSet& set, const Query& q,
+                                      const std::string& tag) {
   const auto loaded = load(set);
   const auto runs = run_counts(set);
-  ConfigDatabase oracle;
-  for (const auto& [carrier, cells] : loaded.carriers())
-    for (const auto& [id, rec] : cells) {
-      const bool lone = runs.at({carrier, id}) == 1;
-      oracle.upsert_cell(carrier, id) =
-          lone && run_may_skip(rec) ? omit_repeats(rec) : rec;
-    }
-  oracle = filter_db(oracle, q);
-
+  const ConfigDatabase want_db = filter_db(loaded, q);
+  std::size_t held = 0;
   const QueryPlan plan(set, q);
   const auto expect_cells =
       [&](const std::string& carrier,
           const std::vector<std::pair<std::uint32_t, CellRecord>>& got,
           const std::string& what) {
-        const auto* want = oracle.cells_of(carrier);
+        const auto* want = want_db.cells_of(carrier);
         ASSERT_EQ(got.size(), want ? want->size() : 0u) << what << carrier;
         if (!want) return;
         auto it = want->begin();
         for (const auto& [id, rec] : got) {
           ASSERT_EQ(id, it->first) << what;
-          expect_same_record(rec, it->second,
-                             what + " " + carrier + " cell " + std::to_string(id));
+          const std::string cell =
+              what + " " + carrier + " cell " + std::to_string(id);
+          expect_same_record(rec, it->second, cell);
+          if (q.params.empty()) {
+            EXPECT_EQ(rec.repeats, it->second.repeats) << cell;
+            const bool lone = runs.at({carrier, id}) == 1;
+            if (lone && run_holds_repeats(rec))
+              expect_same_record(rec, omit_repeats(rec), cell + " distinct",
+                                 true);
+            held += rec.repeats.size();
+          }
           ++it;
         }
       };
@@ -379,6 +380,9 @@ void expect_records_follow_the_omission_rule(const ShardSet& set,
     ASSERT_TRUE(r.ok()) << what << ": " << r.error_message();
     for (std::size_t i = 0; i < plan.carriers().size(); ++i)
       expect_cells(plan.carriers()[i].name, got[i], what + " fold_query ");
+  }
+  if (q.params.empty() && set.manifest().repeats) {
+    EXPECT_GT(held, 0u) << tag << ": no delivered record held a repeat";
   }
 }
 
@@ -425,7 +429,7 @@ RepeatCount count_repeats(const CellRecord& rec) {
 }
 
 struct Decoded {
-  std::vector<Observation> records;
+  CellRecord rec;  ///< rows and markers as decoded
   CellScan scan;
   std::size_t position = 0;
   std::string error;
@@ -444,10 +448,9 @@ Decoded decode_cell(bool kernel, const std::vector<std::uint8_t>& bytes,
     (void)r.f64le();
     const std::uint64_t n = r.varint();
     if (kernel)
-      decode_observations(r, n, params, select, d.records, d.scan, true);
+      decode_observations(r, n, params, select, d.rec, d.scan, true);
     else
-      decode_observations_reference(r, n, params, select, d.records, d.scan,
-                                    true);
+      decode_observations_reference(r, n, params, select, d.rec, d.scan, true);
   } catch (const std::exception& e) {
     d.error = e.what();
   }
@@ -462,18 +465,13 @@ void expect_same_decode(const Decoded& a, const Decoded& b,
   EXPECT_EQ(a.scan.rows, b.scan.rows) << tag;
   EXPECT_EQ(a.scan.values_skipped, b.scan.values_skipped) << tag;
   EXPECT_EQ(a.scan.front_t_ms, b.scan.front_t_ms) << tag;
-  EXPECT_EQ(a.scan.sorted, b.scan.sorted) << tag;
-  ASSERT_EQ(a.scan.repeats.size(), b.scan.repeats.size()) << tag;
-  for (std::size_t i = 0; i < a.scan.repeats.size(); ++i) {
-    EXPECT_EQ(a.scan.repeats[i].t_ms, b.scan.repeats[i].t_ms) << tag;
-    EXPECT_EQ(a.scan.repeats[i].at, b.scan.repeats[i].at) << tag;
-    EXPECT_EQ(a.scan.repeats[i].begin, b.scan.repeats[i].begin) << tag;
-    EXPECT_EQ(a.scan.repeats[i].end, b.scan.repeats[i].end) << tag;
-  }
-  ASSERT_EQ(a.records.size(), b.records.size()) << tag;
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_TRUE(same_observation(a.records[i], b.records[i])) << tag;
-    EXPECT_EQ(a.records[i].t, b.records[i].t) << tag;
+  EXPECT_EQ(a.rec.repeats, b.rec.repeats) << tag;
+  const auto& ra = a.rec.observations;
+  const auto& rb = b.rec.observations;
+  ASSERT_EQ(ra.size(), rb.size()) << tag;
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    EXPECT_TRUE(same_observation(ra[i], rb[i])) << tag;
+    EXPECT_EQ(ra[i].t, rb[i].t) << tag;
   }
 }
 
@@ -485,7 +483,7 @@ TEST(StoreRepeats, CellsRoundTripThroughMarkersInBothDecoders) {
     ParamIndexMap map;
     ByteWriter w;
     RepeatCount count;
-    ASSERT_TRUE(encode_cell(w, 7, rec, map, &count));
+    ASSERT_TRUE(encode_cell(w, 7, rec, map, count));
     const RepeatCount want = count_repeats(rec);
     const std::string tag = "round " + std::to_string(round);
     EXPECT_EQ(count.snapshots, want.snapshots) << tag;
@@ -505,10 +503,9 @@ TEST(StoreRepeats, CellsRoundTripThroughMarkersInBothDecoders) {
       ASSERT_TRUE(k.error.empty()) << tag << ": " << k.error;
       EXPECT_EQ(k.position, w.size()) << tag;
       EXPECT_EQ(k.scan.rows, rec.observations.size()) << tag;
-      EXPECT_EQ(k.scan.repeats.size(), count.snapshots) << tag;
+      EXPECT_EQ(k.rec.repeats.size(), count.snapshots) << tag;
       // Expanded, the kept rows are the record's kept rows, in order.
-      std::vector<Observation> expanded = k.records;
-      expand_repeats(expanded, k.scan.repeats);
+      const std::vector<Observation> expanded = k.rec.expanded();
       std::vector<Observation> want_rows;
       for (const auto& obs : rec.observations)
         if (select.mask == nullptr ||
@@ -546,23 +543,25 @@ TEST(StoreRepeats, CellsWithoutRepeatsKeepThePlainBytes) {
   ParamIndexMap map;
   map.assign(a);
   map.assign(b);
-  ByteWriter plain, with_count;
-  encode_cell_reference(plain, 9, rec, map);
+  ByteWriter reference, plain;
+  encode_cell_reference(reference, 9, rec, map);
   RepeatCount count;
-  ASSERT_TRUE(encode_cell(with_count, 9, rec, map, &count));
+  ASSERT_TRUE(encode_cell(plain, 9, rec, map, count));
   EXPECT_EQ(count.snapshots, 0u);
-  EXPECT_EQ(with_count.buffer(), plain.buffer());
+  EXPECT_EQ(plain.buffer(), reference.buffer());
 
-  // One equal snapshot more, and the cell shrinks by a marker.
+  // One equal snapshot more, and the cell grows by one marker alone: a
+  // one-byte time delta and the marker index.
   snap(50, -0.0, 3, b, a);
   ByteWriter repeated;
   count = {};
-  ASSERT_TRUE(encode_cell(repeated, 9, rec, map, &count));
+  ASSERT_TRUE(encode_cell(repeated, 9, rec, map, count));
   EXPECT_EQ(count.snapshots, 1u);
   EXPECT_EQ(count.rows, 2u);
-  ByteWriter plain_longer;
-  encode_cell_reference(plain_longer, 9, rec, map);
-  EXPECT_LT(repeated.size(), plain_longer.size());
+  EXPECT_EQ(repeated.size(), plain.size() + 1 + varint_size(kRepeatMarker));
+  ByteWriter reference_repeated;
+  encode_cell_reference(reference_repeated, 9, rec, map);
+  EXPECT_EQ(repeated.buffer(), reference_repeated.buffer());
 }
 
 // --- the store --------------------------------------------------------------------
@@ -586,6 +585,7 @@ TEST(StoreRepeats, FlagsBitOneMarksExactlyTheStoresWithMarkers) {
     for (const auto& [id, rec] : cells) {
       CellRecord& dst = unique.upsert_cell(carrier, id);
       dst = rec;
+      dst.expand();
       for (std::size_t i = 0; i < dst.observations.size(); ++i)
         dst.observations[i].context = static_cast<std::int64_t>(i);
     }
@@ -717,7 +717,7 @@ TEST(StoreRepeats, FoldRecordsFollowTheOmissionRule) {
     q.params = {kServing};
     queries.emplace_back("range+params", q);
   }
-  // One run per cell (the skip path), and chunks of 40 rows (most cells
+  // One run per cell (the keep path), and chunks of 40 rows (most cells
   // in several runs: the expand path).
   StoreDir single("omit_single"), chunked("omit_chunked");
   save_small_blocks(db, single.path());
@@ -728,8 +728,39 @@ TEST(StoreRepeats, FoldRecordsFollowTheOmissionRule) {
     ASSERT_TRUE(set.value().manifest().repeats);
     EXPECT_EQ(load(set.value()), db);
     for (const auto& [name, q] : queries)
-      expect_records_follow_the_omission_rule(
+      expect_fold_records_equal_loaded(
           set.value(), q, (dir == &single ? "single " : "chunked ") + name);
+  }
+}
+
+TEST(StoreRepeats, FoldRecordsEqualTheLoadedRecordsOnD2Stores) {
+  // The store_query shape, small: the stream generator's world at 8
+  // visits per cell (most snapshots repeat), written whole (one run per
+  // cell) and spilled through the sink in chunks of 150 rows (most cells
+  // in several runs).
+  const auto db = stream_world_db(8);
+  StoreDir whole("d2_whole"), spilled("d2_spilled");
+  save_small_blocks(db, whole.path());
+  save_chunked(db, spilled.path(), 150);
+  Query params;
+  params.params = {kServing, kNeighbor};
+  Query range;
+  range.min_cell = db.cells_of(db.carriers().begin()->first)->begin()->first;
+  range.max_cell = range.min_cell + 5'000;
+  range.params = {kServing};
+  for (const auto* dir : {&whole, &spilled}) {
+    auto set = ShardSet::open(dir->path());
+    ASSERT_TRUE(set.ok()) << set.error_message();
+    const std::string tag = dir == &whole ? "whole " : "spilled ";
+    if (dir == &spilled) {
+      std::size_t split = 0;
+      for (const auto& [cell, runs] : run_counts(set.value()))
+        if (runs > 1) ++split;
+      EXPECT_GT(split * 2, db.total_cells()) << "most cells span runs";
+    }
+    expect_fold_records_equal_loaded(set.value(), Query{}, tag + "all");
+    expect_fold_records_equal_loaded(set.value(), params, tag + "params");
+    expect_fold_records_equal_loaded(set.value(), range, tag + "range");
   }
 }
 
@@ -860,100 +891,6 @@ TEST(StoreRepeats, LatestIsPinnedWhereARepeatCouldDecideIt) {
 }
 
 // --- hostile bodies -----------------------------------------------------------------
-
-/// A store held in memory: manifest plus shard files, rewritten to disk per
-/// mutant with every length, offset and CRC recomputed.
-struct StoreImage {
-  Manifest manifest;
-  std::vector<std::vector<std::uint8_t>> shards;  ///< full files
-
-  static StoreImage read(const std::string& dir) {
-    StoreImage img;
-    auto m = read_manifest(dir);
-    EXPECT_TRUE(m.ok()) << m.error_message();
-    img.manifest = m.value();
-    for (const auto& shard : img.manifest.shards) {
-      img.shards.emplace_back();
-      EXPECT_TRUE(read_file_bytes((fs::path(dir) / shard.filename).string(),
-                                  img.shards.back()));
-    }
-    return img;
-  }
-  std::vector<std::uint8_t> body(std::size_t s, std::size_t b) const {
-    const BlockInfo& info = manifest.shards[s].blocks[b];
-    const auto first = shards[s].begin() + static_cast<long>(info.offset);
-    return {first, first + static_cast<long>(info.length)};
-  }
-  /// Replace one block body; offsets, sizes and CRCs follow.
-  void set_body(std::size_t s, std::size_t b,
-                const std::vector<std::uint8_t>& body) {
-    std::vector<std::uint8_t> file(shards[s].begin(),
-                                   shards[s].begin() + sizeof(kShardMagic));
-    auto& blocks = manifest.shards[s].blocks;
-    for (std::size_t k = 0; k < blocks.size(); ++k) {
-      const auto bytes = k == b ? body : this->body(s, k);
-      blocks[k].offset = file.size();
-      blocks[k].length = bytes.size();
-      blocks[k].crc16 = crc16_ccitt(bytes.data(), bytes.size());
-      file.insert(file.end(), bytes.begin(), bytes.end());
-    }
-    shards[s] = std::move(file);
-    manifest.shards[s].file_size = shards[s].size();
-    manifest.shards[s].crc16 = crc16_ccitt(shards[s].data(), shards[s].size());
-  }
-  void write(const std::string& dir) const {
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      FileWriter out((fs::path(dir) / manifest.shards[s].filename).string());
-      out.write(shards[s].data(), shards[s].size());
-      out.close();
-    }
-    write_manifest(dir, manifest);
-  }
-};
-
-/// Where each cell and entry of a block body starts, walked as the codec
-/// lays it out (stops quietly at damage).
-struct BodyMap {
-  struct Cell {
-    std::size_t count_at = 0, count_len = 0;  ///< the n_obs varint
-    std::uint64_t n = 0;
-    std::vector<std::size_t> entries;  ///< entry starts, then the cell end
-    std::vector<bool> marker;          ///< per entry
-  };
-  std::vector<Cell> cells;
-
-  explicit BodyMap(const std::vector<std::uint8_t>& body) {
-    ByteReader r(body.data(), body.size());
-    try {
-      while (r.remaining() > 0) {
-        Cell c;
-        (void)r.varint();
-        (void)r.u8();
-        (void)r.varint();
-        (void)r.f64le();
-        (void)r.f64le();
-        c.count_at = r.position();
-        c.n = r.varint();
-        c.count_len = r.position() - c.count_at;
-        for (std::uint64_t i = 0; i < c.n; ++i) {
-          c.entries.push_back(r.position());
-          (void)r.svarint();
-          const bool marker = r.varint() == kRepeatMarker;
-          c.marker.push_back(marker);
-          if (!marker) {
-            (void)r.f64le();
-            (void)r.svarint();
-          }
-        }
-        c.entries.push_back(r.position());
-        cells.push_back(std::move(c));
-      }
-    } catch (const std::exception&) {
-    }
-  }
-};
 
 std::vector<std::uint8_t> varint_bytes(std::uint64_t v) {
   ByteWriter w;
@@ -1144,7 +1081,7 @@ void expect_same_figures(const core::CarrierFigures& a,
 }
 
 TEST(StoreRepeatFuzz, EveryMutantIsRejectedByBothReadersOrFoldsLikeItLoads) {
-  // A repeat-heavy store with single-run cells (skip path) and, in its
+  // A repeat-heavy store with single-run cells (keep path) and, in its
   // second carrier, cells in several runs (expand path).
   StoreDir base("fuzz_base"), mutant("fuzz_mutant");
   const auto db = repeat_db(29, 2, 10, 8);
@@ -1158,7 +1095,8 @@ TEST(StoreRepeatFuzz, EveryMutantIsRejectedByBothReadersOrFoldsLikeItLoads) {
       for (const auto& [id, rec] : *db.cells_of("C1")) {
         // Split each cell's snapshots between two runs at a snapshot edge.
         CellRecord part = rec;
-        const auto& o = rec.observations;
+        part.repeats.clear();
+        const auto o = rec.expanded();
         std::size_t cut = o.size() / 2;
         while (cut > 0 && cut < o.size() && o[cut].t == o[cut - 1].t) ++cut;
         if (run == 0)

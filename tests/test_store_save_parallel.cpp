@@ -293,22 +293,20 @@ TEST(StoreSaveParallel, NonFiniteValueRefusesTheFirstBadCell) {
   }
 }
 
-/// Replays a database as per-visit snapshots (cells ascending, times
-/// nondecreasing) into a sink.
+/// Replays a database's expanded rows as per-visit snapshots (cells
+/// ascending, times nondecreasing) into a sink.
 void replay(const core::ConfigDatabase& db, StreamingDatasetSink& sink) {
   for (const auto& [carrier, cells] : db.carriers())
     for (const auto& [id, rec] : cells) {
+      const auto obs = rec.expanded();
       std::size_t i = 0;
-      while (i < rec.observations.size()) {
+      while (i < obs.size()) {
         std::vector<config::ParamObservation> params;
         std::size_t j = i;
-        for (; j < rec.observations.size() &&
-               rec.observations[j].t == rec.observations[i].t;
-             ++j)
-          params.push_back({rec.observations[j].key, rec.observations[j].value,
-                            rec.observations[j].context});
+        for (; j < obs.size() && obs[j].t == obs[i].t; ++j)
+          params.push_back({obs[j].key, obs[j].value, obs[j].context});
         sink.snapshot(carrier, id, rec.rat, rec.channel, rec.position,
-                      rec.observations[i].t, params);
+                      obs[i].t, params);
         i = j;
       }
     }

@@ -7,9 +7,12 @@
 //   pointer encode kernel, the first-sight param table and the combined
 //   shard CRC replaced the ByteWriter path, so any byte those rewrites
 //   change fails here.
+// - Manifest fuzz: mutants of the golden store's manifest are rejected at
+//   open, or read alike by load_database and a planned fold.
 // - Write errors: every writer entry point throws on a full device.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -18,8 +21,12 @@
 #include <string>
 #include <vector>
 
+#include "figures_oracle.hpp"
+#include "store_image.hpp"
 #include "mmlab/core/database.hpp"
+#include "mmlab/store/analytics.hpp"
 #include "mmlab/store/cell_codec.hpp"
+#include "mmlab/store/direct_fold.hpp"
 #include "mmlab/store/mmds2.hpp"
 #include "mmlab/store/shard_set.hpp"
 #include "mmlab/store/shard_writer.hpp"
@@ -31,6 +38,7 @@ namespace mmlab::store {
 namespace {
 
 namespace fs = std::filesystem;
+using test::StoreImage;
 
 class TempPath {
  public:
@@ -109,11 +117,39 @@ core::CellRecord random_record(Rng& rng) {
   return rec;
 }
 
+/// `rec`'s rows cut into snapshots of one to four rows at rising times,
+/// each followed by up to three copies of itself: as rows (`rows`), and
+/// filed through add_snapshot, which holds the copies as repeats (`held`).
+void with_repeats(Rng& rng, const core::CellRecord& rec,
+                  core::CellRecord& rows, core::CellRecord& held) {
+  core::ConfigDatabase db;
+  rows = rec;
+  rows.observations.clear();
+  std::int64_t t = 0;
+  const auto& obs = rec.observations;
+  for (std::size_t s = 0; s < obs.size();) {
+    const std::size_t e = std::min(obs.size(), s + 1 + rng.below(4));
+    std::vector<config::ParamObservation> params;
+    for (std::size_t k = s; k < e; ++k)
+      params.push_back({obs[k].key, obs[k].value, obs[k].context});
+    for (std::uint64_t copy = 0, n = rng.below(4); copy <= n; ++copy) {
+      t += 1 + rng.between(0, 1000);
+      db.add_snapshot("C", 0, rec.rat, rec.channel, rec.position, SimTime{t},
+                      params);
+      for (const auto& p : params)
+        rows.observations.push_back({p.key, p.value, SimTime{t}, p.context});
+    }
+    s = e;
+  }
+  held = obs.empty() ? rows : db.cells_of("C")->at(0);
+}
+
 TEST(MmdsCodec, EncodeMatchesReference) {
   Rng rng(0x5eed);
   ParamIndexMap params;
   std::vector<config::ParamKey> first_seen;
   std::set<config::ParamKey> seen;
+  std::uint64_t markers = 0, held_repeats = 0;
   for (int trial = 0; trial < 400; ++trial) {
     const std::uint32_t id =
         trial % 3 == 0   ? 0
@@ -122,24 +158,37 @@ TEST(MmdsCodec, EncodeMatchesReference) {
     const core::CellRecord rec = random_record(rng);
     for (const auto& obs : rec.observations)
       if (seen.insert(obs.key).second) first_seen.push_back(obs.key);
-
-    // Append after a non-empty prefix: the kernel must extend, not
-    // overwrite, and its trim must keep the prefix.
-    ByteWriter kernel, oracle;
-    const std::size_t prefix = 1 + rng.below(trial % 2 ? 9 : 300);
-    for (std::size_t i = 0; i < prefix; ++i) {
-      const auto b = static_cast<std::uint8_t>(rng.below(256));
-      kernel.u8(b);
-      oracle.u8(b);
+    // The record, its snapshots repeated as rows, and the same held as
+    // repeats: the kernel compares the first two and copies the third's
+    // repeats through, and all must be the reference's bytes.
+    core::CellRecord rows, held;
+    if (trial % 2 == 0) with_repeats(rng, rec, rows, held);
+    held_repeats += held.repeats.size();
+    const core::CellRecord* variants[] = {&rec, &rows, &held};
+    for (const core::CellRecord* r : variants) {
+      if (trial % 2 != 0 && r != &rec) break;
+      // Append after a non-empty prefix: the kernel must extend, not
+      // overwrite, and its trim must keep the prefix.
+      ByteWriter kernel, oracle;
+      const std::size_t prefix = 1 + rng.below(trial % 2 ? 9 : 300);
+      for (std::size_t i = 0; i < prefix; ++i) {
+        const auto b = static_cast<std::uint8_t>(rng.below(256));
+        kernel.u8(b);
+        oracle.u8(b);
+      }
+      RepeatCount count;
+      encode_cell(kernel, id, *r, params, count);
+      encode_cell_reference(oracle, id, *r, params);
+      ASSERT_EQ(kernel.buffer(), oracle.buffer()) << "trial " << trial;
+      EXPECT_LE(kernel.size() - prefix,
+                max_encoded_cell_size(encoded_entries(*r)));
+      markers += count.snapshots;
     }
-    encode_cell(kernel, id, rec, params);
-    encode_cell_reference(oracle, id, rec, params);
-    ASSERT_EQ(kernel.buffer(), oracle.buffer()) << "trial " << trial;
-    const std::size_t encoded = kernel.size() - prefix;
-    EXPECT_LE(encoded, max_encoded_cell_size(rec.observations.size()));
   }
   // Indices were handed out in first-sight order.
   EXPECT_EQ(params.keys(), first_seen);
+  EXPECT_GT(markers, 1000u);  // the marker path ran, held and compared
+  EXPECT_GT(held_repeats, 500u);
 }
 
 TEST(MmdsCodec, LongestRecordReachesTheBoundExactly) {
@@ -169,7 +218,8 @@ TEST(MmdsCodec, LongestRecordReachesTheBoundExactly) {
   const std::uint32_t id = std::numeric_limits<std::uint32_t>::max();
 
   ByteWriter kernel, oracle;
-  encode_cell(kernel, id, rec, params);
+  RepeatCount repeats;
+  encode_cell(kernel, id, rec, params, repeats);
   EXPECT_GE(params.get(rec.observations.front().key), 1u << 14);
   encode_cell_reference(oracle, id, rec, params);
   EXPECT_EQ(kernel.buffer(), oracle.buffer());
@@ -276,6 +326,161 @@ TEST(StoreFormat, GoldenBytes) {
     EXPECT_EQ(actual[i].size, expected[i].size) << actual[i].name;
     EXPECT_EQ(actual[i].crc16, expected[i].crc16) << actual[i].name;
   }
+}
+
+// --- manifest fuzz -------------------------------------------------------------
+
+/// Where a manifest's table counts sit, as (offset, varint length): the
+/// carrier, param and shard counts, then each shard's block count.
+std::vector<std::pair<std::size_t, std::size_t>> table_counts(
+    const std::vector<std::uint8_t>& manifest) {
+  std::vector<std::pair<std::size_t, std::size_t>> at;
+  ByteReader r(manifest.data(), manifest.size() - 2);
+  r.skip(sizeof(kMmdsMagic) + 2);
+  const auto count = [&] {
+    const std::size_t p = r.position();
+    const std::uint64_t n = r.varint();
+    at.emplace_back(p, r.position() - p);
+    return n;
+  };
+  for (std::uint64_t n = count(); n > 0; --n) (void)r.str();  // carriers
+  for (std::uint64_t n = count(); n > 0; --n) (void)r.str();  // params
+  for (std::uint64_t s = count(); s > 0; --s) {
+    (void)r.str();
+    (void)r.varint();
+    (void)r.u16le();
+    for (std::uint64_t b = count(); b > 0; --b) {
+      for (int k = 0; k < 5; ++k) (void)r.varint();
+      (void)r.u16le();
+      (void)r.varint();
+      (void)r.varint();
+    }
+  }
+  return at;
+}
+
+/// A planned fold's fig11–22 mix over `set` at `threads`.
+Result<QueryAnalysis> planned_mix(const ShardSet& set, const Query& q,
+                                  unsigned threads,
+                                  const core::MixOptions& mopts) {
+  FoldOptions fopts;
+  fopts.threads = threads;
+  fopts.release_mapped = false;
+  const DirectFold direct(set, fopts);
+  return analyze_query(direct, q, mopts);
+}
+
+TEST(StoreManifestFuzz, EveryMutantIsRejectedAtOpenOrReadAlikeByBothReaders) {
+  // Mutants of the golden store's manifest, each with its CRC trailer
+  // recomputed so the damage reaches the decoder: bit flips, truncation,
+  // and inflated carrier, param, shard and block counts.  ShardSet::open
+  // rejects a mutant with an error; or load_database and a planned fold
+  // (threads 1 and 4) both reject it; or both accept it, and the fold's
+  // products are the loaded database's, filtered by the query.
+  TempPath base("manifest_fuzz_base"), mutant("manifest_fuzz_mutant");
+  WriterOptions wopts;
+  wopts.target_block_bytes = 2048;
+  wopts.target_shard_bytes = 16384;
+  save_database(golden_db(), base.path(), wopts);
+  StoreImage::read(base.path()).write(mutant.path());  // shards stay put
+  const std::string manifest_path =
+      (fs::path(mutant.path()) / kMmds2ManifestName).string();
+  std::vector<std::uint8_t> pristine;
+  ASSERT_TRUE(read_file_bytes(manifest_path, pristine));
+  const auto counts = table_counts(pristine);
+  pristine.resize(pristine.size() - 2);  // the trailer, recomputed per mutant
+
+  core::MixOptions mopts;
+  mopts.cities = test::test_cities();
+  Query planned;
+  {
+    auto set = ShardSet::open(base.path());
+    ASSERT_TRUE(set.ok()) << set.error_message();
+    ASSERT_EQ(counts.size(), 3 + set.value().manifest().shards.size());
+    planned.params = {set.value().params()[0], set.value().params()[3]};
+  }
+
+  Rng rng(0x3A41);
+  int rejected_at_open = 0, rejected = 0, accepted = 0;
+  constexpr int kMutants = 300;  // a fixed budget: runs under ASan/UBSan
+  for (int m = 0; m < kMutants; ++m) {
+    std::vector<std::uint8_t> bytes = pristine;
+    std::string what;
+    const auto set_count = [&](std::size_t slot, std::uint64_t n) {
+      const auto [at, len] = counts[slot];
+      ByteWriter w;
+      w.varint(n);
+      bytes.erase(bytes.begin() + static_cast<long>(at),
+                  bytes.begin() + static_cast<long>(at + len));
+      bytes.insert(bytes.begin() + static_cast<long>(at), w.buffer().begin(),
+                   w.buffer().end());
+      what = "count " + std::to_string(slot) + " = " + std::to_string(n);
+    };
+    const std::uint64_t kind = m == 0 ? 3 : rng.below(4);
+    if (m == 0) {
+      set_count(0, std::uint64_t{1} << 26);  // the 2^26-carrier manifest
+    } else if (kind <= 1) {
+      const std::size_t at = rng.below(bytes.size());
+      bytes[at] ^= static_cast<std::uint8_t>(1u << rng.below(8));
+      what = "flip at " + std::to_string(at);
+    } else if (kind == 2) {
+      const std::size_t at = rng.below(bytes.size());
+      bytes.resize(at);
+      what = "truncate at " + std::to_string(at);
+    } else {
+      const std::size_t slot = rng.below(counts.size());
+      ByteReader r(bytes.data() + counts[slot].first, counts[slot].second);
+      const std::uint64_t n = r.varint();
+      const std::uint64_t inflated[] = {n + 1, n + 2 + rng.below(8), 2 * n + 1,
+                                        std::uint64_t{1} << 26,
+                                        std::uint64_t{1} << 40};
+      set_count(slot, inflated[rng.below(5)]);
+    }
+    {
+      const std::uint16_t crc = crc16_ccitt(bytes.data(), bytes.size());
+      bytes.push_back(static_cast<std::uint8_t>(crc & 0xFF));
+      bytes.push_back(static_cast<std::uint8_t>(crc >> 8));
+      FileWriter out(manifest_path);
+      out.write(bytes.data(), bytes.size());
+      out.close();
+    }
+    const std::string tag = "mutant " + std::to_string(m) + " (" + what + ")";
+
+    auto set = ShardSet::open(mutant.path());
+    if (m == 0) {
+      ASSERT_FALSE(set.ok()) << tag;
+      EXPECT_NE(set.error_message().find("carrier table count 67108864 exceeds"),
+                std::string::npos)
+          << set.error_message();
+    }
+    if (!set.ok()) {
+      ++rejected_at_open;
+      continue;
+    }
+    core::ConfigDatabase loaded;
+    const auto lr = load_database(set.value(), loaded, 2);
+    const auto one = planned_mix(set.value(), planned, 1, mopts);
+    const auto four = planned_mix(set.value(), planned, 4, mopts);
+    ASSERT_EQ(one.ok(), lr.ok()) << tag << ": " << lr.error_message() << " | "
+                                 << one.error_message();
+    ASSERT_EQ(four.ok(), lr.ok()) << tag << ": " << four.error_message();
+    if (!lr.ok()) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    const auto want = test::filter_db(loaded, planned);
+    for (const auto* qa : {&one, &four}) {
+      ASSERT_EQ(qa->value().results.size(), loaded.carriers().size()) << tag;
+      for (const auto& f : qa->value().results)
+        test::expect_mix_matches_scans(want, f, mopts, tag);
+    }
+    if (::testing::Test::HasFailure()) break;
+  }
+  // The sweep reaches every outcome.
+  EXPECT_GT(rejected_at_open, kMutants / 10);
+  EXPECT_GT(rejected, kMutants / 20);
+  EXPECT_GT(accepted, 0);
 }
 
 // --- write errors --------------------------------------------------------------
