@@ -137,7 +137,7 @@ void StreamExtractor::flush() {
   memo.rows = params ? params->size() : 0;
   if (!params) return;
   db_.add_snapshot(carrier_, camp.cell_identity, rat, camp.channel, pos,
-                    pending_->camp_time, *params);
+                   pending_->camp_time, *params);
   ++stats_.snapshots;
 }
 
