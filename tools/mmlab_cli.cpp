@@ -695,11 +695,13 @@ int cmd_generate(int argc, char** argv) {
   GenerateSink adapter(sink);
   const auto gstats = netgen::stream_world(gopts, adapter);
   const auto wstats = sink.finish();
-  std::printf("wrote %llu rows from %llu cells (%llu snapshots) to %s "
-              "(MMDS v2: %llu shards, %llu blocks, %.1f MB)\n",
+  std::printf("wrote %llu rows from %llu cells (%llu snapshots, %llu "
+              "reused unchanged) to %s (MMDS v2: %llu shards, %llu blocks, "
+              "%.1f MB)\n",
               static_cast<unsigned long long>(wstats.rows),
               static_cast<unsigned long long>(gstats.cells),
-              static_cast<unsigned long long>(gstats.snapshots), out,
+              static_cast<unsigned long long>(gstats.snapshots),
+              static_cast<unsigned long long>(gstats.reused_visits), out,
               static_cast<unsigned long long>(wstats.shards),
               static_cast<unsigned long long>(wstats.blocks),
               static_cast<double>(wstats.bytes) / 1e6);

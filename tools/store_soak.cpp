@@ -481,10 +481,14 @@ int run_soak_phase(const SoakOptions& opts, unsigned hw) {
   netgen::StreamStats gen;
   const auto wstats = generate_store(opts, opts.scale, dir, &gen);
   const double write_s = now_seconds() - t0;
-  std::printf("soak: %llu cells, %llu snapshots, %llu rows -> %llu blocks, "
-              "%llu shards, %.1f MB in %.1f s (%.1f Mrows/s); RSS %.1f MB\n",
+  std::printf("soak: %llu cells, %llu snapshots (%llu reused unchanged, "
+              "%.1f %%), %llu rows -> %llu blocks, %llu shards, %.1f MB in "
+              "%.1f s (%.1f Mrows/s); RSS %.1f MB\n",
               static_cast<unsigned long long>(gen.cells),
               static_cast<unsigned long long>(gen.snapshots),
+              static_cast<unsigned long long>(gen.reused_visits),
+              100.0 * static_cast<double>(gen.reused_visits) /
+                  static_cast<double>(std::max<std::uint64_t>(1, gen.snapshots)),
               static_cast<unsigned long long>(gen.rows),
               static_cast<unsigned long long>(wstats.blocks),
               static_cast<unsigned long long>(wstats.shards),
